@@ -2,26 +2,23 @@
 
    Usage:
      check_baselines metrics baselines/metrics.json metrics.json
-     check_baselines bench baselines/bench.json BENCH_results.json [--tolerance 0.2]
      check_baselines fidelity baselines/fidelity.json fidelity.json
      check_baselines scenario baselines/scenario.json scenario.json
-     check_baselines cachesweep baselines/cachesweep.json cachesweep.json
      check_baselines tune baselines/tune.json tune.json
      check_baselines all BASELINE CURRENT [BASELINE CURRENT]...
 
    Exits 0 when the current artefact matches the baseline (exactly for
-   pc-obs/1 counters and gauges; within the median-normalised tolerance
-   for pc-bench/1 timings; within the pc-fidelity-thresholds/1 bounds
-   for pc-fidelity/1 clone-fidelity reports; within the
-   pc-scenario-thresholds/1 bounds for pc-scenario/1 co-run reports), 1
-   with one line per discrepancy otherwise.  The $(b,all) mode runs any
+   pc-obs/1 counters and gauges; within the pc-fidelity-thresholds/1
+   bounds for pc-fidelity/1 clone-fidelity reports; within the
+   pc-scenario-thresholds/1 bounds for pc-scenario/1 co-run reports;
+   within the pc-tune-thresholds/1 bounds for pc-tune/1 tuning
+   reports), 1 with one line per discrepancy otherwise.  The $(b,all) mode runs any
    number of baseline/current pairs in one invocation — the gate kind
    is inferred from each baseline's schema — prints a one-line-per-gate
    summary table, and aggregates the exit code.  Baselines are
    regenerated deliberately — see EXPERIMENTS.md. *)
 
 module Json = Pc_util.Json
-module Baseline = Pc_obs.Baseline
 
 let load path =
   match Json.parse_file path with
@@ -30,13 +27,11 @@ let load path =
     Printf.eprintf "check_baselines: %s: %s\n" path msg;
     exit 2
 
-let check kind ~tolerance ~floor_ms ~baseline ~current =
+let check kind ~baseline ~current =
   match kind with
-  | `Metrics -> Baseline.check_metrics ~baseline ~current
-  | `Bench -> Baseline.check_bench ~floor_ms ~tolerance ~baseline ~current ()
+  | `Metrics -> Pc_obs.Baseline.check_metrics ~baseline ~current
   | `Fidelity -> Pc_trace.Fidelity.check ~thresholds:baseline ~report:current
   | `Scenario -> Pc_scenario.Report.check ~thresholds:baseline ~report:current
-  | `Cachesweep -> Baseline.check_cachesweep ~thresholds:baseline ~report:current
   | `Tune -> Pc_tune.Report.check ~thresholds:baseline ~report:current
 
 (* In [all] mode the gate kind comes from the baseline document itself:
@@ -44,10 +39,8 @@ let check kind ~tolerance ~floor_ms ~baseline ~current =
 let kind_of_baseline path doc =
   match Option.bind (Json.member "schema" doc) Json.to_string with
   | Some "pc-obs/1" -> ("metrics", `Metrics)
-  | Some "pc-bench/1" -> ("bench", `Bench)
   | Some "pc-fidelity-thresholds/1" -> ("fidelity", `Fidelity)
   | Some "pc-scenario-thresholds/1" -> ("scenario", `Scenario)
-  | Some "pc-cachesweep-thresholds/1" -> ("cachesweep", `Cachesweep)
   | Some "pc-tune-thresholds/1" -> ("tune", `Tune)
   | Some s ->
     Printf.eprintf "check_baselines: %s: no gate for schema %s\n" path s;
@@ -65,13 +58,13 @@ let rec pairs = function
     exit 2
   | b :: c :: rest -> (b, c) :: pairs rest
 
-let run_all files tolerance floor_ms =
+let run_all files =
   let rows =
     List.map
       (fun (baseline_path, current_path) ->
         let baseline = load baseline_path and current = load current_path in
         let name, kind = kind_of_baseline baseline_path baseline in
-        let issues = check kind ~tolerance ~floor_ms ~baseline ~current in
+        let issues = check kind ~baseline ~current in
         (name, current_path, issues))
       (pairs files)
   in
@@ -97,11 +90,10 @@ let run_all files tolerance floor_ms =
       (List.length failed) (List.length rows);
     1
 
-let main mode baseline_path current_path rest tolerance floor_ms =
+let main mode baseline_path current_path rest =
   match mode with
-  | `All -> run_all (baseline_path :: current_path :: rest) tolerance floor_ms
-  | (`Metrics | `Bench | `Fidelity | `Scenario | `Cachesweep | `Tune) as kind
-    -> (
+  | `All -> run_all (baseline_path :: current_path :: rest)
+  | (`Metrics | `Fidelity | `Scenario | `Tune) as kind -> (
     if rest <> [] then begin
       Printf.eprintf
         "check_baselines: extra files %s (only the all mode takes more than \
@@ -110,7 +102,7 @@ let main mode baseline_path current_path rest tolerance floor_ms =
       exit 2
     end;
     let baseline = load baseline_path and current = load current_path in
-    match check kind ~tolerance ~floor_ms ~baseline ~current with
+    match check kind ~baseline ~current with
     | [] ->
       Printf.printf "check_baselines: %s matches %s\n" current_path
         baseline_path;
@@ -127,10 +119,8 @@ let mode_arg =
   let modes =
     [
       ("metrics", `Metrics);
-      ("bench", `Bench);
       ("fidelity", `Fidelity);
       ("scenario", `Scenario);
-      ("cachesweep", `Cachesweep);
       ("tune", `Tune);
       ("all", `All);
     ]
@@ -140,13 +130,10 @@ let mode_arg =
     & pos 0 (some (enum modes)) None
     & info [] ~docv:"MODE"
         ~doc:"$(b,metrics) compares pc-obs/1 counters/gauges exactly; \
-              $(b,bench) compares pc-bench/1 timings median-normalised; \
               $(b,fidelity) gates a pc-fidelity/1 report against \
               pc-fidelity-thresholds/1 bounds; $(b,scenario) gates a \
               pc-scenario/1 co-run report against \
-              pc-scenario-thresholds/1 bounds; $(b,cachesweep) gates a \
-              pc-cachesweep/1 one-pass sweep comparison against \
-              pc-cachesweep-thresholds/1 bounds; $(b,tune) gates a \
+              pc-scenario-thresholds/1 bounds; $(b,tune) gates a \
               pc-tune/1 tuning report against pc-tune-thresholds/1 \
               bounds; $(b,all) runs any \
               number of baseline/current pairs (gate kinds inferred \
@@ -171,27 +158,10 @@ let rest_arg =
     & info [] ~docv:"PAIR"
         ~doc:"Further BASELINE CURRENT pairs ($(b,all) mode only).")
 
-let tolerance_arg =
-  let doc =
-    "Allowed relative slowdown per bench entry after median \
-     normalisation (bench mode only)."
-  in
-  Arg.(value & opt float 0.20 & info [ "tolerance" ] ~docv:"FRAC" ~doc)
-
-let floor_ms_arg =
-  let doc =
-    "Absolute floor in ms applied to medians and per-entry timings \
-     before normalisation (bench mode only): guards the \
-     median-normalised comparison against 0 ms medians, and entries at \
-     or below the floor on both sides are skipped as noise."
-  in
-  Arg.(value & opt float 0.001 & info [ "floor-ms" ] ~docv:"MS" ~doc)
-
 let cmd =
   Cmd.v
     (Cmd.info "check_baselines" ~doc:"gate CI artefacts against baselines")
     Term.(
-      const main $ mode_arg $ baseline_arg $ current_arg $ rest_arg
-      $ tolerance_arg $ floor_ms_arg)
+      const main $ mode_arg $ baseline_arg $ current_arg $ rest_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,9 +5,9 @@
      pc_diff --ledger[=DIR]           diff the ledger's last two records
      pc_diff ... --gate thresholds.json --json report.json
 
-   A and B may be any pc-*/1 artefact (pc-obs/1, pc-bench/1,
-   pc-sample/1, pc-fidelity/1, pc-scenario/1, pc-trace/1,
-   pc-dispatch/1, pc-cachesweep/1) or two pc-run/1 ledger records —
+   A and B may be any pc-*/1 artefact (pc-obs/1, pc-sample/1,
+   pc-fidelity/1, pc-scenario/1, pc-trace/1, pc-tune/1) or two
+   pc-run/1 ledger records —
    for records, the diff also recurses into every artefact both runs
    recorded (paired by schema) that still exists on disk, folding the
    results in under artifacts[<schema>]/ paths.

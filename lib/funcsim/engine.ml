@@ -359,8 +359,9 @@ let retired_by_class t = Array.copy t.cls_counts
    faulting step) and the exception is returned for the caller to
    deliver after flushing.
 
-   Equivalence with the reference interpreter (Machine_ref) is checked
-   instruction by instruction in test/test_funcsim_diff.ml — including
+   Equivalence with the reference interpreter (Machine_ref, under
+   test/oracle) is checked instruction by instruction in
+   test/test_funcsim_diff.ml — including
    the r0 write discard, divide-by-zero results and fault points. *)
 (* Commit a chunk's results into [t] and its buffer: row count, the
    machine pc after the last row, the instruction count and the

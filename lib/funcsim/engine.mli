@@ -18,7 +18,7 @@
     rebuild classic per-instruction {!event} records from the chunk rows
     and the static tables, which is what keeps the legacy [Machine]
     callback API — and every profiler built on it — byte-identical to
-    the reference interpreter ({!Machine_ref}).
+    the reference interpreter ([Machine_ref], under [test/oracle]).
 
     This module is wrapped by {!Machine}; use that from consumers. *)
 

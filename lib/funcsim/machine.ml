@@ -5,7 +5,7 @@
    byte-identical output; [run_batched] additionally exposes the
    engine's chunked delivery for consumers that want to amortise the
    per-instruction callback.  The pre-rewrite interpreter survives as
-   {!Machine_ref}, the differential-testing oracle. *)
+   [Machine_ref] under test/oracle, the differential-testing oracle. *)
 
 type event = Engine.event = {
   mutable pc : int;

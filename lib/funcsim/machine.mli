@@ -10,8 +10,8 @@
     per-static-pc tables driving a threaded-dispatch loop, then retires
     instructions in chunks — [step]/[run]/[statics] behave exactly as
     they always did (checked instruction by instruction against the
-    retained reference interpreter {!Machine_ref} in
-    [test/test_funcsim_diff.ml]), and {!run_batched} exposes the
+    retained reference interpreter [Machine_ref], under [test/oracle],
+    in [test/test_funcsim_diff.ml]), and {!run_batched} exposes the
     chunked delivery directly.
 
     For performance the event record passed to [on_event] is a single

@@ -46,142 +46,3 @@ let check_metrics ~baseline ~current =
   @ compare_exact ~kind:"gauge"
       ~baseline:(int_fields "gauges" baseline)
       ~current:(int_fields "gauges" current)
-
-(* --- one-pass cache-sweep comparison --- *)
-
-(* The pc-cachesweep/1 report carries both the timing ratio and the
-   result-agreement fields the bench harness measured; the committed
-   pc-cachesweep-thresholds/1 file says how much of each CI accepts.
-   Agreement is behaviour, not timing, so [max_mismatches] should stay
-   0; the speedup bound is the one machine-dependent number. *)
-let check_cachesweep ~thresholds ~report =
-  let issues =
-    check_schema ~expected:"pc-cachesweep-thresholds/1" thresholds []
-    |> check_schema ~expected:"pc-cachesweep/1" report
-    |> List.rev
-  in
-  let num doc key = Option.bind (Json.member key doc) Json.to_float in
-  let required label doc key k =
-    match num doc key with
-    | Some v when Float.is_finite v -> k v
-    | Some _ -> [ Printf.sprintf "cachesweep: non-finite %s in %s" key label ]
-    | None -> [ Printf.sprintf "cachesweep: %s missing from %s" key label ]
-  in
-  issues
-  @ required "thresholds" thresholds "min_speedup" (fun min_speedup ->
-        required "report" report "speedup" (fun speedup ->
-            if speedup < min_speedup then
-              [
-                Printf.sprintf
-                  "cachesweep: one-pass speedup %.2fx below the %.2fx gate"
-                  speedup min_speedup;
-              ]
-            else []))
-  @ required "thresholds" thresholds "max_mismatches" (fun max_mismatches ->
-        required "report" report "mismatches" (fun mismatches ->
-            if mismatches > max_mismatches then
-              [
-                Printf.sprintf
-                  "cachesweep: %.0f config(s) disagree with the simulated \
-                   sweep (max %.0f); max |mpi| diff %s"
-                  mismatches max_mismatches
-                  (match num report "max_abs_mpi_diff" with
-                  | Some d -> Printf.sprintf "%.9f" d
-                  | None -> "unknown");
-              ]
-            else []))
-
-(* --- bench timings --- *)
-
-let bench_rows doc =
-  match Option.bind (Json.member "results" doc) Json.to_list with
-  | None -> []
-  | Some rows ->
-    List.filter_map
-      (fun row ->
-        match Option.bind (Json.member "name" row) Json.to_string with
-        | None -> None
-        | Some name ->
-          Some (name, Option.bind (Json.member "ms_per_run" row) Json.to_float))
-      rows
-
-let median values =
-  match List.sort compare values with
-  | [] -> None
-  | sorted ->
-    let n = List.length sorted in
-    let nth i = List.nth sorted i in
-    Some
-      (if n mod 2 = 1 then nth (n / 2)
-       else 0.5 *. (nth ((n / 2) - 1) +. nth (n / 2)))
-
-let check_bench ?(floor_ms = 0.001) ~tolerance ~baseline ~current () =
-  let issues =
-    check_schema ~expected:"pc-bench/1" baseline []
-    |> check_schema ~expected:"pc-bench/1" current
-    |> List.rev
-  in
-  (* A NaN/infinite timing (reachable through the JSON parser, e.g.
-     [1e999]) would poison the median and make every [>] comparison
-     silently false, masking real drift: report it and demote the row to
-     "no estimate" before any arithmetic sees it. *)
-  let sanitize label rows =
-    let bad =
-      List.filter_map
-        (fun (name, ms) ->
-          match ms with
-          | Some v when not (Float.is_finite v) ->
-            Some
-              (Printf.sprintf "bench %s: non-finite ms_per_run in %s report"
-                 name label)
-          | _ -> None)
-        rows
-    in
-    let rows =
-      List.map
-        (fun (name, ms) ->
-          (name, Option.bind ms (fun v -> if Float.is_finite v then Some v else None)))
-        rows
-    in
-    (bad, rows)
-  in
-  let b_bad, b_rows = sanitize "baseline" (bench_rows baseline) in
-  let c_bad, c_rows = sanitize "current" (bench_rows current) in
-  let issues = issues @ b_bad @ c_bad in
-  let timings rows = List.filter_map snd rows in
-  match (median (timings b_rows), median (timings c_rows)) with
-  | None, _ | _, None ->
-    issues @ [ "bench report without any ms_per_run estimates" ]
-  | Some b_med, Some c_med when b_med < 0.0 || c_med < 0.0 ->
-    issues @ [ "bench report with negative median ms/run" ]
-  | Some b_med, Some c_med ->
-    (* Absolute floor: a 0 ms median (sub-resolution timings, a stubbed
-       runner, a trimmed report) would otherwise make the normalising
-       division blow up into inf/NaN and either mask every regression or
-       flag all of them.  Timings are clamped to [floor_ms] before
-       normalising, and rows where both sides sit at or below the floor
-       carry no signal and are skipped. *)
-    let b_med = Float.max b_med floor_ms and c_med = Float.max c_med floor_ms in
-    let drifts = ref [] in
-    let report fmt = Printf.ksprintf (fun s -> drifts := s :: !drifts) fmt in
-    List.iter
-      (fun (name, b_ms) ->
-        match (b_ms, List.assoc_opt name c_rows) with
-        | None, _ -> ()
-        | Some b_ms, Some (Some c_ms) when b_ms <= floor_ms && c_ms <= floor_ms
-          ->
-          ()
-        | Some b_ms, Some (Some c_ms) ->
-          let b_norm = Float.max b_ms floor_ms /. b_med
-          and c_norm = Float.max c_ms floor_ms /. c_med in
-          if c_norm > b_norm *. (1.0 +. tolerance) then
-            report
-              "bench %s: %.1f%% slower than baseline (median-normalised %.4f \
-               vs %.4f)"
-              name
-              (100.0 *. ((c_norm /. b_norm) -. 1.0))
-              c_norm b_norm
-        | Some _, Some None | Some _, None ->
-          report "bench %s: missing from current run" name)
-      b_rows;
-    issues @ List.rev !drifts

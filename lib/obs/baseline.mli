@@ -1,8 +1,7 @@
-(** Regression gating against checked-in baseline artefacts.
+(** Regression gating against a checked-in [pc-obs/1] baseline.
 
-    CI archives two JSON artefacts per run: the [pc-obs/1] metrics
-    report and the [pc-bench/1] timing report.  This module compares a
-    current artefact against a committed baseline and reports
+    CI archives the [pc-obs/1] metrics report of a quick run.  This
+    module compares it against a committed baseline and reports
     human-readable discrepancies; an empty list means the gate passes.
 
     Metric counters and gauges are workload counts (instructions
@@ -10,12 +9,7 @@
     seed at [-j 1], so they are compared exactly: any drift means the
     pipeline's behaviour changed and either a bug crept in or the
     baseline must be regenerated deliberately.  Duration histograms
-    and spans are timing, not behaviour, and are ignored.
-
-    Bench timings are machine-dependent, so each report is first
-    normalised by its own median ms/run; a test regresses when its
-    normalised cost exceeds the baseline's by more than [tolerance]
-    (default 20%). *)
+    and spans are timing, not behaviour, and are ignored. *)
 
 val check_metrics :
   baseline:Pc_util.Json.t -> current:Pc_util.Json.t -> string list
@@ -23,32 +17,3 @@ val check_metrics :
     [pc-obs/1] documents: value drift, instruments missing from the
     current run, and new instruments absent from the baseline are all
     reported (the latter so baselines cannot silently go stale). *)
-
-val check_cachesweep :
-  thresholds:Pc_util.Json.t -> report:Pc_util.Json.t -> string list
-(** Gate a [pc-cachesweep/1] report (the bench harness's simulated vs
-    one-pass 28-configuration sweep comparison) against committed
-    [pc-cachesweep-thresholds/1] bounds: the one-pass [speedup] must
-    reach [min_speedup], and [mismatches] — configurations where the two
-    paths disagree on misses, accesses or MPI — may not exceed
-    [max_mismatches] (0 in CI: agreement is behaviour, not timing).
-    Missing or non-finite fields are reported rather than assumed. *)
-
-val check_bench :
-  ?floor_ms:float ->
-  tolerance:float ->
-  baseline:Pc_util.Json.t ->
-  current:Pc_util.Json.t ->
-  unit ->
-  string list
-(** Median-normalised comparison of two [pc-bench/1] documents;
-    [tolerance] is the allowed relative slowdown per entry (the CI
-    gate uses 0.20).  Entries with a null [ms_per_run] on either side
-    are skipped; entries missing from the current run are reported;
-    faster-than-baseline entries never fail.
-
-    [floor_ms] (default 0.001) is an absolute floor applied to medians
-    and per-entry timings before normalising, so a report whose median
-    is 0 ms (sub-resolution timings or a trimmed run) degrades into a
-    floor-relative comparison instead of dividing by zero; entries at or
-    below the floor on both sides are skipped as noise. *)

@@ -1,4 +1,26 @@
+module Rng = Pc_util.Rng
+
 let dep_bounds = [| 1; 2; 4; 6; 8; 16; 32 |]
+
+let sample_distance rng fractions =
+  let u = Rng.float rng 1.0 in
+  let acc = ref 0.0 in
+  let bucket = ref (Array.length fractions - 1) in
+  (try
+     Array.iteri
+       (fun i f ->
+         acc := !acc +. f;
+         if !acc >= u then begin
+           bucket := i;
+           raise Exit
+         end)
+       fractions
+   with Exit -> ());
+  if !bucket >= Array.length dep_bounds then 33 + Rng.int rng 16
+  else
+    let hi = dep_bounds.(!bucket) in
+    let lo = if !bucket = 0 then 1 else dep_bounds.(!bucket - 1) + 1 in
+    lo + Rng.int rng (hi - lo + 1)
 
 type mem_op = {
   static_pc : int;

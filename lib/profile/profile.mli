@@ -22,6 +22,12 @@ val dep_bounds : int array
     [\[|1; 2; 4; 6; 8; 16; 32|\]] (the paper's buckets); one implicit
     overflow bucket holds distances > 32. *)
 
+val sample_distance : Pc_util.Rng.t -> float array -> int
+(** [sample_distance rng dep_fractions] draws a dependency distance: a
+    bucket by its fraction, then a distance uniform inside it (33–48 for
+    the overflow bucket).  When the fractions sum to less than the draw
+    — all zero, say — the last bucket is taken. *)
+
 type mem_op = {
   static_pc : int;  (** static instruction index in the original binary *)
   is_store : bool;

@@ -41,19 +41,16 @@ let path_str path = String.concat "/" path
 
 (* --- per-schema policy --- *)
 
-type policy =
-  | P_exact
-  | P_tol of float * float  (* relative tolerance, absolute floor *)
-  | P_note
-  | P_skip
+type policy = P_exact | P_note | P_skip
 
-(* Which leaves are deterministic, which are timing, which are
-   environment — the machine-readable half of each schema's
-   determinism contract in EXPERIMENTS.md. *)
 let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* Which leaves are deterministic and which are environment — the
+   machine-readable half of each schema's determinism contract in
+   EXPERIMENTS.md.  Numeric leaves get a tolerance only from a gate's
+   [tolerances] globs. *)
 let policy_for schema path =
   match (schema, List.map seg_base path) with
   | _, [ "schema" ] -> P_exact
@@ -64,15 +61,6 @@ let policy_for schema path =
   | "pc-run/1", [ "run"; "metrics"; "counters"; c ]
     when starts_with ~prefix:"exec.store." c ->
     P_note
-  | "pc-bench/1", [ "results"; "ms_per_run" ] -> P_tol (0.2, 0.05)
-  | ( "pc-dispatch/1",
-      [
-        ( "ref_ms_per_run" | "new_ms_per_run" | "ref_instrs_per_sec"
-        | "new_instrs_per_sec" | "speedup" );
-      ] )
-  | "pc-cachesweep/1", [ ("ref_ms_per_run" | "onepass_ms_per_run" | "speedup") ]
-    ->
-    P_tol (0.5, 0.0)
   (* run records: the digested run object is exact; host/time/argv and
      per-artifact digests (trace timestamps, histogram samples) vary
      run to run by design. *)
@@ -87,7 +75,6 @@ let list_key schema path =
   let str k v = Option.bind (Json.member k v) Json.to_string in
   let get k v i = Option.value ~default:(Printf.sprintf "#%d" i) (str k v) in
   match (schema, List.map seg_base path) with
-  | "pc-bench/1", [ "results" ] -> Some (fun i v -> get "name" v i)
   | "pc-sample/1", [ "programs" ] ->
     Some (fun i v -> get "bench" v i ^ "/" ^ get "kind" v i)
   | "pc-fidelity/1", [ "benchmarks" ] -> Some (fun i v -> get "bench" v i)
@@ -101,8 +88,8 @@ type ctx = { mutable compared : int; mutable items : item list }
 
 let add ctx it = ctx.items <- it :: ctx.items
 
-let item ?a ?b ?a_num ?b_num ?delta ?tol ~ok path kind =
-  { path = path_str path; kind; a; b; a_num; b_num; delta; tol; ok }
+let item ?a ?b ?a_num ?b_num ?delta ~ok path kind =
+  { path = path_str path; kind; a; b; a_num; b_num; delta; tol = None; ok }
 
 let pp_value = function
   | Json.Null -> "null"
@@ -130,19 +117,9 @@ let leaf ctx schema path a b =
     ctx.compared <- ctx.compared + 1;
     match (a, b) with
     | Json.Num x, Json.Num y when not (Float.equal x y) ->
-      let delta = y -. x in
-      let ok, tol =
-        match pol with
-        | P_tol (rel, abs_floor) ->
-          ( Float.abs delta <= abs_floor
-            || Float.abs delta <= rel *. Float.max (Float.abs x) (Float.abs y),
-            Some rel )
-        | P_note -> (true, None)
-        | P_exact | P_skip -> (false, None)
-      in
       add ctx
-        (item ~a:(pp_value a) ~b:(pp_value b) ~a_num:x ~b_num:y ~delta ?tol ~ok
-           path
+        (item ~a:(pp_value a) ~b:(pp_value b) ~a_num:x ~b_num:y ~delta:(y -. x)
+           ~ok:(pol = P_note) path
            (if pol = P_note then Note else Num))
     | Json.Num _, Json.Num _ -> ()
     | a, b when a = b -> ()

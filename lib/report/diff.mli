@@ -6,8 +6,8 @@
 
     - deterministic fields (counters, gauges, seeds, sampling plans,
       fidelity characteristics, scenario reports) compare {b exactly};
-    - timing fields (bench [ms_per_run], dispatch/cachesweep
-      throughput) compare under a relative tolerance;
+      a gate's [tolerances] globs are the only way to loosen a numeric
+      field;
     - wall-clock data (histograms, [env], durations, digests of
       non-deterministic artefacts) is either skipped or reported as an
       [ok] {e note} that never fails a gate;
@@ -32,14 +32,14 @@ type kind =
   | Note  (** informational: expected run-to-run variation *)
 
 type item = {
-  path : string;  (** ["counters/funcsim.runs"], ["results[crc32]/ms_per_run"] *)
+  path : string;  (** ["counters/funcsim.runs"], ["scenarios[duet]/fairness"] *)
   kind : kind;
   a : string option;  (** rendered value in the first document *)
   b : string option;
   a_num : float option;
   b_num : float option;
   delta : float option;  (** [b - a] for numeric leaves *)
-  tol : float option;  (** relative tolerance applied, if any *)
+  tol : float option;  (** relative tolerance a gate applied, if any *)
   ok : bool;  (** [true]: tolerated or informational; never drift *)
 }
 
@@ -96,8 +96,8 @@ type thresholds = {
       (** glob patterns ([*] matches any run of characters, including
           [/]); a drift item whose path matches is downgraded to [ok] *)
   tolerances : (string * float) list;
-      (** [(pattern, rel)]: numeric drift matching [pattern] is re-judged
-          under relative tolerance [rel] instead of the schema default *)
+      (** [(pattern, rel)]: numeric drift matching [pattern] passes
+          when [|b - a| <= rel * max |a| |b|] *)
 }
 
 val default_thresholds : thresholds

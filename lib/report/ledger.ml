@@ -43,8 +43,7 @@ let starts_with ~prefix s =
 let out_opts =
   [
     "-o"; "--out"; "--output"; "--trace"; "--metrics-out"; "--sample-out";
-    "--json"; "--dispatch-json"; "--cachesweep-json"; "--fidelity-out";
-    "--plan-cache";
+    "--fidelity-out"; "--plan-cache";
   ]
 
 let rec normalise = function

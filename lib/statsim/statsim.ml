@@ -128,29 +128,8 @@ let alloc_reg g =
   g.g_next_reg := if !(g.g_next_reg) >= 25 then 1 else !(g.g_next_reg) + 1;
   r
 
-let sample_distance g fractions =
-  let bounds = Profile.dep_bounds in
-  let u = Rng.float g.g_rng 1.0 in
-  let acc = ref 0.0 in
-  let bucket = ref (Array.length fractions - 1) in
-  (try
-     Array.iteri
-       (fun i f ->
-         acc := !acc +. f;
-         if !acc >= u then begin
-           bucket := i;
-           raise Exit
-         end)
-       fractions
-   with Exit -> ());
-  if !bucket >= Array.length bounds then 33 + Rng.int g.g_rng 16
-  else
-    let hi = bounds.(!bucket) in
-    let lo = if !bucket = 0 then 1 else bounds.(!bucket - 1) + 1 in
-    lo + Rng.int g.g_rng (hi - lo + 1)
-
 let src g fractions =
-  let d = sample_distance g fractions in
+  let d = Profile.sample_distance g.g_rng fractions in
   let at k =
     if k < 1 || k > min !(g.g_recent_count) 63 then -1
     else g.g_recent.((!(g.g_recent_count) - k) land 63)

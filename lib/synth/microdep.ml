@@ -48,27 +48,6 @@ let global_deps (profile : Profile.t) =
     profile.Profile.nodes;
   if !total > 0.0 then Array.map (fun v -> v /. !total) acc else acc
 
-let sample_distance rng fractions =
-  let bounds = Profile.dep_bounds in
-  let u = Rng.float rng 1.0 in
-  let acc = ref 0.0 in
-  let bucket = ref (Array.length fractions - 1) in
-  (try
-     Array.iteri
-       (fun i f ->
-         acc := !acc +. f;
-         if !acc >= u then begin
-           bucket := i;
-           raise Exit
-         end)
-       fractions
-   with Exit -> ());
-  if !bucket >= Array.length bounds then 33 + Rng.int rng 16
-  else
-    let hi = bounds.(!bucket) in
-    let lo = if !bucket = 0 then 1 else bounds.(!bucket - 1) + 1 in
-    lo + Rng.int rng (hi - lo + 1)
-
 let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~targets () =
   let rng = Rng.create seed in
   let deps = global_deps profile in
@@ -105,7 +84,7 @@ let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~tar
     r
   in
   let find_src ~is_fp =
-    let d = sample_distance rng deps in
+    let d = Profile.sample_distance rng deps in
     let matches id = id >= 0 && (if is_fp then id >= 32 else id < 32) in
     let at k =
       if k < 1 || k > min !recent_count 63 then -1

@@ -25,12 +25,15 @@ let alloc_fp st =
 
 (* A source: a pool variable at an approximate dependency distance.  The
    rotation means "distance d" maps to the variable written d allocations
-   ago. *)
+   ago.  A node whose fractions sum to zero takes the last bucket, as
+   [Profile.sample_distance] does. *)
 let int_src st (node : Profile.node) =
-  let d = 1 + Rng.sample_cdf st.rng (
+  let cdf =
     let acc = ref 0.0 in
-    Array.map (fun f -> acc := !acc +. f; !acc) node.Profile.dep_fractions)
+    Array.map (fun f -> acc := !acc +. f; !acc) node.Profile.dep_fractions
   in
+  let last = Array.length cdf - 1 in
+  let d = 1 + (if cdf.(last) > 0.0 then Rng.sample_cdf st.rng cdf else last) in
   let idx = (st.next_int - (d mod Array.length int_pool) + (2 * Array.length int_pool))
             mod Array.length int_pool in
   int_pool.(idx)

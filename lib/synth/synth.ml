@@ -296,33 +296,6 @@ module Recent = struct
     scan 0
 end
 
-let dep_bounds = Profile.dep_bounds
-
-(* Sample a dependency distance from a node's bucket fractions. *)
-let sample_distance rng (fractions : float array) =
-  let n = Array.length fractions in
-  let u = Rng.float rng 1.0 in
-  let bucket =
-    let acc = ref 0.0 in
-    let result = ref (n - 1) in
-    (try
-       Array.iteri
-         (fun i f ->
-           acc := !acc +. f;
-           if !acc >= u then begin
-             result := i;
-             raise Exit
-           end)
-         fractions
-     with Exit -> ());
-    !result
-  in
-  if bucket >= Array.length dep_bounds then 33 + Rng.int rng 16
-  else
-    let hi = dep_bounds.(bucket) in
-    let lo = if bucket = 0 then 1 else dep_bounds.(bucket - 1) + 1 in
-    lo + Rng.int rng (hi - lo + 1)
-
 (* --- the generator --- *)
 
 type gen_state = {
@@ -367,12 +340,12 @@ let alloc_fp st =
   r
 
 let int_src st node_deps =
-  let d = jitter_distance st (sample_distance st.rng node_deps) in
+  let d = jitter_distance st (Profile.sample_distance st.rng node_deps) in
   Recent.find st.recent ~is_fp:false ~distance:d
     ~fallback:int_pool.(Rng.int st.rng (Array.length int_pool))
 
 let fp_src st node_deps =
-  let d = jitter_distance st (sample_distance st.rng node_deps) in
+  let d = jitter_distance st (Profile.sample_distance st.rng node_deps) in
   Recent.find st.recent ~is_fp:true ~distance:d
     ~fallback:fp_pool.(Rng.int st.rng (Array.length fp_pool))
 

@@ -1,5 +1,5 @@
 (** A minimal JSON parser for the repo's own artefact schemas
-    ([pc-obs/1], [pc-bench/1], [pc-sample/1]).  No external
+    ([pc-obs/1], [pc-sample/1], [pc-scenario/1], ...).  No external
     dependencies; numbers are floats, objects keep field order and
     duplicate keys (first one wins in {!member}). *)
 

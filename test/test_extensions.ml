@@ -50,6 +50,21 @@ let test_portable_compiles_and_halts () =
       if not (Machine.halted m) then Alcotest.failf "%s portable clone did not halt" name)
     [ "crc32"; "qsort" ]
 
+let test_portable_zero_dep_fractions () =
+  (* Regression: a node whose dependency fractions sum to zero made
+     [Portable.int_src] hand an all-zero CDF to [Rng.sample_cdf], which
+     raises.  It now takes the last bucket, like the ISA-level
+     generator. *)
+  let p = profile "crc32" in
+  let zero (n : Profile.node) =
+    { n with Profile.dep_fractions = Array.map (fun _ -> 0.0) n.Profile.dep_fractions }
+  in
+  let nodes = Array.map zero p.Profile.nodes in
+  let clone = Portable.generate_compiled { p with Profile.nodes } in
+  let m = Machine.load clone in
+  let _ = Machine.run ~max_instrs:5_000_000 m (fun _ -> ()) in
+  Alcotest.(check bool) "halts" true (Machine.halted m)
+
 let test_portable_deterministic () =
   let c1 = Portable.generate_compiled (profile "sha") in
   let c2 = Portable.generate_compiled (profile "sha") in
@@ -193,6 +208,8 @@ let () =
           Alcotest.test_case "interpreter runs it (bounds-checked)" `Slow
             test_portable_interp_runs;
           Alcotest.test_case "compiles and halts" `Slow test_portable_compiles_and_halts;
+          Alcotest.test_case "zero dependency fractions" `Quick
+            test_portable_zero_dep_fractions;
           Alcotest.test_case "deterministic" `Slow test_portable_deterministic;
           Alcotest.test_case "tracks cache behaviour" `Slow
             test_portable_tracks_cache_behaviour;

@@ -1,6 +1,6 @@
 (* Differential testing of the pre-decoded threaded-dispatch engine
    ({!Pc_funcsim.Machine}) against the retained reference interpreter
-   ({!Pc_funcsim.Machine_ref}): on qcheck-generated random SRISC
+   ({!Machine_ref}, under [test/oracle]): on qcheck-generated random SRISC
    programs and on every registered workload, the two must produce
    exactly the same retired-event stream — field by field, instruction
    by instruction — the same faults with the same messages, and the
@@ -9,7 +9,7 @@
    chunk columns must rebuild the exact event stream. *)
 
 module Machine = Pc_funcsim.Machine
-module Ref = Pc_funcsim.Machine_ref
+module Ref = Machine_ref
 module Memory = Pc_funcsim.Memory
 module Instr = Pc_isa.Instr
 module Reg = Pc_isa.Reg

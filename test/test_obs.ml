@@ -363,126 +363,6 @@ let test_baseline_metrics_gate () =
   Alcotest.(check bool) "schema mismatch reported" true
     (Pc_obs.Baseline.check_metrics ~baseline ~current:wrong_schema <> [])
 
-let test_baseline_bench_gate () =
-  let bench rows =
-    json_exn
-      (Printf.sprintf {|{"schema":"pc-bench/1","results":[%s]}|}
-         (String.concat ","
-            (List.map
-               (fun (name, ms) ->
-                 match ms with
-                 | Some v ->
-                   Printf.sprintf {|{"name":"%s","ms_per_run":%f}|} name v
-                 | None -> Printf.sprintf {|{"name":"%s","ms_per_run":null}|} name)
-               rows)))
-  in
-  let baseline =
-    bench
-      [
-        ("fast", Some 1.0); ("small", Some 2.0); ("mid", Some 10.0);
-        ("big", Some 50.0); ("slow", Some 100.0); ("nul", None);
-      ]
-  in
-  Alcotest.(check (list string)) "identical timings pass" []
-    (Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline ~current:baseline ());
-  (* A uniformly 3x slower machine shifts the median too: no issues. *)
-  let slower_machine =
-    bench
-      [
-        ("fast", Some 3.0); ("small", Some 6.0); ("mid", Some 30.0);
-        ("big", Some 150.0); ("slow", Some 300.0); ("nul", None);
-      ]
-  in
-  Alcotest.(check (list string)) "uniform machine slowdown passes" []
-    (Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline ~current:slower_machine ());
-  (* One test doubling its cost while the others (and so the median)
-     hold is flagged, and only it. *)
-  let regressed =
-    bench
-      [
-        ("fast", Some 2.0); ("small", Some 2.0); ("mid", Some 10.0);
-        ("big", Some 50.0); ("slow", Some 100.0); ("nul", None);
-      ]
-  in
-  (match
-     Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline ~current:regressed ()
-   with
-  | [ issue ] ->
-    Alcotest.(check bool) "regression names the test" true
-      (String.length issue >= 10 && String.sub issue 0 10 = "bench fast")
-  | issues -> Alcotest.failf "expected one issue, got %d" (List.length issues));
-  let missing = bench [ ("fast", Some 1.0); ("slow", Some 100.0) ] in
-  Alcotest.(check bool) "missing entry reported" true
-    (Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline ~current:missing () <> [])
-
-let test_baseline_bench_non_finite () =
-  (* [1e999] parses as infinity through the repo's Json module; a report
-     that smuggles one in must be flagged, not silently compared (every
-     ratio against an infinite median passes or fails arbitrarily). *)
-  let baseline =
-    json_exn
-      {|{"schema":"pc-bench/1","results":[{"name":"a","ms_per_run":1.0},{"name":"b","ms_per_run":2.0},{"name":"c","ms_per_run":3.0}]}|}
-  in
-  let poisoned =
-    json_exn
-      {|{"schema":"pc-bench/1","results":[{"name":"a","ms_per_run":1e999},{"name":"b","ms_per_run":2.0},{"name":"c","ms_per_run":3.0}]}|}
-  in
-  let issues =
-    Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline ~current:poisoned ()
-  in
-  Alcotest.(check bool) "infinite timing flagged" true
-    (List.exists (fun i -> contains ~needle:"non-finite" i) issues);
-  (* The poisoned row must also not poison the median: the finite rows
-     still compare cleanly, so the only issues mention 'a'. *)
-  Alcotest.(check bool) "finite rows unaffected" true
-    (List.for_all (fun i -> contains ~needle:"a" i) issues)
-
-let test_baseline_bench_zero_median () =
-  (* Regression: a checked-in bench report whose median ms/run is 0
-     (sub-resolution timings on a fast machine, or a trimmed report)
-     used to blow up the median normalisation into inf/NaN and either
-     mask every regression or flag them all.  The absolute floor makes
-     the comparison degrade gracefully instead. *)
-  let bench rows =
-    json_exn
-      (Printf.sprintf {|{"schema":"pc-bench/1","results":[%s]}|}
-         (String.concat ","
-            (List.map
-               (fun (name, v) ->
-                 Printf.sprintf {|{"name":"%s","ms_per_run":%f}|} name v)
-               rows)))
-  in
-  let zeros = bench [ ("a", 0.0); ("b", 0.0); ("c", 0.0) ] in
-  (* All-zero baseline vs itself: every row sits at the floor on both
-     sides — noise, not signal — so the gate passes instead of erroring. *)
-  Alcotest.(check (list string)) "zero-median report passes against itself" []
-    (Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline:zeros ~current:zeros ());
-  (* A row exploding from 0 ms to a real cost is exactly the regression
-     the floor must not hide. *)
-  let blown = bench [ ("a", 5.0); ("b", 0.0); ("c", 0.0) ] in
-  (match
-     Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline:zeros ~current:blown ()
-   with
-  | [ issue ] ->
-    Alcotest.(check bool) "regression from zero names the test" true
-      (String.length issue >= 7 && String.sub issue 0 7 = "bench a")
-  | issues -> Alcotest.failf "expected one issue, got %d" (List.length issues));
-  (* Sub-floor jitter on both sides carries no signal and is skipped,
-     even when the relative change is large. *)
-  let quiet_base = bench [ ("a", 0.0002); ("b", 1.0); ("c", 2.0) ] in
-  let quiet_cur = bench [ ("a", 0.0009); ("b", 1.0); ("c", 2.0) ] in
-  Alcotest.(check (list string)) "sub-floor jitter skipped" []
-    (Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline:quiet_base
-       ~current:quiet_cur ());
-  (* Negative medians still hard-error: that is a malformed report, not
-     a fast machine. *)
-  let negative = bench [ ("a", -1.0); ("b", -2.0); ("c", -3.0) ] in
-  Alcotest.(check bool) "negative median still reported" true
-    (List.exists
-       (fun i -> contains ~needle:"negative" i)
-       (Pc_obs.Baseline.check_bench ~tolerance:0.2 ~baseline:negative
-          ~current:negative ()))
-
 (* --- span trees under store-memoised pool tasks --- *)
 
 let test_cached_task_emits_no_spans () =
@@ -591,11 +471,6 @@ let () =
       ( "baselines",
         [
           Alcotest.test_case "metrics gate" `Quick test_baseline_metrics_gate;
-          Alcotest.test_case "bench gate" `Quick test_baseline_bench_gate;
-          Alcotest.test_case "bench gate rejects non-finite timings" `Quick
-            test_baseline_bench_non_finite;
-          Alcotest.test_case "bench gate survives zero medians" `Quick
-            test_baseline_bench_zero_median;
         ] );
       ( "invariant",
         [

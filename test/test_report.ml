@@ -157,34 +157,52 @@ let diff_docs a b =
   | Ok r -> r
   | Error e -> Alcotest.failf "diff: %s" e
 
-let bench_doc entries =
+(* A pc-scenario/1 report reduced to what the diff engine keys on: the
+   [scenarios] list aligns by [name]. *)
+let scenario_doc entries =
   Json.Obj
     [
-      ("schema", Json.Str "pc-bench/1");
-      ( "results",
+      ("schema", Json.Str "pc-scenario/1");
+      ( "scenarios",
         Json.List
           (List.map
-             (fun (name, ms) ->
+             (fun (name, fairness) ->
                Json.Obj
-                 [ ("name", Json.Str name); ("ms_per_run", Json.Num ms) ])
+                 [ ("name", Json.Str name); ("fairness", Json.Num fairness) ])
              entries) );
     ]
 
+let diff_thresholds fields =
+  match
+    Diff.thresholds_of_json
+      (Json.Obj (("schema", Json.Str "pc-diff-thresholds/1") :: fields))
+  with
+  | Ok th -> th
+  | Error e -> Alcotest.fail e
+
+let fairness_tolerance rel =
+  diff_thresholds
+    [ ("tolerances", Json.Obj [ ("scenarios[*]/fairness", Json.Num rel) ]) ]
+
 let test_diff_tolerance_and_keys () =
-  let a = bench_doc [ ("x", 10.0); ("y", 2.0) ] in
-  (* reordered and within 20%: notes only *)
-  let b = bench_doc [ ("y", 2.2); ("x", 10.0) ] in
-  let r = diff_docs a b in
-  Alcotest.(check int) "within tolerance: no drift" 0
-    (List.length (Diff.drift r));
-  (* beyond 20%: drift *)
-  let c = bench_doc [ ("x", 14.0); ("y", 2.0) ] in
-  let r = diff_docs a c in
-  Alcotest.(check int) "beyond tolerance: drift" 1 (List.length (Diff.drift r));
-  (* a vanished row is structural *)
-  let d = bench_doc [ ("x", 10.0) ] in
-  let r = diff_docs a d in
-  Alcotest.(check int) "removed row: drift" 1 (List.length (Diff.drift r))
+  let a = scenario_doc [ ("duet", 0.9); ("quad", 0.5) ] in
+  (* reordered, same values: keyed alignment finds nothing *)
+  let r = diff_docs a (scenario_doc [ ("quad", 0.5); ("duet", 0.9) ]) in
+  Alcotest.(check int) "reordered rows: no items" 0 (List.length r.Diff.items);
+  (* a scenario field is deterministic: any change drifts, under its key *)
+  let r = diff_docs a (scenario_doc [ ("quad", 0.55); ("duet", 0.9) ]) in
+  Alcotest.(check (list string)) "changed value drifts under its key"
+    [ "scenarios[quad]/fairness" ]
+    (List.map (fun it -> it.Diff.path) (Diff.drift r));
+  (* a tolerances glob re-judges it: inside its bound passes, outside fails *)
+  let th = fairness_tolerance 0.2 in
+  Alcotest.(check bool) "inside the tolerance passes" true (Diff.gate th r);
+  let r = diff_docs a (scenario_doc [ ("quad", 0.8); ("duet", 0.9) ]) in
+  Alcotest.(check bool) "outside the tolerance fails" false (Diff.gate th r);
+  (* a vanished row is drift, whatever the tolerances *)
+  let r = diff_docs a (scenario_doc [ ("duet", 0.9) ]) in
+  Alcotest.(check int) "removed row: drift" 1 (List.length (Diff.drift r));
+  Alcotest.(check bool) "removed row fails a tolerant gate" false (Diff.gate th r)
 
 let run_doc ~seed ~host =
   Json.Obj
@@ -210,40 +228,28 @@ let test_diff_run_env_skipped () =
   Alcotest.(check int) "seed drift caught" 1 (List.length (Diff.drift r))
 
 let test_thresholds_gate () =
-  let a = bench_doc [ ("x", 10.0) ] and b = bench_doc [ ("x", 20.0) ] in
+  let a = scenario_doc [ ("duet", 0.5) ] and b = scenario_doc [ ("duet", 1.0) ] in
   let r = diff_docs a b in
   Alcotest.(check int) "drifts unguarded" 1 (List.length (Diff.drift r));
-  let th =
-    match
-      Diff.thresholds_of_json
-        (Json.Obj
-           [
-             ("schema", Json.Str "pc-diff-thresholds/1");
-             ("max_drift", Json.Num 0.0);
-             ("ignore", Json.List [ Json.Str "results[*]/ms_per_run" ]);
-           ])
-    with
-    | Ok th -> th
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check bool) "ignore glob tolerates it" true (Diff.gate th r);
-  let th_tol =
-    match
-      Diff.thresholds_of_json
-        (Json.Obj
-           [
-             ("schema", Json.Str "pc-diff-thresholds/1");
-             ( "tolerances",
-               Json.Obj [ ("results[*]/ms_per_run", Json.Num 2.0) ] );
-           ])
-    with
-    | Ok th -> th
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check bool) "widened tolerance passes" true (Diff.gate th_tol r);
   Alcotest.(check bool)
     "default gate fails" false
-    (Diff.gate Diff.default_thresholds r)
+    (Diff.gate Diff.default_thresholds r);
+  let th_ignore =
+    diff_thresholds
+      [
+        ("max_drift", Json.Num 0.0);
+        ("ignore", Json.List [ Json.Str "scenarios[*]/fairness" ]);
+      ]
+  in
+  Alcotest.(check bool) "ignore glob tolerates it" true (Diff.gate th_ignore r);
+  (* |1.0 - 0.5| = 0.5 of max |a| |b| = 1.0 *)
+  Alcotest.(check bool) "tolerance glob passes inside its bound" true
+    (Diff.gate (fairness_tolerance 0.5) r);
+  Alcotest.(check bool) "tolerance glob fails outside its bound" false
+    (Diff.gate (fairness_tolerance 0.4) r);
+  Alcotest.(check (list (option (float 0.0)))) "applied tolerance recorded"
+    [ Some 0.5 ]
+    (List.map (fun it -> it.Diff.tol) (Diff.apply (fairness_tolerance 0.5) r).Diff.items)
 
 (* --- random span trees through the aligner --- *)
 

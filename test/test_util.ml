@@ -179,12 +179,12 @@ let test_pick_covers () =
 
 let test_json_roundtrip () =
   let src =
-    {|{"schema":"pc-bench/1","results":[{"name":"a \"b\"","ms_per_run":1.25},{"name":"c","ms_per_run":null}],"n":-3,"ok":true,"empty":{},"none":[]}|}
+    {|{"schema":"pc-example/1","results":[{"name":"a \"b\"","ms_per_run":1.25},{"name":"c","ms_per_run":null}],"n":-3,"ok":true,"empty":{},"none":[]}|}
   in
   match Json.parse src with
   | Error msg -> Alcotest.failf "parse failed: %s" msg
   | Ok doc ->
-    Alcotest.(check (option string)) "schema" (Some "pc-bench/1")
+    Alcotest.(check (option string)) "schema" (Some "pc-example/1")
       (Option.bind (Json.member "schema" doc) Json.to_string);
     Alcotest.(check (option int)) "negative int" (Some (-3))
       (Option.bind (Json.member "n" doc) Json.to_int);
