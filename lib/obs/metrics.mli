@@ -44,8 +44,8 @@ val value : counter -> int
 (** {1 Gauges}
 
     A gauge holds one integer.  [set] stores; [record_max] keeps the
-    maximum ever recorded — the idiom for high-water marks (ROB/LSQ
-    occupancy, pages touched). *)
+    maximum ever recorded — the idiom for high-water marks (pages
+    touched, worst fidelity error, peak slowdown). *)
 
 type gauge
 

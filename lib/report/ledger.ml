@@ -1,26 +1,11 @@
 type t = { dir : string }
 type artifact = { schema : string; path : string }
 
-let default_dir () =
-  let base =
-    match Sys.getenv_opt "XDG_CACHE_HOME" with
-    | Some d when d <> "" -> d
-    | _ -> (
-      match Sys.getenv_opt "HOME" with
-      | Some h when h <> "" -> Filename.concat h ".cache"
-      | _ -> Filename.get_temp_dir_name ())
-  in
-  Filename.concat base "pc-ledger"
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let default_dir () = Pc_exec.Disk_store.default_dir "pc-ledger"
 
 let create dir =
   let dir = if dir = "" then default_dir () else dir in
-  mkdir_p dir;
+  Pc_exec.Disk_store.mkdir_p dir;
   { dir }
 
 let dir t = t.dir
@@ -218,11 +203,6 @@ let record t ~tool ~argv ~seed ~jobs ~artifacts =
     if Sys.file_exists file then place (seq + 1) else file
   in
   let file = place (next_seq t) in
-  let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc doc);
-  Sys.rename tmp file;
+  Pc_exec.Disk_store.write_atomic file (Buffer.contents doc);
   Pc_obs.Metrics.incr (Lazy.force c_records);
   file

@@ -2,8 +2,8 @@
     record per invocation ([--ledger \[DIR\]]), so drift between runs
     can be diffed after the fact ([pc_diff --ledger]).
 
-    Record ([run-NNNNNN-<id12>.json], written atomically via the same
-    tmp-then-rename discipline as {!Pc_sample.Plan_cache}):
+    Record ([run-NNNNNN-<id12>.json], written atomically by
+    {!Pc_exec.Disk_store.write_atomic}; a failed write raises):
 
     {v
     { "schema": "pc-run/1", "id": "<hex digest>",
@@ -39,8 +39,8 @@ type t
 type artifact = { schema : string; path : string }
 
 val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/pc-ledger], falling back through [$HOME/.cache]
-    to the system temp dir. *)
+(** [$XDG_CACHE_HOME/pc-ledger], falling back as
+    {!Pc_exec.Disk_store.default_dir} does. *)
 
 val create : string -> t
 (** Open (creating if needed) the ledger directory.  [""] means

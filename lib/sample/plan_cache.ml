@@ -1,148 +1,14 @@
-module M = Pc_obs.Metrics
+include Pc_exec.Disk_store.Make (struct
+  type value = Sample.plan
 
-let log_src =
-  Logs.Src.create "pc.plan_cache" ~doc:"On-disk sampling-plan cache"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* Bump whenever the serialised {!Sample.plan} layout (or the packed
-   replay-trace encoding it contains) changes: the version participates
-   in every key, so stale plans from an older build are never read. *)
-let format_version = 1
-let magic = "pc-plan/1\n"
-
-let c_hits = M.counter "plan_cache.hits"
-let c_misses = M.counter "plan_cache.misses"
-let c_evictions = M.counter "plan_cache.evictions"
-
-type t = { dir : string; max_entries : int }
-
-let dir t = t.dir
-
-let default_dir () =
-  match Sys.getenv_opt "XDG_CACHE_HOME" with
-  | Some d when d <> "" -> Filename.concat d "pc-sample"
-  | _ -> (
-    match Sys.getenv_opt "HOME" with
-    | Some h when h <> "" -> Filename.concat (Filename.concat h ".cache") "pc-sample"
-    | _ -> Filename.concat (Filename.get_temp_dir_name ()) "pc-sample")
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let create ?(max_entries = 256) dir =
-  if max_entries <= 0 then
-    invalid_arg "Pc_sample.Plan_cache.create: max_entries must be positive";
-  mkdir_p dir;
-  { dir; max_entries }
+  (* Bump whenever the serialised {!Sample.plan} layout (or the packed
+     replay-trace encoding it contains) changes. *)
+  let magic = "pc-plan/2"
+  let suffix = ".plan"
+  let dir_name = "pc-sample"
+  let max_entries = 256
+  let counters = "plan_cache"
+end)
 
 let key ~profile_id ~interval ~seed ?(dims = 32) ?(max_k = 6) ?(restarts = 3) () =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (format_version, profile_id, interval, seed, dims, max_k, restarts)
-          []))
-
-let path t key = Filename.concat t.dir (key ^ ".plan")
-
-let entries t =
-  Sys.readdir t.dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".plan")
-  |> List.map (fun f -> Filename.concat t.dir f)
-
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
-
-(* Corrupt or cross-version files (truncated writes, foreign content,
-   layout drift the version key missed) are never fatal: drop the file,
-   warn, and let the caller recompute. *)
-let find t key : Sample.plan option =
-  let file = path t key in
-  if not (Sys.file_exists file) then begin
-    M.incr c_misses;
-    None
-  end
-  else
-    match
-      let s = read_file file in
-      let m = String.length magic in
-      if String.length s < m || String.sub s 0 m <> magic then
-        failwith "bad magic";
-      (Marshal.from_string (String.sub s m (String.length s - m)) 0
-        : Sample.plan)
-    with
-    | plan ->
-      M.incr c_hits;
-      Some plan
-    | exception exn ->
-      Log.warn (fun m ->
-          m "dropping corrupt plan-cache entry %s (%s); recomputing" file
-            (Printexc.to_string exn));
-      (try Sys.remove file with Sys_error _ -> ());
-      M.incr c_misses;
-      None
-
-let evict t =
-  let files = entries t in
-  let n = List.length files in
-  if n > t.max_entries then begin
-    let with_mtime =
-      List.filter_map
-        (fun f ->
-          try Some (f, (Unix.stat f).Unix.st_mtime) with Unix.Unix_error _ -> None)
-        files
-    in
-    let oldest_first =
-      List.sort
-        (fun (fa, ta) (fb, tb) ->
-          match compare ta tb with 0 -> compare fa fb | c -> c)
-        with_mtime
-    in
-    let drop = n - t.max_entries in
-    List.iteri
-      (fun i (f, _) ->
-        if i < drop then begin
-          (try Sys.remove f with Sys_error _ -> ());
-          M.incr c_evictions;
-          Log.info (fun m -> m "evicted plan-cache entry %s" f)
-        end)
-      oldest_first
-  end
-
-let store t key (plan : Sample.plan) =
-  let file = path t key in
-  (* Write-to-temp + atomic rename: concurrent readers either see the
-     previous state (a miss) or the complete entry, never a torn write. *)
-  let tmp =
-    Printf.sprintf "%s.tmp.%d" file (Unix.getpid ())
-  in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         output_string oc magic;
-         output_string oc (Marshal.to_string plan []));
-     Sys.rename tmp file
-   with exn ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     Log.warn (fun m ->
-         m "failed to persist plan-cache entry %s (%s)" file
-           (Printexc.to_string exn)));
-  evict t
-
-let find_or_compute t key f =
-  match find t key with
-  | Some plan -> plan
-  | None ->
-    let plan = f () in
-    store t key plan;
-    plan
+  digest (profile_id, interval, seed, dims, max_k, restarts)

@@ -3,36 +3,22 @@
     Building a {!Sample.plan} costs two functional profiling passes plus
     k-means clustering — work that is identical across invocations for
     the same program and sampling parameters.  This cache persists
-    marshalled plans under a content-addressed file name so repeated
+    plans under a content-addressed file name so repeated
     [run_experiments --sample] invocations skip plan construction
     entirely.
 
-    Keys hash (plan-format version, profile id, interval, clustering
-    seed, BBV dims, max k, restarts): any parameter or layout change
-    yields a different key, so stale or cross-version plans can never be
-    silently reused.  Files are written to a temporary name and renamed
-    into place (atomic on POSIX), and corrupt or unreadable entries are
-    dropped with a warning and recomputed — a damaged cache can slow an
+    It is a {!Pc_exec.Disk_store} instance: [pc-plan/2] entries in
+    [.plan] files, by default under [$XDG_CACHE_HOME/pc-sample], at most
+    256 of them.  Keys digest the format version with every sampling
+    parameter, so stale or cross-version plans are never reused; writes
+    are atomic; and a damaged entry fails its payload digest and is
+    dropped, logged and recomputed — a damaged cache can slow an
     invocation down but never change its output.
 
     Metrics published via {!Pc_obs.Metrics}: [plan_cache.hits],
     [plan_cache.misses] and [plan_cache.evictions] counters. *)
 
-type t
-
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/pc-sample], falling back to [~/.cache/pc-sample]
-    and, with neither variable set, a [pc-sample] directory under the
-    system temporary directory. *)
-
-val create : ?max_entries:int -> string -> t
-(** Open (creating directories as needed) a cache rooted at the given
-    directory.  At most [max_entries] (default 256) plan files are kept;
-    storing beyond that evicts the oldest entries by modification time.
-    Raises [Invalid_argument] if [max_entries] is not positive. *)
-
-val dir : t -> string
-(** The cache's root directory. *)
+include Pc_exec.Disk_store.S with type value := Sample.plan
 
 val key :
   profile_id:string ->
@@ -43,19 +29,8 @@ val key :
   ?restarts:int ->
   unit ->
   string
-(** Content key for a plan: a hex digest over (plan-format version,
+(** Content key for a plan: a hex digest over (format version,
     [profile_id], [interval], [seed], [dims], [max_k], [restarts]).
     [profile_id] should identify the profiled program and budget — e.g.
     a structural digest of (program, max_instrs).  The optional
     clustering parameters default to {!Sample.plan}'s defaults. *)
-
-val find : t -> string -> Sample.plan option
-(** Look up a plan; counts a hit or a miss.  A corrupt, truncated or
-    cross-version file is removed, logged and reported as a miss. *)
-
-val store : t -> string -> Sample.plan -> unit
-(** Persist a plan under the key (atomic write-then-rename), then apply
-    the eviction policy.  I/O failures are logged, never raised. *)
-
-val find_or_compute : t -> string -> (unit -> Sample.plan) -> Sample.plan
-(** [find] falling back to computing and {!store}-ing the plan. *)

@@ -436,8 +436,6 @@ let recombine ~config_name ~total_instrs phases =
       l2_accesses = 0;
       l2_misses = 0;
       mem_accesses = 0;
-      rob_high_water = 0;
-      lsq_high_water = 0;
       fetch_stall_icache_cycles = 0;
       fetch_stall_mispredict_cycles = 0;
       measured_instrs = total_instrs;
@@ -490,9 +488,6 @@ let recombine ~config_name ~total_instrs phases =
     let class_counts =
       Array.init I.class_count (fun i -> scaled (fun r -> r.Sim.class_counts.(i)))
     in
-    let maxed field =
-      Array.fold_left (fun acc (_, _, r) -> max acc (field r)) 0 runs
-    in
     M.incr c_projections;
     {
       Sim.config_name;
@@ -509,8 +504,6 @@ let recombine ~config_name ~total_instrs phases =
       l2_accesses = scaled (fun r -> r.Sim.l2_accesses);
       l2_misses = scaled (fun r -> r.Sim.l2_misses);
       mem_accesses = scaled (fun r -> r.Sim.mem_accesses);
-      rob_high_water = maxed (fun r -> r.Sim.rob_high_water);
-      lsq_high_water = maxed (fun r -> r.Sim.lsq_high_water);
       fetch_stall_icache_cycles = scaled (fun r -> r.Sim.fetch_stall_icache_cycles);
       fetch_stall_mispredict_cycles =
         scaled (fun r -> r.Sim.fetch_stall_mispredict_cycles);

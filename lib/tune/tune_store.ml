@@ -1,159 +1,15 @@
-module M = Pc_obs.Metrics
+include Pc_exec.Disk_store.Make (struct
+  type value = Fitness.eval
 
-let log_src = Logs.Src.create "pc.tune_store" ~doc:"On-disk tuning-evaluation store"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* Bump whenever {!Fitness.eval}'s layout (or anything reachable from
-   it) changes: the version participates in every key, so entries from
-   an older build are never read. *)
-let format_version = 1
-let magic = "pc-tune-eval/1\n"
-
-let c_hits = M.counter "tune.store.hits"
-let c_misses = M.counter "tune.store.misses"
-let c_evictions = M.counter "tune.store.evictions"
-
-type t = { dir : string; max_entries : int }
-
-let dir t = t.dir
-
-let default_dir () =
-  match Sys.getenv_opt "XDG_CACHE_HOME" with
-  | Some d when d <> "" -> Filename.concat d "pc-tune"
-  | _ -> (
-    match Sys.getenv_opt "HOME" with
-    | Some h when h <> "" ->
-      Filename.concat (Filename.concat h ".cache") "pc-tune"
-    | _ -> Filename.concat (Filename.get_temp_dir_name ()) "pc-tune")
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let create ?(max_entries = 512) dir =
-  if max_entries <= 0 then
-    invalid_arg "Pc_tune.Tune_store.create: max_entries must be positive";
-  mkdir_p dir;
-  { dir; max_entries }
+  (* Bump whenever {!Fitness.eval}'s layout (or anything reachable from
+     it) changes. *)
+  let magic = "pc-tune-eval/2"
+  let suffix = ".eval"
+  let dir_name = "pc-tune"
+  let max_entries = 512
+  let counters = "tune.store"
+end)
 
 let key ~profile_id ~knobs_id ~mode_id ~seed ~profile_instrs ~target_dynamic ()
     =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( format_version,
-            profile_id,
-            knobs_id,
-            mode_id,
-            seed,
-            profile_instrs,
-            target_dynamic )
-          []))
-
-let path t key = Filename.concat t.dir (key ^ ".eval")
-
-let entries t =
-  Sys.readdir t.dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".eval")
-  |> List.map (fun f -> Filename.concat t.dir f)
-
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
-
-(* Corrupt or cross-version files (truncated writes, foreign content,
-   layout drift the version key missed) are never fatal: drop the file,
-   warn, and let the caller recompute. *)
-let find t key : Fitness.eval option =
-  let file = path t key in
-  if not (Sys.file_exists file) then begin
-    M.incr c_misses;
-    None
-  end
-  else
-    match
-      let s = read_file file in
-      let m = String.length magic in
-      if String.length s < m || String.sub s 0 m <> magic then
-        failwith "bad magic";
-      (Marshal.from_string (String.sub s m (String.length s - m)) 0
-        : Fitness.eval)
-    with
-    | eval ->
-      M.incr c_hits;
-      Some eval
-    | exception exn ->
-      Log.warn (fun m ->
-          m "dropping corrupt tune-store entry %s (%s); recomputing" file
-            (Printexc.to_string exn));
-      (try Sys.remove file with Sys_error _ -> ());
-      M.incr c_misses;
-      None
-
-let evict t =
-  let files = entries t in
-  let n = List.length files in
-  if n > t.max_entries then begin
-    let with_mtime =
-      List.filter_map
-        (fun f ->
-          try Some (f, (Unix.stat f).Unix.st_mtime)
-          with Unix.Unix_error _ -> None)
-        files
-    in
-    let oldest_first =
-      List.sort
-        (fun (fa, ta) (fb, tb) ->
-          match compare ta tb with 0 -> compare fa fb | c -> c)
-        with_mtime
-    in
-    let drop = n - t.max_entries in
-    List.iteri
-      (fun i (f, _) ->
-        if i < drop then begin
-          (try Sys.remove f with Sys_error _ -> ());
-          M.incr c_evictions;
-          Log.info (fun m -> m "evicted tune-store entry %s" f)
-        end)
-      oldest_first
-  end
-
-let store t key (eval : Fitness.eval) =
-  let file = path t key in
-  (* Write-to-temp + atomic rename: concurrent readers either see the
-     previous state (a miss) or the complete entry, never a torn write.
-     The domain id joins the pid in the temp name because pool workers
-     of one process may store different keys concurrently. *)
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         output_string oc magic;
-         output_string oc (Marshal.to_string eval []));
-     Sys.rename tmp file
-   with exn ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     Log.warn (fun m ->
-         m "failed to persist tune-store entry %s (%s)" file
-           (Printexc.to_string exn)));
-  evict t
-
-let find_or_compute t key f =
-  match find t key with
-  | Some eval -> eval
-  | None ->
-    let eval = f () in
-    store t key eval;
-    eval
+  digest (profile_id, knobs_id, mode_id, seed, profile_instrs, target_dynamic)

@@ -1,34 +1,25 @@
-(** On-disk content-addressed memo store for tuning evaluations,
-    following the {!Pc_sample.Plan_cache} key and write discipline.
+(** On-disk content-addressed memo store for tuning evaluations.
 
     One candidate evaluation — generate the clone for a knob vector,
     re-profile or re-simulate it, score it — costs orders of magnitude
     more than a disk read, and search revisits knob vectors constantly
-    (across generations, reruns, and CI's cold/warm jobs).  Entries are
-    keyed by a digest of the format version and every input that
-    determines the score (profile digest, knob vector, generation seed,
-    budgets, fitness-mode digest), so a hit can never serve a stale or
-    foreign score; corrupt or cross-version entries are dropped,
-    logged, and recomputed, never fatal.  Writes go through a
-    temp-file-plus-atomic-rename so concurrent pool workers either see
-    a complete entry or a miss.
+    (across generations, reruns, and CI's cold/warm jobs).
+
+    It is a {!Pc_exec.Disk_store} instance, like
+    {!Pc_sample.Plan_cache}: [pc-tune-eval/2] entries in [.eval] files,
+    by default under [$XDG_CACHE_HOME/pc-tune], at most 512 of them.
+    Entries are keyed by a digest of the format version and every input
+    that determines the score (profile digest, knob vector, generation
+    seed, budgets, fitness-mode digest), so a hit can never serve a
+    stale or foreign score; a damaged entry fails its payload digest
+    and is dropped, logged and recomputed, never fatal.  Writes are
+    atomic, so concurrent pool workers either see a complete entry or a
+    miss.
 
     Instrumented with the [tune.store.hits] / [tune.store.misses] /
     [tune.store.evictions] counters. *)
 
-type t
-
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/pc-tune], falling back through [$HOME/.cache] to
-    the system temp dir — the same resolution as the plan cache's. *)
-
-val create : ?max_entries:int -> string -> t
-(** Open (creating if needed) the store directory.  At most
-    [max_entries] (default 512) entries are retained; the eviction
-    sweep after each store drops the oldest by mtime.  Raises
-    [Invalid_argument] when [max_entries <= 0]. *)
-
-val dir : t -> string
+include Pc_exec.Disk_store.S with type value := Fitness.eval
 
 val key :
   profile_id:string ->
@@ -39,18 +30,8 @@ val key :
   target_dynamic:int ->
   unit ->
   string
-(** The content-addressed entry key: a digest over the serialised
-    format version and every argument.  [profile_id] and [knobs_id] are
-    digests of the profile and knob vector; [mode_id] is
-    {!Fitness.mode_id} (which covers the stress envelope or mimic
-    weights, and the phase interval when per-phase scoring is on). *)
-
-val find : t -> string -> Fitness.eval option
-(** [None] on absence or on a corrupt/cross-version entry (which is
-    removed and warned about).  Bumps hits/misses. *)
-
-val store : t -> string -> Fitness.eval -> unit
-(** Persist one evaluation (atomic tmp+rename; failures are logged and
-    non-fatal) and run the eviction sweep. *)
-
-val find_or_compute : t -> string -> (unit -> Fitness.eval) -> Fitness.eval
+(** The content-addressed entry key: a digest over the format version
+    and every argument.  [profile_id] and [knobs_id] are digests of the
+    profile and knob vector; [mode_id] is {!Fitness.mode_id} (which
+    covers the stress envelope or mimic weights, and the phase interval
+    when per-phase scoring is on). *)

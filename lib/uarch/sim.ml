@@ -18,8 +18,6 @@ type result = {
   l2_accesses : int;
   l2_misses : int;
   mem_accesses : int;
-  rob_high_water : int;
-  lsq_high_water : int;
   fetch_stall_icache_cycles : int;
   fetch_stall_mispredict_cycles : int;
   measured_instrs : int;
@@ -92,30 +90,8 @@ module Fu_pool = struct
     start
 end
 
-(* Occupancy of a commit-cycle ring buffer at dispatch cycle [d] of
-   instruction [i]: older in-flight instructions are exactly those whose
-   commit cycle exceeds [d], and commit cycles are non-decreasing in
-   retire order, so they form a suffix of the window — binary search for
-   its length, plus one for instruction [i] itself.  The ring holds the
-   last [Array.length ring] commit cycles; anything older is guaranteed
-   committed because dispatch waited for its slot. *)
-let ring_occupancy ring i d =
-  let len = Array.length ring in
-  let k_max = min i len in
-  if k_max = 0 || ring.((i - 1) mod len) <= d then 1
-  else begin
-    let lo = ref 1 and hi = ref k_max in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if ring.((i - mid) mod len) > d then lo := mid else hi := mid - 1
-    done;
-    !lo + 1
-  end
-
 let c_instrs = Pc_obs.Metrics.counter "uarch.instrs"
 let c_cycles = Pc_obs.Metrics.counter "uarch.cycles"
-let g_rob_hw = Pc_obs.Metrics.gauge "uarch.rob.high_water"
-let g_lsq_hw = Pc_obs.Metrics.gauge "uarch.lsq.high_water"
 let c_stall_icache = Pc_obs.Metrics.counter "uarch.fetch_stall.icache_cycles"
 let c_stall_mispredict = Pc_obs.Metrics.counter "uarch.fetch_stall.mispredict_cycles"
 
@@ -152,8 +128,6 @@ type state = {
   mutable fetch_ready : int;
   mutable last_issue : int;
   mutable last_commit : int;
-  mutable rob_hw : int;
-  mutable lsq_hw : int;
   mutable stall_icache : int;
   mutable stall_mispredict : int;
   (* Commit cycle at the measurement-window boundary.  [last_commit] is
@@ -192,8 +166,6 @@ let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
     fetch_ready = 0;
     last_issue = 0;
     last_commit = 0;
-    rob_hw = 0;
-    lsq_hw = 0;
     stall_icache = 0;
     stall_mispredict = 0;
     measure_start = 0;
@@ -224,12 +196,6 @@ let feed st (ev : Machine.event) =
     Slot.take st.dispatch_slot
       (max (fc + cfg.frontend_depth) (max rob_free lsq_free))
   in
-  let occ = ring_occupancy st.rob i d in
-  if occ > st.rob_hw then st.rob_hw <- occ;
-  if is_mem then begin
-    let occ = ring_occupancy st.lsq st.mem_index d in
-    if occ > st.lsq_hw then st.lsq_hw <- occ
-  end;
   (* --- register readiness --- *)
   let ready =
     List.fold_left (fun acc id -> max acc st.reg_ready.(id)) d ev.Machine.reads
@@ -304,8 +270,6 @@ let finish ?instrs st =
   in
   Pc_obs.Metrics.add c_instrs instrs;
   Pc_obs.Metrics.add c_cycles cycles;
-  Pc_obs.Metrics.record_max g_rob_hw st.rob_hw;
-  Pc_obs.Metrics.record_max g_lsq_hw st.lsq_hw;
   Pc_obs.Metrics.add c_stall_icache st.stall_icache;
   Pc_obs.Metrics.add c_stall_mispredict st.stall_mispredict;
   Hierarchy.publish_metrics st.icache ~prefix:"uarch.icache";
@@ -326,8 +290,6 @@ let finish ?instrs st =
     l2_accesses = Hierarchy.l2_accesses st.icache + Hierarchy.l2_accesses st.dcache;
     l2_misses = Hierarchy.l2_misses st.icache + Hierarchy.l2_misses st.dcache;
     mem_accesses = Hierarchy.mem_accesses st.icache + Hierarchy.mem_accesses st.dcache;
-    rob_high_water = st.rob_hw;
-    lsq_high_water = st.lsq_hw;
     fetch_stall_icache_cycles = st.stall_icache;
     fetch_stall_mispredict_cycles = st.stall_mispredict;
     measured_instrs;

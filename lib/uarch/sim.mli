@@ -38,8 +38,6 @@ type result = {
   l2_accesses : int;
   l2_misses : int;
   mem_accesses : int;  (** accesses reaching main memory, both sides *)
-  rob_high_water : int;  (** peak ROB occupancy observed at dispatch *)
-  lsq_high_water : int;  (** peak LSQ occupancy observed at dispatch *)
   fetch_stall_icache_cycles : int;
       (** fetch-ready pushback attributed to I-cache miss latency *)
   fetch_stall_mispredict_cycles : int;
@@ -115,10 +113,8 @@ val run_events :
 
     Both entry points publish lifetime aggregates into the global
     {!Pc_obs.Metrics} registry at the end of each run: [uarch.instrs],
-    [uarch.cycles], the [uarch.fetch_stall.*] counters, the
-    [uarch.rob.high_water] / [uarch.lsq.high_water] gauges (max over
-    runs), and the [uarch.icache.*], [uarch.dcache.*] and [uarch.bpred.*]
-    families. *)
+    [uarch.cycles], the [uarch.fetch_stall.*] counters, and the
+    [uarch.icache.*], [uarch.dcache.*] and [uarch.bpred.*] families. *)
 
 val mispredict_rate : result -> float
 val l1d_mpi : result -> float

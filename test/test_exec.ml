@@ -1,12 +1,14 @@
 (* Tests for pc_exec: the domain pool must behave exactly like serial
-   execution (order, exceptions, results) at every width, and the memo
-   store must count hits/misses and keep seed-distinguished keys apart.
+   execution (order, exceptions, results) at every width, the memo
+   store must count hits/misses and keep seed-distinguished keys apart,
+   and the on-disk store must read every damaged entry as a miss.
    The determinism-under-parallelism invariant — experiment rows are
    bit-identical at -j 1 and -j 4 — is the contract every driver in
    Perfclone.Experiments relies on. *)
 
 module Pool = Pc_exec.Pool
 module Store = Pc_exec.Store
+module Disk_store = Pc_exec.Disk_store
 module E = Perfclone.Experiments
 
 (* --- pool: unit --- *)
@@ -147,6 +149,88 @@ let test_store_parallel_access () =
     results;
   Alcotest.(check int) "8 entries" 8 (Store.length s)
 
+(* --- disk store: the one implementation behind Plan_cache and Tune_store --- *)
+
+module Ds = Disk_store.Make (struct
+  type value = int list
+
+  let magic = "pc-test/1"
+  let suffix = ".test"
+  let dir_name = "pc-test"
+  let max_entries = 8
+  let counters = "test.disk_store"
+end)
+
+let fresh_dir () =
+  let path = Filename.temp_file "pc_disk_store_test" "" in
+  Sys.remove path;
+  path
+
+let write_file file s = Out_channel.with_open_bin file (fun oc -> output_string oc s)
+let counter name = Pc_obs.Metrics.(value (counter name))
+
+let test_disk_store_corruption_recovery () =
+  let dir = fresh_dir () in
+  let t = Ds.create dir in
+  let key = Ds.digest "corrupt" in
+  let file = Filename.concat dir (key ^ ".test") in
+  let v = [ 1; 2; 3 ] in
+  Ds.store t key v;
+  Alcotest.(check (option (list int))) "stored entry readable" (Some v) (Ds.find t key);
+  let good = In_channel.with_open_bin file In_channel.input_all in
+  let header = String.length "pc-test/1\n" in
+  let payload_at = header + 33 in
+  let flip_at i s = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s in
+  List.iter
+    (fun (what, contents) ->
+      write_file file contents;
+      let misses = counter "test.disk_store.misses" in
+      Alcotest.(check (option (list int))) (what ^ " reads as a miss") None (Ds.find t key);
+      Alcotest.(check int) (what ^ " counts a miss") (misses + 1)
+        (counter "test.disk_store.misses");
+      Alcotest.(check bool) (what ^ " is removed") false (Sys.file_exists file))
+    [
+      ("garbled payload", String.sub good 0 payload_at ^ "not a marshalled value");
+      ("flipped payload bit", flip_at (String.length good - 1) good);
+      ("flipped digest bit", flip_at header good);
+      ("truncated payload", String.sub good 0 (String.length good - 1));
+      ("truncated header", String.sub good 0 4);
+      ("other format version", "pc-test/0" ^ String.sub good 9 (String.length good - 9));
+    ];
+  let computed = ref false in
+  let recovered =
+    Ds.find_or_compute t key (fun () ->
+        computed := true;
+        v)
+  in
+  Alcotest.(check bool) "recomputed after corruption" true !computed;
+  Alcotest.(check (list int)) "recomputed value returned" v recovered;
+  Alcotest.(check (option (list int))) "recomputed value re-stored" (Some v) (Ds.find t key)
+
+let test_disk_store_eviction () =
+  Alcotest.check_raises "max_entries=0 rejected"
+    (Invalid_argument "Pc_exec.Disk_store.create: max_entries must be positive")
+    (fun () -> ignore (Ds.create ~max_entries:0 (fresh_dir ())));
+  let dir = fresh_dir () in
+  let t = Ds.create ~max_entries:2 dir in
+  let file key = Filename.concat dir (key ^ ".test") in
+  let older, newer = (max (Ds.digest 0) (Ds.digest 1), min (Ds.digest 0) (Ds.digest 1)) in
+  Ds.store t older [ 0 ];
+  Ds.store t newer [ 1 ];
+  (* Age the entry whose name sorts last, so only modification time can
+     make it the victim. *)
+  Unix.utimes (file older) 1.0 1.0;
+  let evictions = counter "test.disk_store.evictions" in
+  Ds.store t (Ds.digest 2) [ 2 ];
+  let on_disk =
+    Array.to_list (Sys.readdir dir) |> List.filter (fun f -> Filename.check_suffix f ".test")
+  in
+  Alcotest.(check int) "eviction keeps max_entries" 2 (List.length on_disk);
+  Alcotest.(check bool) "oldest entry evicted" false (Sys.file_exists (file older));
+  Alcotest.(check int) "eviction counted" (evictions + 1)
+    (counter "test.disk_store.evictions");
+  Alcotest.(check (option (list int))) "newer entry kept" (Some [ 1 ]) (Ds.find t newer)
+
 (* --- qcheck: Pool.map ≡ List.map at random widths --- *)
 
 let qcheck_pool_map_equiv =
@@ -204,6 +288,12 @@ let () =
           Alcotest.test_case "failed compute not cached" `Quick
             test_store_exception_caches_nothing;
           Alcotest.test_case "parallel access" `Quick test_store_parallel_access;
+        ] );
+      ( "disk-store",
+        [
+          Alcotest.test_case "corruption recovery" `Quick
+            test_disk_store_corruption_recovery;
+          Alcotest.test_case "eviction bounds entries" `Quick test_disk_store_eviction;
         ] );
       ( "determinism",
         [

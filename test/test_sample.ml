@@ -299,39 +299,31 @@ let qcheck_plan_cache_roundtrip =
       | None -> false)
 
 let test_plan_cache_corruption_recovery () =
+  (* One flipped payload bit must fail the entry's digest: a miss that
+     removes the file, then a recompute that re-stores the plan. *)
   let p = program "sha" in
   let plan = Sample.plan ~seed:3 ~interval:20_000 ~max_instrs:60_000 p in
   let dir = fresh_cache_dir () in
   let cache = Plan_cache.create dir in
-  let key = Plan_cache.key ~profile_id:"corrupt" ~interval:20_000 ~seed:3 () in
+  let key = Plan_cache.key ~profile_id:"bit-flip" ~interval:20_000 ~seed:3 () in
   Plan_cache.store cache key plan;
-  Alcotest.(check bool) "stored plan readable" true
-    (Plan_cache.find cache key = Some plan);
-  let path = Filename.concat dir (key ^ ".plan") in
-  (* Valid magic, garbled payload: must be dropped, not trusted. *)
-  let oc = open_out_bin path in
-  output_string oc "pc-plan/1\nnot a marshalled plan";
-  close_out oc;
-  Alcotest.(check bool) "corrupt entry reads as a miss" true
+  let file = Filename.concat dir (key ^ ".plan") in
+  Flip.float_bit file plan.Sample.coverage;
+  Alcotest.(check bool) "flipped entry reads as a miss" true
     (Plan_cache.find cache key = None);
-  Alcotest.(check bool) "corrupt entry removed" false (Sys.file_exists path);
+  Alcotest.(check bool) "flipped entry removed" false (Sys.file_exists file);
   let computed = ref false in
   let recovered =
     Plan_cache.find_or_compute cache key (fun () ->
         computed := true;
         plan)
   in
-  Alcotest.(check bool) "recomputed after corruption" true !computed;
-  Alcotest.(check bool) "recomputed plan returned" true (recovered = plan);
-  Alcotest.(check bool) "recomputed plan re-stored" true
-    (Plan_cache.find cache key = Some plan);
+  Alcotest.(check bool) "recomputed" true (!computed && recovered = plan);
+  Alcotest.(check bool) "re-stored" true (Plan_cache.find cache key = Some plan);
   (* A truncated file (bad magic) is the other corruption shape. *)
-  let oc = open_out_bin path in
-  output_string oc "pc-p";
-  close_out oc;
-  Alcotest.(check bool) "truncated entry reads as a miss" true
-    (Plan_cache.find cache key = None);
-  Alcotest.(check bool) "truncated entry removed" false (Sys.file_exists path)
+  Out_channel.with_open_bin file (fun oc -> output_string oc "pc-p");
+  Alcotest.(check bool) "truncated entry reads as a miss" true (Plan_cache.find cache key = None);
+  Alcotest.(check bool) "truncated entry removed" false (Sys.file_exists file)
 
 let test_plan_cache_metrics () =
   let was_enabled = M.enabled () in
@@ -354,18 +346,13 @@ let test_plan_cache_metrics () =
     (counter_value "plan_cache.misses")
 
 let test_plan_cache_eviction () =
-  let p = program "crc32" in
-  let plan = Sample.plan ~seed:1 ~interval:20_000 ~max_instrs:60_000 p in
+  let plan = Sample.plan ~seed:1 ~interval:20_000 ~max_instrs:60_000 (program "crc32") in
   let dir = fresh_cache_dir () in
   let cache = Plan_cache.create ~max_entries:2 dir in
   let key i = Plan_cache.key ~profile_id:(string_of_int i) ~interval:20_000 ~seed:1 () in
   List.iter (fun i -> Plan_cache.store cache (key i) plan) [ 0; 1; 2 ];
-  let on_disk =
-    Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f -> Filename.check_suffix f ".plan")
-  in
-  Alcotest.(check int) "eviction keeps max_entries plans" 2
-    (List.length on_disk)
+  let on_disk = List.filter (fun f -> Filename.check_suffix f ".plan") (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check int) "eviction keeps max_entries plans" 2 (List.length on_disk)
 
 let test_sampled_statsim_deterministic_across_pools () =
   (* Phase-wise synthetic-trace generation: pp_statsim output identical
@@ -468,8 +455,7 @@ let () =
           Alcotest.test_case "corruption recovery" `Quick
             test_plan_cache_corruption_recovery;
           Alcotest.test_case "hit/miss metrics" `Quick test_plan_cache_metrics;
-          Alcotest.test_case "eviction bounds entries" `Quick
-            test_plan_cache_eviction;
+          Alcotest.test_case "eviction bounds entries" `Quick test_plan_cache_eviction;
         ] );
       ( "integration",
         [

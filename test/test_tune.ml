@@ -251,7 +251,9 @@ let test_search_store_cold_warm () =
     warm.Search.r_store_misses
 
 let test_store_corruption_recovery () =
-  let dir = tmpdir "pc-tune-corrupt" in
+  (* One flipped payload bit must fail the entry's digest: a miss that
+     removes the file, then a recompute that re-stores the evaluation. *)
+  let dir = tmpdir "pc-tune-bit-flip" in
   let store = Tune_store.create dir in
   let key =
     Tune_store.key ~profile_id:"p" ~knobs_id:"k" ~mode_id:"m" ~seed:1
@@ -259,36 +261,34 @@ let test_store_corruption_recovery () =
   in
   let eval = { Fitness.fitness = 0.25; components = [ ("x", 0.25) ] } in
   Tune_store.store store key eval;
-  (match Tune_store.find store key with
-  | Some e -> Alcotest.(check (float 1e-9)) "roundtrip" 0.25 e.Fitness.fitness
-  | None -> Alcotest.fail "stored entry not found");
-  (* truncate the entry to garbage: find must drop it and miss, and a
-     recompute must repopulate it *)
   let file = Filename.concat dir (key ^ ".eval") in
-  let oc = open_out_bin file in
-  output_string oc "pc-tune-eval/1\ngarbage";
-  close_out oc;
-  Alcotest.(check bool) "corrupt entry reads as a miss" true
+  Flip.float_bit file eval.Fitness.fitness;
+  Alcotest.(check bool) "flipped entry reads as a miss" true
     (Tune_store.find store key = None);
-  Alcotest.(check bool) "corrupt entry removed" false (Sys.file_exists file);
-  let recomputed = Tune_store.find_or_compute store key (fun () -> eval) in
-  Alcotest.(check (float 1e-9)) "recomputed" 0.25 recomputed.Fitness.fitness;
-  Alcotest.(check bool) "repopulated" true (Tune_store.find store key <> None)
+  Alcotest.(check bool) "flipped entry removed" false (Sys.file_exists file);
+  let computed = ref false in
+  let recomputed =
+    Tune_store.find_or_compute store key (fun () ->
+        computed := true;
+        eval)
+  in
+  Alcotest.(check bool) "recomputed" true (!computed && recomputed = eval);
+  Alcotest.(check bool) "re-stored" true (Tune_store.find store key = Some eval);
+  (* Garbage after the magic line is the other corruption shape. *)
+  Out_channel.with_open_bin file (fun oc -> output_string oc "pc-tune-eval/2\ngarbage");
+  Alcotest.(check bool) "garbled entry reads as a miss" true (Tune_store.find store key = None);
+  Alcotest.(check bool) "garbled entry removed" false (Sys.file_exists file)
 
 let test_store_eviction () =
   let dir = tmpdir "pc-tune-evict" in
   let store = Tune_store.create ~max_entries:3 dir in
   for i = 1 to 6 do
-    let key =
-      Tune_store.key ~profile_id:(string_of_int i) ~knobs_id:"k" ~mode_id:"m"
-        ~seed:1 ~profile_instrs:1 ~target_dynamic:1 ()
-    in
-    Tune_store.store store key { Fitness.fitness = 0.0; components = [] }
+    Tune_store.store store
+      (Tune_store.key ~profile_id:(string_of_int i) ~knobs_id:"k" ~mode_id:"m" ~seed:1
+         ~profile_instrs:1 ~target_dynamic:1 ())
+      { Fitness.fitness = 0.0; components = [] }
   done;
-  let entries =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".eval")
-  in
+  let entries = List.filter (fun f -> Filename.check_suffix f ".eval") (Array.to_list (Sys.readdir dir)) in
   Alcotest.(check int) "eviction keeps max_entries" 3 (List.length entries)
 
 (* --- stress mode --- *)

@@ -290,6 +290,41 @@ let qcheck_deterministic =
       let r1 = Sim.run Config.base p and r2 = Sim.run Config.base p in
       r1.Sim.cycles = r2.Sim.cycles && r1.Sim.instrs = r2.Sim.instrs)
 
+(* --- known answers: loops whose cycles per iteration have a closed form --- *)
+
+let known_answer_cases =
+  let wide = Config.with_widths 4 Config.base in
+  let mul_latency = Config.base.Config.latencies.(I.class_index I.C_int_mul) in
+  [
+    ( "dependent muls run at the multiply latency",
+      Config.base,
+      List.init 64 (fun _ -> I.Mul (1, 1, 10)),
+      float_of_int (mul_latency * 64) );
+    ( "independent muls share one pipelined multiplier",
+      wide,
+      List.init 64 (fun i -> I.Mul (1 + (i mod 8), 10, 11)),
+      64.0 );
+    (* the loop's add and branch also take the two ALUs *)
+    ( "independent adds bound by the ALU count",
+      wide,
+      independent_alu_body 64,
+      (64.0 +. 2.0) /. 2.0 );
+    ( "independent adds bound by the width",
+      { wide with Config.int_alu_units = 8 },
+      independent_alu_body 64,
+      (64.0 +. 2.0) /. 4.0 );
+  ]
+
+let test_known_answer (_, cfg, body, expected) () =
+  let iters = 2000 in
+  let r = Sim.run ~max_instrs:1_000_000 cfg (loop_program ~name:"ka" ~iters body) in
+  let per_iter = float_of_int r.Sim.cycles /. float_of_int iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f cycles/iteration within 1%% of %.2f" per_iter expected)
+    true
+    (Float.abs (per_iter -. expected) <= 0.01 *. expected);
+  Alcotest.(check int) "only the loop exit mispredicts" 1 r.Sim.mispredictions
+
 let () =
   Alcotest.run "pc_uarch"
     [
@@ -317,6 +352,11 @@ let () =
           Alcotest.test_case "I-cache misses slow fetch" `Quick
             test_icache_misses_slow_fetch;
         ] );
+      ( "known-answer",
+        List.map
+          (fun ((name, _, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_known_answer case))
+          known_answer_cases );
       ( "accounting",
         [
           Alcotest.test_case "statistics" `Quick test_stats_accounting;
