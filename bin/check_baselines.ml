@@ -37,7 +37,7 @@ let check kind ~baseline ~current =
 (* In [all] mode the gate kind comes from the baseline document itself:
    every baseline/thresholds schema names exactly one checker. *)
 let kind_of_baseline path doc =
-  match Option.bind (Json.member "schema" doc) Json.to_string with
+  match Json.schema doc with
   | Some "pc-obs/1" -> ("metrics", `Metrics)
   | Some "pc-fidelity-thresholds/1" -> ("fidelity", `Fidelity)
   | Some "pc-scenario-thresholds/1" -> ("scenario", `Scenario)

@@ -97,15 +97,7 @@ let main paths ledger gate_file json_out =
   in
   let report = Diff.apply thresholds report in
   Diff.pp Format.std_formatter report;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Diff.to_json report);
-          output_char oc '\n'))
-    json_out;
+  Option.iter (fun path -> Diff.write_json path report) json_out;
   let n_drift = List.length (Diff.drift report) in
   if n_drift > thresholds.Diff.max_drift then begin
     Format.printf "pc_diff: DRIFT (%d item(s), gate allows %d)@." n_drift

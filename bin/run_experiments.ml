@@ -24,6 +24,7 @@
 
 module E = Perfclone.Experiments
 module Pool = Pc_exec.Pool
+module Json = Pc_util.Json
 
 let pp = Format.std_formatter
 
@@ -135,51 +136,59 @@ let write_sample_summary ~pool ~interval ~no_ref settings pipelines path =
         Pc_obs.Metrics.record_max statsim_err_gauge (bp ss_error)
       | Some (_, None) | None -> ())
     rows;
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"pc-sample/1\",\"interval\":%d,\"seed\":%d,\"budget\":%d,\"programs\":["
-       interval settings.E.seed settings.E.sim_instrs);
-  List.iteri
-    (fun i (bench, kind, (plan : Sample.plan), proj, proj_power, reference, statsim) ->
-      if i > 0 then Buffer.add_char b ',';
-      let replayed =
-        Array.fold_left
-          (fun acc (r : Sample.rep) -> acc + Array.length r.Sample.trace)
-          0 plan.Sample.reps
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"bench\":%S,\"kind\":%S,\"total_instrs\":%d,\"intervals\":%d,\
-            \"clusters\":%d,\"replayed_instrs\":%d,\"coverage\":%.6f,\
-            \"projected_ipc\":%.6f,\"projected_power\":%.6f"
-           bench kind plan.Sample.total_instrs plan.Sample.n_intervals
-           plan.Sample.k replayed plan.Sample.coverage proj proj_power);
-      (match reference with
+  let f6 = Json.fixed 6 in
+  let program
+      (bench, kind, (plan : Sample.plan), proj, proj_power, reference, statsim) =
+    let replayed =
+      Array.fold_left
+        (fun acc (r : Sample.rep) -> acc + Array.length r.Sample.trace)
+        0 plan.Sample.reps
+    in
+    let reference =
+      match reference with
       | Some (det, ipc_error, det_power, power_error) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             ",\"detailed_ipc\":%.6f,\"ipc_error\":%.6f,\"detailed_power\":%.6f,\
-              \"power_error\":%.6f"
-             det ipc_error det_power power_error)
-      | None -> ());
-      (match statsim with
+        [
+          ("detailed_ipc", f6 det);
+          ("ipc_error", f6 ipc_error);
+          ("detailed_power", f6 det_power);
+          ("power_error", f6 power_error);
+        ]
+      | None -> []
+    in
+    let statsim =
+      match statsim with
       | Some (ss, ss_ref) ->
-        Buffer.add_string b (Printf.sprintf ",\"statsim_ipc\":%.6f" ss);
+        ("statsim_ipc", f6 ss)
+        ::
         (match ss_ref with
         | Some (det, err) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               ",\"statsim_detailed_ipc\":%.6f,\"statsim_ipc_error\":%.6f" det err)
-        | None -> ())
-      | None -> ());
-      Buffer.add_char b '}')
-    rows;
-  Buffer.add_string b "]}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents b))
+          [ ("statsim_detailed_ipc", f6 det); ("statsim_ipc_error", f6 err) ]
+        | None -> [])
+      | None -> []
+    in
+    Json.Obj
+      ([
+         ("bench", Json.Str bench);
+         ("kind", Json.Str kind);
+         ("total_instrs", Json.int plan.Sample.total_instrs);
+         ("intervals", Json.int plan.Sample.n_intervals);
+         ("clusters", Json.int plan.Sample.k);
+         ("replayed_instrs", Json.int replayed);
+         ("coverage", f6 plan.Sample.coverage);
+         ("projected_ipc", f6 proj);
+         ("projected_power", f6 proj_power);
+       ]
+      @ reference @ statsim)
+  in
+  Json.to_file path
+    (Json.Obj
+       [
+         ("schema", Json.Str "pc-sample/1");
+         ("interval", Json.int interval);
+         ("seed", Json.int settings.E.seed);
+         ("budget", Json.int settings.E.sim_instrs);
+         ("programs", Json.List (List.map program rows));
+       ])
 
 let main experiments quick benches seed jobs sample sample_out sample_no_ref
     plan_cache cache_onepass trace trace_period_ms metrics metrics_out ledger

@@ -1,7 +1,7 @@
 module Json = Pc_util.Json
 
 let check_schema ~expected doc issues =
-  match Option.bind (Json.member "schema" doc) Json.to_string with
+  match Json.schema doc with
   | Some s when s = expected -> issues
   | Some s ->
     Printf.sprintf "schema mismatch: expected %s, found %s" expected s :: issues

@@ -1,76 +1,33 @@
+module Json = Pc_util.Json
+
 (* --- JSON --- *)
 
-let escape b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* pc-obs/1 floats: integral values below 1e15 keep one decimal
+   ("2.0"), the rest print at nine significant digits. *)
+let obs_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Json.fixed 1 f
+  else Json.float f
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  escape b s;
-  Buffer.contents b
+let int_fields entries =
+  Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) entries)
 
-(* JSON has no NaN/Infinity literals; a non-finite value (e.g. a
-   histogram fed an infinite observation) must degrade to null, not
-   corrupt the document. *)
-let number b f =
-  if not (Float.is_finite f) then Buffer.add_string b "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.1f" f)
-  else Buffer.add_string b (Printf.sprintf "%.9g" f)
-
-let obj b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (key, emit) ->
-      if i > 0 then Buffer.add_char b ',';
-      escape b key;
-      Buffer.add_char b ':';
-      emit ())
-    fields;
-  Buffer.add_char b '}'
-
-let int_map b entries =
-  obj b
-    (List.map
-       (fun (name, v) -> (name, fun () -> Buffer.add_string b (string_of_int v)))
-       entries)
-
-let hist b (h : Metrics.hist_view) =
-  obj b
+let hist (h : Metrics.hist_view) =
+  let bucket i c =
+    let le =
+      if i < Array.length h.Metrics.le then obs_float h.Metrics.le.(i)
+      else Json.Str "inf"
+    in
+    Json.Obj [ ("le", le); ("count", Json.int c) ]
+  in
+  Json.Obj
     [
-      ("count", fun () -> Buffer.add_string b (string_of_int h.Metrics.count));
-      ("sum", fun () -> number b h.Metrics.sum);
-      ("p50", fun () -> number b (Metrics.hist_quantile h 0.50));
-      ("p95", fun () -> number b (Metrics.hist_quantile h 0.95));
-      ("p99", fun () -> number b (Metrics.hist_quantile h 0.99));
+      ("count", Json.int h.Metrics.count);
+      ("sum", obs_float h.Metrics.sum);
+      ("p50", obs_float (Metrics.hist_quantile h 0.50));
+      ("p95", obs_float (Metrics.hist_quantile h 0.95));
+      ("p99", obs_float (Metrics.hist_quantile h 0.99));
       ( "buckets",
-        fun () ->
-          Buffer.add_char b '[';
-          Array.iteri
-            (fun i c ->
-              if i > 0 then Buffer.add_char b ',';
-              obj b
-                [
-                  ( "le",
-                    fun () ->
-                      if i < Array.length h.Metrics.le then number b h.Metrics.le.(i)
-                      else escape b "inf" );
-                  ("count", fun () -> Buffer.add_string b (string_of_int c));
-                ])
-            h.Metrics.bucket_counts;
-          Buffer.add_char b ']' );
+        Json.List (List.mapi bucket (Array.to_list h.Metrics.bucket_counts)) );
     ]
 
 (* Exclusive (self) time: the span's duration minus its children's,
@@ -81,55 +38,30 @@ let self_s s =
     (Span.duration_s s
     -. List.fold_left (fun acc c -> acc +. Span.duration_s c) 0.0 (Span.children s))
 
-let rec span b s =
-  obj b
+let rec span s =
+  Json.Obj
     [
-      ("name", fun () -> escape b (Span.name s));
-      ("duration_s", fun () -> number b (Span.duration_s s));
-      ("self_s", fun () -> number b (self_s s));
-      ( "children",
-        fun () ->
-          Buffer.add_char b '[';
-          List.iteri
-            (fun i c ->
-              if i > 0 then Buffer.add_char b ',';
-              span b c)
-            (Span.children s);
-          Buffer.add_char b ']' );
+      ("name", Json.Str (Span.name s));
+      ("duration_s", obs_float (Span.duration_s s));
+      ("self_s", obs_float (self_s s));
+      ("children", Json.List (List.map span (Span.children s)));
     ]
 
-let json (snap : Metrics.snapshot) spans =
-  let b = Buffer.create 4096 in
-  obj b
+let doc (snap : Metrics.snapshot) spans =
+  Json.Obj
     [
-      ("schema", fun () -> escape b "pc-obs/1");
-      ("counters", fun () -> int_map b snap.Metrics.counters);
-      ("gauges", fun () -> int_map b snap.Metrics.gauges);
+      ("schema", Json.Str "pc-obs/1");
+      ("counters", int_fields snap.Metrics.counters);
+      ("gauges", int_fields snap.Metrics.gauges);
       ( "histograms",
-        fun () ->
-          obj b
-            (List.map
-               (fun (name, h) -> (name, fun () -> hist b h))
-               snap.Metrics.histograms) );
-      ( "spans",
-        fun () ->
-          Buffer.add_char b '[';
-          List.iteri
-            (fun i s ->
-              if i > 0 then Buffer.add_char b ',';
-              span b s)
-            spans;
-          Buffer.add_char b ']' );
-    ];
-  Buffer.contents b
+        Json.Obj
+          (List.map (fun (name, h) -> (name, hist h)) snap.Metrics.histograms)
+      );
+      ("spans", Json.List (List.map span spans));
+    ]
 
-let write_json path snap spans =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (json snap spans);
-      output_char oc '\n')
+let json snap spans = Json.encode (doc snap spans)
+let write_json path snap spans = Json.to_file path (doc snap spans)
 
 (* --- console --- *)
 

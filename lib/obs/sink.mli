@@ -25,14 +25,9 @@
       Counter/gauge/histogram keys are sorted by name; spans are in
       completion order; [self_s] is the span's exclusive time
       ({!self_s}); [p50]/[p95]/[p99] are bucket-interpolated
-      quantile estimates ({!Metrics.hist_quantile}).  Non-finite floats
-      serialise as [null] — JSON has no NaN/Infinity.
+      quantile estimates ({!Metrics.hist_quantile}).  Printed by
+      {!Pc_util.Json}, so non-finite floats serialise as [null].
     - {!null}: does nothing — the disabled path. *)
-
-val json_string : string -> string
-(** The JSON string literal (quotes included) for [s], escaping
-    quotes, backslashes and control characters.  Shared by every
-    exporter that writes metric, span or event names into JSON. *)
 
 val self_s : Span.t -> float
 (** Exclusive time of a span: its duration minus the sum of its

@@ -94,7 +94,8 @@ let item ?a ?b ?a_num ?b_num ?delta ~ok path kind =
 let pp_value = function
   | Json.Null -> "null"
   | Json.Bool v -> string_of_bool v
-  | Json.Num f ->
+  | Json.Num lit ->
+    let f = float_of_string lit in
     if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
     else Printf.sprintf "%g" f
   | Json.Str s -> Printf.sprintf "%S" s
@@ -115,15 +116,16 @@ let leaf ctx schema path a b =
   | P_skip -> ()
   | pol -> (
     ctx.compared <- ctx.compared + 1;
-    match (a, b) with
-    | Json.Num x, Json.Num y when not (Float.equal x y) ->
+    (* numbers compare by value: [1.0] and [1.000000] are the same leaf *)
+    match (Json.to_float a, Json.to_float b) with
+    | Some x, Some y when not (Float.equal x y) ->
       add ctx
         (item ~a:(pp_value a) ~b:(pp_value b) ~a_num:x ~b_num:y ~delta:(y -. x)
            ~ok:(pol = P_note) path
            (if pol = P_note then Note else Num))
-    | Json.Num _, Json.Num _ -> ()
-    | a, b when a = b -> ()
-    | a, b ->
+    | Some _, Some _ -> ()
+    | _ when a = b -> ()
+    | _ ->
       let same_shape =
         match (a, b) with
         | Json.Bool _, Json.Bool _ | Json.Str _, Json.Str _ -> true
@@ -390,16 +392,8 @@ let diff_trace ctx ta tb =
 
 (* --- entry points --- *)
 
-let schema_of j =
-  match Json.member "schema" j with
-  | Some (Json.Str s) -> Some s
-  | _ -> (
-    match Option.bind (Json.member "otherData" j) (Json.member "schema") with
-    | Some (Json.Str s) -> Some s
-    | _ -> None)
-
 let diff ~a_label ~b_label ja jb =
-  match (schema_of ja, schema_of jb) with
+  match (Json.schema ja, Json.schema jb) with
   | None, _ -> Error (Printf.sprintf "%s: no recognisable schema" a_label)
   | _, None -> Error (Printf.sprintf "%s: no recognisable schema" b_label)
   | Some sa, Some sb when sa <> sb ->
@@ -452,43 +446,33 @@ let kind_str = function
   | Structural -> "structural"
   | Note -> "note"
 
-let to_json (r : report) =
-  let b = Buffer.create 4096 in
-  let str s = Buffer.add_string b (Pc_obs.Sink.json_string s) in
-  let opt_str = function None -> Buffer.add_string b "null" | Some s -> str s in
-  let opt_num = function
-    | None -> Buffer.add_string b "null"
-    | Some f ->
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.9g" f)
-      else Buffer.add_string b "null"
+let doc (r : report) =
+  let opt f = Option.fold ~none:Json.Null ~some:f in
+  let item it =
+    Json.Obj
+      [
+        ("path", Json.Str it.path);
+        ("kind", Json.Str (kind_str it.kind));
+        ("a", opt (fun s -> Json.Str s) it.a);
+        ("b", opt (fun s -> Json.Str s) it.b);
+        ("delta", opt Json.float it.delta);
+        ("tol", opt Json.float it.tol);
+        ("ok", Json.Bool it.ok);
+      ]
   in
-  Buffer.add_string b "{\"schema\":\"pc-diff/1\",\"artifact_schema\":";
-  str r.artifact_schema;
-  Buffer.add_string b ",\"a\":";
-  str r.a_label;
-  Buffer.add_string b ",\"b\":";
-  str r.b_label;
-  Printf.bprintf b ",\"compared\":%d,\"drift\":%d,\"items\":[" r.compared
-    (List.length (drift r));
-  List.iteri
-    (fun i it ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"path\":";
-      str it.path;
-      Buffer.add_string b ",\"kind\":";
-      str (kind_str it.kind);
-      Buffer.add_string b ",\"a\":";
-      opt_str it.a;
-      Buffer.add_string b ",\"b\":";
-      opt_str it.b;
-      Buffer.add_string b ",\"delta\":";
-      opt_num it.delta;
-      Buffer.add_string b ",\"tol\":";
-      opt_num it.tol;
-      Printf.bprintf b ",\"ok\":%b}" it.ok)
-    r.items;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Obj
+    [
+      ("schema", Json.Str "pc-diff/1");
+      ("artifact_schema", Json.Str r.artifact_schema);
+      ("a", Json.Str r.a_label);
+      ("b", Json.Str r.b_label);
+      ("compared", Json.int r.compared);
+      ("drift", Json.int (List.length (drift r)));
+      ("items", Json.List (List.map item r.items));
+    ]
+
+let to_json r = Json.encode (doc r)
+let write_json path r = Json.to_file path (doc r)
 
 let pp ppf (r : report) =
   Format.fprintf ppf "pc_diff: %s@." r.artifact_schema;
@@ -519,7 +503,7 @@ type thresholds = {
 let default_thresholds = { max_drift = 0; ignore_paths = []; tolerances = [] }
 
 let thresholds_of_json j =
-  match schema_of j with
+  match Json.schema j with
   | Some "pc-diff-thresholds/1" ->
     let max_drift =
       Option.value ~default:0 (Option.bind (Json.member "max_drift" j) Json.to_int)

@@ -51,9 +51,6 @@ type report = {
   items : item list;  (** every difference, in traversal order *)
 }
 
-val schema_of : Pc_util.Json.t -> string option
-(** Top-level ["schema"] member, or [otherData.schema] for traces. *)
-
 val diff :
   a_label:string ->
   b_label:string ->
@@ -83,6 +80,9 @@ val to_json : report -> string
                    "delta": <float|null>, "tol": <float|null>,
                    "ok": <bool> }, ... ] }
     v} *)
+
+val write_json : string -> report -> unit
+(** {!to_json} plus a trailing newline, written to a file. *)
 
 val pp : Format.formatter -> report -> unit
 (** Console table: one row per item ([DRIFT] or [note]), then a

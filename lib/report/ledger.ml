@@ -1,3 +1,5 @@
+module Json = Pc_util.Json
+
 type t = { dir : string }
 type artifact = { schema : string; path : string }
 
@@ -60,18 +62,8 @@ let args_digest argv =
 
 (* --- record rendering --- *)
 
-let buf_str b s = Buffer.add_string b (Pc_obs.Sink.json_string s)
-
-let buf_int_map b entries =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_str b k;
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int v))
-    entries;
-  Buffer.add_char b '}'
+let int_fields entries =
+  Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) entries)
 
 (* The digested slice ([full = false]): everything in it is
    deterministic for a given invocation.  Histograms are timing, so the
@@ -82,7 +74,7 @@ let buf_int_map b entries =
    timestamps, memo-store miss counts can double on same-key races at
    -j > 1, and the ledger's own bookkeeping grows with every record
    appended by the process. *)
-let render_run b ~full ~tool ~args_digest:ad ~seed ~git
+let run_json ~full ~tool ~args_digest:ad ~seed ~git
     ~(snap : Pc_obs.Metrics.snapshot) ~arts =
   let counters =
     if full then snap.Pc_obs.Metrics.counters
@@ -93,29 +85,26 @@ let render_run b ~full ~tool ~args_digest:ad ~seed ~git
           && not (starts_with ~prefix:"report.ledger." k))
         snap.Pc_obs.Metrics.counters
   in
-  Buffer.add_string b "{\"tool\":";
-  buf_str b tool;
-  Printf.bprintf b ",\"args_digest\":\"%s\",\"seed\":%d,\"git\":" ad seed;
-  buf_str b git;
-  Buffer.add_string b ",\"metrics\":{\"counters\":";
-  buf_int_map b counters;
-  Buffer.add_string b ",\"gauges\":";
-  buf_int_map b snap.Pc_obs.Metrics.gauges;
-  Buffer.add_string b "},\"artifacts\":[";
-  List.iteri
-    (fun i (schema, path, dg) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"schema\":";
-      buf_str b schema;
-      if full then begin
-        Buffer.add_string b ",\"path\":";
-        buf_str b path;
-        Buffer.add_string b ",\"digest\":";
-        buf_str b dg
-      end;
-      Buffer.add_char b '}')
-    arts;
-  Buffer.add_string b "]}"
+  let artifact (schema, path, dg) =
+    Json.Obj
+      (("schema", Json.Str schema)
+      :: (if full then [ ("path", Json.Str path); ("digest", Json.Str dg) ]
+          else []))
+  in
+  Json.Obj
+    [
+      ("tool", Json.Str tool);
+      ("args_digest", Json.Str ad);
+      ("seed", Json.int seed);
+      ("git", Json.Str git);
+      ( "metrics",
+        Json.Obj
+          [
+            ("counters", int_fields counters);
+            ("gauges", int_fields snap.Pc_obs.Metrics.gauges);
+          ] );
+      ("artifacts", Json.List (List.map artifact arts));
+    ]
 
 let git_describe () =
   match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
@@ -174,25 +163,24 @@ let record t ~tool ~argv ~seed ~jobs ~artifacts =
          (fun a b -> compare (a.schema, a.path) (b.schema, b.path))
          artifacts)
   in
-  let run ~full =
-    let b = Buffer.create 2048 in
-    render_run b ~full ~tool ~args_digest:ad ~seed ~git ~snap ~arts;
-    Buffer.contents b
+  let run ~full = run_json ~full ~tool ~args_digest:ad ~seed ~git ~snap ~arts in
+  let id = Digest.to_hex (Digest.string (Json.encode (run ~full:false))) in
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str "pc-run/1");
+        ("id", Json.Str id);
+        ("run", run ~full:true);
+        ( "env",
+          Json.Obj
+            [
+              ("host", Json.Str (try Unix.gethostname () with _ -> "unknown"));
+              ("time_unix_s", Json.fixed 6 (Unix.gettimeofday ()));
+              ("jobs", Json.int jobs);
+              ("argv", Json.List (List.map (fun a -> Json.Str a) argv));
+            ] );
+      ]
   in
-  let id = Digest.to_hex (Digest.string (run ~full:false)) in
-  let doc = Buffer.create 4096 in
-  Printf.bprintf doc "{\"schema\":\"pc-run/1\",\"id\":\"%s\",\"run\":%s" id
-    (run ~full:true);
-  Buffer.add_string doc ",\"env\":{\"host\":";
-  buf_str doc (try Unix.gethostname () with _ -> "unknown");
-  Printf.bprintf doc ",\"time_unix_s\":%.6f,\"jobs\":%d,\"argv\":["
-    (Unix.gettimeofday ()) jobs;
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char doc ',';
-      buf_str doc a)
-    argv;
-  Buffer.add_string doc "]}}\n";
   (* Sequence numbers order the history; a concurrent writer racing to
      the same number just pushes this record to the next free slot. *)
   let rec place seq =
@@ -203,6 +191,6 @@ let record t ~tool ~argv ~seed ~jobs ~artifacts =
     if Sys.file_exists file then place (seq + 1) else file
   in
   let file = place (next_seq t) in
-  Pc_exec.Disk_store.write_atomic file (Buffer.contents doc);
+  Pc_exec.Disk_store.write_atomic file (Json.encode doc ^ "\n");
   Pc_obs.Metrics.incr (Lazy.force c_records);
   file

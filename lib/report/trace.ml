@@ -34,11 +34,7 @@ let parse_event j =
   | _ -> Error "event missing \"ph\" or \"name\""
 
 let parse j =
-  let doc_schema =
-    Option.bind (Json.member "otherData" j) (fun od ->
-        Option.bind (Json.member "schema" od) Json.to_string)
-  in
-  if doc_schema <> Some schema then
+  if Json.schema j <> Some schema then
     Error (Printf.sprintf "not a %s document" schema)
   else
     match Option.bind (Json.member "traceEvents" j) Json.to_list with
@@ -57,76 +53,3 @@ let parse_file path =
   match Json.parse_file path with
   | Error e -> Error e
   | Ok j -> parse j
-
-(* --- rendering --- *)
-
-(* [Chrome.arg_value] writes [Int] args with [string_of_int] and
-   [Float] args with [%.9g].  For integral values below 1e9 the two
-   formats coincide (9 significant digits, no exponent), so rendering
-   from the parsed double is unambiguous there. *)
-let buf_num b f =
-  if Float.is_integer f && Float.abs f < 1e9 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.9g" f)
-
-let buf_value b ~intlike = function
-  | Json.Null -> Buffer.add_string b "null"
-  | Json.Bool v -> Buffer.add_string b (string_of_bool v)
-  | Json.Num f ->
-    if intlike && Float.is_integer f then
-      Buffer.add_string b (Printf.sprintf "%.0f" f)
-    else buf_num b f
-  | Json.Str s -> Buffer.add_string b (Pc_obs.Sink.json_string s)
-  | Json.List _ | Json.Obj _ -> Buffer.add_string b "null"
-
-let buf_args b ~intlike args =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Pc_obs.Sink.json_string k);
-      Buffer.add_char b ':';
-      buf_value b ~intlike v)
-    args;
-  Buffer.add_char b '}'
-
-let buf_event b e =
-  let name = Pc_obs.Sink.json_string e.name in
-  let ts = Printf.sprintf "%.3f" e.ts in
-  (* Counter values are written with [%d] by the tracer at any
-     magnitude, hence [intlike] rather than the shared ambiguity
-     threshold. *)
-  let intlike = e.ph = "C" in
-  (match e.ph with
-  | "M" ->
-    Printf.bprintf b "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":%s,\"args\":"
-      e.tid name
-  | "C" ->
-    Printf.bprintf b
-      "{\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"name\":%s,\"args\":" e.tid
-      ts name
-  | ph ->
-    let extra =
-      match ph with
-      | "i" -> ",\"s\":\"t\""
-      | "s" | "t" -> Printf.sprintf ",\"id\":%d" e.id
-      | "f" -> Printf.sprintf ",\"bp\":\"e\",\"id\":%d" e.id
-      | _ -> ""
-    in
-    Printf.bprintf b
-      "{\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"cat\":\"pc\",\"name\":%s%s,\"args\":"
-      ph e.tid ts name extra);
-  buf_args b ~intlike e.args;
-  Buffer.add_char b '}'
-
-let render t =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_event b e)
-    t.events;
-  Buffer.add_string b
-    "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":\"pc-trace/1\"}}";
-  Buffer.contents b

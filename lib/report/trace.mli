@@ -1,15 +1,12 @@
-(** Reader (and byte-identical re-emitter) for [pc-trace/1] timelines.
+(** Reader for [pc-trace/1] timelines.
 
     {!Pc_trace.Chrome} writes traces; this module reads them back for
     the drift engine ({!Diff}) without pulling the tracer's runtime
-    (sampler domain, event collector) into report-only tools.
-
-    {!render} reproduces {!Pc_trace.Chrome}'s exact field order and
-    number formatting, so [parse |> render] is byte-identical to the
-    file {!Pc_trace.Chrome.stop} wrote (minus the trailing newline) —
-    the round-trip is a test-enforced schema contract.  One known
-    limit: integer argument values at or above 1e9 re-render in
-    [%.9g] exponent form; no current instrumentation emits them. *)
+    (sampler domain, event collector) into report-only tools.  Both
+    sides go through {!Pc_util.Json}, whose number leaves keep their
+    literal text, so [Json.encode] of a parsed trace is byte-identical
+    to the file {!Pc_trace.Chrome.stop} wrote (minus the trailing
+    newline) — a test-enforced round trip. *)
 
 type event = {
   ph : string;  (** ["M"], ["B"], ["E"], ["i"], ["s"], ["t"], ["f"], ["C"] *)
@@ -23,10 +20,7 @@ type event = {
 type t = { events : event list }  (** in file order *)
 
 val parse : Pc_util.Json.t -> (t, string) result
-(** Accepts only documents whose [otherData.schema] is ["pc-trace/1"]
-    and whose events all carry a known [ph]. *)
+(** Accepts only documents whose {!Pc_util.Json.schema} is
+    ["pc-trace/1"] and whose events all carry a known [ph]. *)
 
 val parse_file : string -> (t, string) result
-
-val render : t -> string
-(** The [pc-trace/1] document for [t], without a trailing newline. *)

@@ -1,61 +1,48 @@
 module Json = Pc_util.Json
-module Sink = Pc_obs.Sink
 
-let number f =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
+let tenant_json (t : Runner.tenant_row) =
+  Json.Obj
+    [
+      ("label", Json.Str t.Runner.label);
+      ("workload", Json.Str t.Runner.workload);
+      ("kind", Json.Str (Spec.kind_name t.Runner.kind));
+      ("instrs", Json.int t.Runner.instrs);
+      ("standalone_ipc", Json.fixed 6 t.Runner.standalone_ipc);
+      ("corun_ipc", Json.fixed 6 t.Runner.corun_ipc);
+      ("slowdown", Json.fixed 6 t.Runner.slowdown);
+      ("l2_accesses", Json.int t.Runner.l2_accesses);
+      ("l2_misses", Json.int t.Runner.l2_misses);
+      ("mem_accesses", Json.int t.Runner.mem_accesses);
+    ]
 
-let json ~(settings : Runner.settings) (results : Runner.result list) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"pc-scenario/1\",\"seed\":%d,\"budget\":%d,\"sample\":%s,\"scenarios\":["
-       settings.Runner.seed settings.Runner.budget
-       (match settings.Runner.sample with
-       | None -> "null"
-       | Some i -> string_of_int i));
-  List.iteri
-    (fun i (r : Runner.result) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":%s,\"config\":%s,\"policy\":%s,\"quantum\":%d,\"sampled\":%b,\"weighted_speedup\":%s,\"fairness\":%s,\"tenants\":["
-           (Sink.json_string r.Runner.spec.Spec.name)
-           (Sink.json_string r.Runner.config_name)
-           (Sink.json_string (Spec.policy_name r.Runner.spec.Spec.policy))
-           r.Runner.spec.Spec.quantum r.Runner.sampled
-           (number r.Runner.weighted_speedup)
-           (number r.Runner.fairness));
-      List.iteri
-        (fun j (t : Runner.tenant_row) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"label\":%s,\"workload\":%s,\"kind\":%s,\"instrs\":%d,\"standalone_ipc\":%s,\"corun_ipc\":%s,\"slowdown\":%s,\"l2_accesses\":%d,\"l2_misses\":%d,\"mem_accesses\":%d}"
-               (Sink.json_string t.Runner.label)
-               (Sink.json_string t.Runner.workload)
-               (Sink.json_string (Spec.kind_name t.Runner.kind))
-               t.Runner.instrs
-               (number t.Runner.standalone_ipc)
-               (number t.Runner.corun_ipc)
-               (number t.Runner.slowdown)
-               t.Runner.l2_accesses t.Runner.l2_misses t.Runner.mem_accesses))
-        r.Runner.tenants;
-      Buffer.add_string b "]}")
-    results;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let scenario_json (r : Runner.result) =
+  Json.Obj
+    [
+      ("name", Json.Str r.Runner.spec.Spec.name);
+      ("config", Json.Str r.Runner.config_name);
+      ("policy", Json.Str (Spec.policy_name r.Runner.spec.Spec.policy));
+      ("quantum", Json.int r.Runner.spec.Spec.quantum);
+      ("sampled", Json.Bool r.Runner.sampled);
+      ("weighted_speedup", Json.fixed 6 r.Runner.weighted_speedup);
+      ("fairness", Json.fixed 6 r.Runner.fairness);
+      ("tenants", Json.List (List.map tenant_json r.Runner.tenants));
+    ]
 
-let write_json path ~settings results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (json ~settings results);
-      output_char oc '\n')
+let doc ~(settings : Runner.settings) results =
+  Json.Obj
+    [
+      ("schema", Json.Str "pc-scenario/1");
+      ("seed", Json.int settings.Runner.seed);
+      ("budget", Json.int settings.Runner.budget);
+      ( "sample",
+        Option.fold ~none:Json.Null ~some:Json.int settings.Runner.sample );
+      ("scenarios", Json.List (List.map scenario_json results));
+    ]
+
+let json ~settings results = Json.encode (doc ~settings results)
+let write_json path ~settings results = Json.to_file path (doc ~settings results)
 
 (* --- threshold gate (check_baselines scenario) --- *)
-
-let schema_of doc = Option.bind (Json.member "schema" doc) Json.to_string
 
 let scenario_rows doc =
   match Option.bind (Json.member "scenarios" doc) Json.to_list with
@@ -84,12 +71,12 @@ let finite_field name row =
 let check ~thresholds ~report =
   let issues = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  (match schema_of thresholds with
+  (match Json.schema thresholds with
   | Some "pc-scenario-thresholds/1" -> ()
   | s ->
     issue "thresholds: expected schema pc-scenario-thresholds/1, got %s"
       (Option.value ~default:"<none>" s));
-  (match schema_of report with
+  (match Json.schema report with
   | Some "pc-scenario/1" -> ()
   | s ->
     issue "report: expected schema pc-scenario/1, got %s"

@@ -214,7 +214,7 @@ let with_scenario_context name r =
 
 let of_json doc =
   let* () =
-    match Option.bind (Json.member "schema" doc) Json.to_string with
+    match Json.schema doc with
     | Some "pc-scenario-config/1" -> Ok ()
     | s ->
       Error

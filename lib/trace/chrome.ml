@@ -1,7 +1,7 @@
 module M = Pc_obs.Metrics
 module Event = Pc_obs.Event
 module Span = Pc_obs.Span
-module Sink = Pc_obs.Sink
+module Json = Pc_util.Json
 
 (* One counter-track sample: a metric's value at an instant.  Samples
    are produced by the sampler domain (and a final sample at [stop]),
@@ -27,32 +27,16 @@ let sample_registry acc =
 
 (* --- Chrome trace_event JSON --- *)
 
-let number b f =
-  if not (Float.is_finite f) then Buffer.add_string b "null"
-  else Buffer.add_string b (Printf.sprintf "%.9g" f)
-
-let arg_value b = function
-  | Event.Int i -> Buffer.add_string b (string_of_int i)
-  | Event.Float f -> number b f
-  | Event.Str s -> Buffer.add_string b (Sink.json_string s)
-
-let args_obj b args =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Sink.json_string k);
-      Buffer.add_char b ':';
-      arg_value b v)
-    args;
-  Buffer.add_char b '}'
+let arg = function
+  | Event.Int i -> Json.int i
+  | Event.Float f -> Json.float f
+  | Event.Str s -> Json.Str s
 
 let track_label = function
   | 0 -> "main"
   | i -> Printf.sprintf "worker-%d" i
 
-let ts_us ~epoch ts =
-  Printf.sprintf "%.3f" (Float.max 0.0 ((ts -. epoch) *. 1e6))
+let ts_us ~epoch ts = Json.fixed 3 (Float.max 0.0 ((ts -. epoch) *. 1e6))
 
 (* Shutdown race: the sampler domain can emit one more sample between the
    stop flag being set and [Domain.join], and on a fast clock it renders
@@ -75,26 +59,21 @@ let dedupe_samples ~epoch samples =
 
 let to_json ~epoch events samples =
   let samples = dedupe_samples ~epoch samples in
-  let b = Buffer.create 65536 in
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char b ',' in
   let ts_us ts = ts_us ~epoch ts in
-  Buffer.add_string b "{\"traceEvents\":[";
-  sep ();
-  Buffer.add_string b
-    "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"perfclone\"}}";
+  let head ph tid =
+    [ ("ph", Json.Str ph); ("pid", Json.int 1); ("tid", Json.int tid) ]
+  in
+  let meta tid name label =
+    Json.Obj
+      (head "M" tid
+      @ [
+          ("name", Json.Str name);
+          ("args", Json.Obj [ ("name", Json.Str label) ]);
+        ])
+  in
   let tracks =
     List.sort_uniq compare (List.map (fun (e : Event.t) -> e.Event.track) events)
   in
-  List.iter
-    (fun tr ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}"
-           tr
-           (Sink.json_string (track_label tr))))
-    tracks;
   (* Stable sort: per-track order (chronological by construction) breaks
      timestamp ties, keeping Begin/End nesting valid per track. *)
   let events =
@@ -102,43 +81,51 @@ let to_json ~epoch events samples =
       (fun (a : Event.t) (b : Event.t) -> compare a.Event.ts b.Event.ts)
       events
   in
-  List.iter
-    (fun (e : Event.t) ->
-      sep ();
-      (* Flow events ([s]/[t]/[f]) carry the arrow-binding id; [f] binds
-         to the enclosing slice ("bp":"e") so the arrow lands on the
-         consumer's span rather than the next slice to start. *)
-      let ph, extra =
-        match e.Event.phase with
-        | Event.Begin -> ("B", "")
-        | Event.End -> ("E", "")
-        | Event.Instant -> ("i", ",\"s\":\"t\"")
-        | Event.Flow_start -> ("s", Printf.sprintf ",\"id\":%d" e.Event.flow_id)
-        | Event.Flow_step -> ("t", Printf.sprintf ",\"id\":%d" e.Event.flow_id)
-        | Event.Flow_end ->
-          ("f", Printf.sprintf ",\"bp\":\"e\",\"id\":%d" e.Event.flow_id)
-      in
-      Buffer.add_string b
-        (Printf.sprintf "{\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"cat\":\"pc\",\"name\":%s%s,\"args\":"
-           ph e.Event.track (ts_us e.Event.ts)
-           (Sink.json_string e.Event.name)
-           extra);
-      args_obj b e.Event.args;
-      Buffer.add_char b '}')
-    events;
-  List.iter
-    (fun s ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"name\":%s,\"args\":{\"value\":%d}}"
-           (ts_us s.s_ts)
-           (Sink.json_string s.s_name)
-           s.s_value))
-    samples;
-  Buffer.add_string b
-    "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":\"pc-trace/1\"}}";
-  Buffer.contents b
+  let event (e : Event.t) =
+    (* Flow events ([s]/[t]/[f]) carry the arrow-binding id; [f] binds
+       to the enclosing slice ("bp":"e") so the arrow lands on the
+       consumer's span rather than the next slice to start. *)
+    let id = ("id", Json.int e.Event.flow_id) in
+    let ph, extra =
+      match e.Event.phase with
+      | Event.Begin -> ("B", [])
+      | Event.End -> ("E", [])
+      | Event.Instant -> ("i", [ ("s", Json.Str "t") ])
+      | Event.Flow_start -> ("s", [ id ])
+      | Event.Flow_step -> ("t", [ id ])
+      | Event.Flow_end -> ("f", [ ("bp", Json.Str "e"); id ])
+    in
+    Json.Obj
+      (head ph e.Event.track
+      @ [
+          ("ts", ts_us e.Event.ts);
+          ("cat", Json.Str "pc");
+          ("name", Json.Str e.Event.name);
+        ]
+      @ extra
+      @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, arg v)) e.Event.args)) ]
+      )
+  in
+  let counter s =
+    Json.Obj
+      (head "C" 0
+      @ [
+          ("ts", ts_us s.s_ts);
+          ("name", Json.Str s.s_name);
+          ("args", Json.Obj [ ("value", Json.int s.s_value) ]);
+        ])
+  in
+  Json.Obj
+    [
+      ( "traceEvents",
+        Json.List
+          ((meta 0 "process_name" "perfclone"
+           :: List.map (fun tr -> meta tr "thread_name" (track_label tr)) tracks)
+          @ List.map event events
+          @ List.map counter samples) );
+      ("displayTimeUnit", Json.Str "ms");
+      ("otherData", Json.Obj [ ("schema", Json.Str "pc-trace/1") ]);
+    ]
 
 (* --- tracer lifecycle --- *)
 
@@ -187,13 +174,7 @@ let stop t =
   let events = Event.drain () in
   Event.set_collecting t.restore_collecting;
   M.set_enabled t.restore_enabled;
-  let json = to_json ~epoch:t.epoch events (List.rev !(t.samples)) in
-  let oc = open_out t.path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc json;
-      output_char oc '\n')
+  Json.to_file t.path (to_json ~epoch:t.epoch events (List.rev !(t.samples)))
 
 let with_trace ?period_s path f =
   match path with

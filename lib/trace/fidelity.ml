@@ -1,6 +1,5 @@
 module Profile = Pc_profile.Profile
 module Json = Pc_util.Json
-module Sink = Pc_obs.Sink
 module M = Pc_obs.Metrics
 
 type characteristics = {
@@ -270,64 +269,52 @@ let measure_phases ~interval ~original ~clone report =
 
 (* --- pc-fidelity/1 JSON --- *)
 
-let number f =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
+let characteristics_json c =
+  List.map (fun (name, v) -> (name, Json.fixed 6 v)) (characteristic_fields c)
+
+let phase_json ph =
+  Json.Obj
+    ([
+       ("phase", Json.int ph.p_index);
+       ("orig_start", Json.int ph.p_orig_start);
+       ("orig_instrs", Json.int ph.p_orig_instrs);
+       ("clone_start", Json.int ph.p_clone_start);
+       ("clone_instrs", Json.int ph.p_clone_instrs);
+     ]
+    @ characteristics_json ph.p_c)
+
+let doc ~seed ~profile_instrs ~clone_dynamic reports =
+  let row r =
+    (* additive: absent when per-phase scoring didn't run, so reports
+       without it stay byte-identical to pre-phase pc-fidelity/1 *)
+    let phases =
+      if r.phases = [] then []
+      else [ ("phases", Json.List (List.map phase_json r.phases)) ]
+    in
+    Json.Obj
+      ([
+         ("bench", Json.Str r.bench);
+         ("orig_instrs", Json.int r.orig_instrs);
+         ("clone_instrs", Json.int r.clone_instrs);
+       ]
+      @ characteristics_json r.c @ phases)
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "pc-fidelity/1");
+      ("seed", Json.int seed);
+      ("profile_instrs", Json.int profile_instrs);
+      ("clone_dynamic", Json.int clone_dynamic);
+      ("benchmarks", Json.List (List.map row reports));
+    ]
 
 let json ~seed ~profile_instrs ~clone_dynamic reports =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"pc-fidelity/1\",\"seed\":%d,\"profile_instrs\":%d,\"clone_dynamic\":%d,\"benchmarks\":["
-       seed profile_instrs clone_dynamic);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"bench\":%s,\"orig_instrs\":%d,\"clone_instrs\":%d"
-           (Sink.json_string r.bench)
-           r.orig_instrs r.clone_instrs);
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"%s\":%s" name (number v)))
-        (characteristic_fields r.c);
-      (* additive: absent when per-phase scoring didn't run, so reports
-         without it stay byte-identical to pre-phase pc-fidelity/1 *)
-      if r.phases <> [] then begin
-        Buffer.add_string b ",\"phases\":[";
-        List.iteri
-          (fun j ph ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf
-                 "{\"phase\":%d,\"orig_start\":%d,\"orig_instrs\":%d,\"clone_start\":%d,\"clone_instrs\":%d"
-                 ph.p_index ph.p_orig_start ph.p_orig_instrs ph.p_clone_start
-                 ph.p_clone_instrs);
-            List.iter
-              (fun (name, v) ->
-                Buffer.add_string b
-                  (Printf.sprintf ",\"%s\":%s" name (number v)))
-              (characteristic_fields ph.p_c);
-            Buffer.add_char b '}')
-          r.phases;
-        Buffer.add_char b ']'
-      end;
-      Buffer.add_char b '}')
-    reports;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.encode (doc ~seed ~profile_instrs ~clone_dynamic reports)
 
 let write_json path ~seed ~profile_instrs ~clone_dynamic reports =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (json ~seed ~profile_instrs ~clone_dynamic reports);
-      output_char oc '\n')
+  Json.to_file path (doc ~seed ~profile_instrs ~clone_dynamic reports)
 
 (* --- threshold gate (check_baselines fidelity) --- *)
-
-let schema_of doc = Option.bind (Json.member "schema" doc) Json.to_string
 
 let bench_rows doc =
   match Option.bind (Json.member "benchmarks" doc) Json.to_list with
@@ -341,12 +328,12 @@ let row_bench row =
 let check ~thresholds ~report =
   let issues = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  (match schema_of thresholds with
+  (match Json.schema thresholds with
   | Some "pc-fidelity-thresholds/1" -> ()
   | s ->
     issue "thresholds: expected schema pc-fidelity-thresholds/1, got %s"
       (Option.value ~default:"<none>" s));
-  (match schema_of report with
+  (match Json.schema report with
   | Some "pc-fidelity/1" -> ()
   | s ->
     issue "report: expected schema pc-fidelity/1, got %s"

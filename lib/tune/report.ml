@@ -1,103 +1,95 @@
 module Json = Pc_util.Json
-module Sink = Pc_obs.Sink
 
-let number f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
+let knobs_json (k : Search.knobs) =
+  Json.Obj
+    [
+      ("block_scale", Json.fixed 6 k.Search.k_block_scale);
+      ("max_streams", Json.int k.Search.k_max_streams);
+      ("dep_jitter", Json.fixed 6 k.Search.k_dep_jitter);
+      ("stride_bias", Json.fixed 6 k.Search.k_stride_bias);
+      ("period_min", Json.int k.Search.k_period_min);
+      ("period_max", Json.int k.Search.k_period_max);
+    ]
 
-let knobs_fields (k : Search.knobs) =
-  Printf.sprintf
-    "{\"block_scale\":%s,\"max_streams\":%d,\"dep_jitter\":%s,\"stride_bias\":%s,\"period_min\":%d,\"period_max\":%d}"
-    (number k.Search.k_block_scale)
-    k.Search.k_max_streams
-    (number k.Search.k_dep_jitter)
-    (number k.Search.k_stride_bias)
-    k.Search.k_period_min k.Search.k_period_max
-
-let mode_fields (mode : Fitness.mode) b =
+let mode_fields (mode : Fitness.mode) =
   match mode with
   | Fitness.Mimic weights ->
-    Buffer.add_string b "\"mode\":\"mimic\",\"weights\":{";
-    List.iteri
-      (fun i (name, w) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "%s:%s" (Sink.json_string name) (number w)))
-      weights;
-    Buffer.add_char b '}'
+    [
+      ("mode", Json.Str "mimic");
+      ( "weights",
+        Json.Obj (List.map (fun (name, w) -> (name, Json.fixed 6 w)) weights) );
+    ]
   | Fitness.Stress env ->
-    Buffer.add_string b "\"mode\":\"stress\",\"envelope\":{";
-    let first = ref true in
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | None -> ()
-        | Some t ->
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Buffer.add_string b (Printf.sprintf "\"%s\":%s" name (number t)))
-      [
-        ("ipc", env.Fitness.e_ipc);
-        ("mpki", env.Fitness.e_mpki);
-        ("power", env.Fitness.e_power);
-      ];
-    Buffer.add_char b '}'
+    let target (name, v) = Option.map (fun t -> (name, Json.fixed 6 t)) v in
+    [
+      ("mode", Json.Str "stress");
+      ( "envelope",
+        Json.Obj
+          (List.filter_map target
+             [
+               ("ipc", env.Fitness.e_ipc);
+               ("mpki", env.Fitness.e_mpki);
+               ("power", env.Fitness.e_power);
+             ]) );
+    ]
 
-let json ~seed ~profile_instrs ~clone_dynamic ~mode results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"pc-tune/1\",\"seed\":%d,\"profile_instrs\":%d,\"clone_dynamic\":%d,"
-       seed profile_instrs clone_dynamic);
-  mode_fields mode b;
-  Buffer.add_string b ",\"benchmarks\":[";
-  List.iteri
-    (fun i (r : Search.result) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"bench\":%s,\"budget\":%d,\"evals\":%d,\"memo_hits\":%d,\"default_fitness\":%s,\"best_fitness\":%s,\"knobs\":%s"
-           (Sink.json_string r.Search.r_bench)
-           r.Search.r_budget r.Search.r_evals r.Search.r_memo_hits
-           (number r.Search.r_default.Fitness.fitness)
-           (number r.Search.r_best.Fitness.fitness)
-           (knobs_fields r.Search.r_best_knobs));
-      Buffer.add_string b ",\"generations\":[";
-      List.iteri
-        (fun j (g : Search.generation) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"gen\":%d,\"evals\":%d,\"best\":%s}"
-               g.Search.g_index g.Search.g_evals (number g.Search.g_best)))
-        r.Search.r_generations;
+let row (r : Search.result) =
+  let generation (g : Search.generation) =
+    Json.Obj
+      [
+        ("gen", Json.int g.Search.g_index);
+        ("evals", Json.int g.Search.g_evals);
+        ("best", Json.fixed 6 g.Search.g_best);
+      ]
+  in
+  Json.Obj
+    [
+      ("bench", Json.Str r.Search.r_bench);
+      ("budget", Json.int r.Search.r_budget);
+      ("evals", Json.int r.Search.r_evals);
+      ("memo_hits", Json.int r.Search.r_memo_hits);
+      ("default_fitness", Json.fixed 6 r.Search.r_default.Fitness.fitness);
+      ("best_fitness", Json.fixed 6 r.Search.r_best.Fitness.fitness);
+      ("knobs", knobs_json r.Search.r_best_knobs);
+      ("generations", Json.List (List.map generation r.Search.r_generations));
       (* store hits/misses legitimately differ between a cold and a warm
          run — CI compares the console table, not this document *)
-      Buffer.add_string b
-        (Printf.sprintf "],\"store\":{\"hits\":%d,\"misses\":%d}}"
-           r.Search.r_store_hits r.Search.r_store_misses))
-    results;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+      ( "store",
+        Json.Obj
+          [
+            ("hits", Json.int r.Search.r_store_hits);
+            ("misses", Json.int r.Search.r_store_misses);
+          ] );
+    ]
+
+let doc ~seed ~profile_instrs ~clone_dynamic ~mode results =
+  Json.Obj
+    ([
+       ("schema", Json.Str "pc-tune/1");
+       ("seed", Json.int seed);
+       ("profile_instrs", Json.int profile_instrs);
+       ("clone_dynamic", Json.int clone_dynamic);
+     ]
+    @ mode_fields mode
+    @ [ ("benchmarks", Json.List (List.map row results)) ])
+
+let json ~seed ~profile_instrs ~clone_dynamic ~mode results =
+  Json.encode (doc ~seed ~profile_instrs ~clone_dynamic ~mode results)
 
 let write_json path ~seed ~profile_instrs ~clone_dynamic ~mode results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (json ~seed ~profile_instrs ~clone_dynamic ~mode results);
-      output_char oc '\n')
+  Json.to_file path (doc ~seed ~profile_instrs ~clone_dynamic ~mode results)
 
 (* --- threshold gate (check_baselines tune) --- *)
-
-let schema_of doc = Option.bind (Json.member "schema" doc) Json.to_string
 
 let check ~thresholds ~report =
   let issues = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  (match schema_of thresholds with
+  (match Json.schema thresholds with
   | Some "pc-tune-thresholds/1" -> ()
   | s ->
     issue "thresholds: expected schema pc-tune-thresholds/1, got %s"
       (Option.value ~default:"<none>" s));
-  (match schema_of report with
+  (match Json.schema report with
   | Some "pc-tune/1" -> ()
   | s ->
     issue "report: expected schema pc-tune/1, got %s"

@@ -1,10 +1,75 @@
 type t =
   | Null
   | Bool of bool
-  | Num of float
+  | Num of string
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+(* --- numbers --- *)
+
+let int i = Num (string_of_int i)
+
+(* JSON has no NaN/Infinity literals: a non-finite value degrades to
+   null rather than corrupting the document. *)
+let fixed digits f =
+  if Float.is_finite f then Num (Printf.sprintf "%.*f" digits f) else Null
+
+let float f = if Float.is_finite f then Num (Printf.sprintf "%.9g" f) else Null
+
+(* --- printing --- *)
+
+let escape b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let write_seq b opening closing f items =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f x)
+    items;
+  Buffer.add_char b closing
+
+let rec write b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num lit -> Buffer.add_string b lit
+  | Str s -> escape b s
+  | List items -> write_seq b '[' ']' (write b) items
+  | Obj fields ->
+    write_seq b '{' '}'
+      (fun (k, v) ->
+        escape b k;
+        Buffer.add_char b ':';
+        write b v)
+      fields
+
+let encode v =
+  let b = Buffer.create 4096 in
+  write b v;
+  Buffer.contents b
+
+let to_file path v =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (encode v);
+      output_char oc '\n')
+
+(* --- parsing --- *)
 
 exception Fail of int * string
 
@@ -62,13 +127,16 @@ let parse_string st =
         | 'r' -> Buffer.add_char b '\r'
         | 't' -> Buffer.add_char b '\t'
         | 'u' ->
-          if st.pos + 4 > String.length st.src then fail st "bad \\u escape";
-          let hex = String.sub st.src st.pos 4 in
-          st.pos <- st.pos + 4;
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with Failure _ -> fail st "bad \\u escape"
+          let is_hex = function
+            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+            | _ -> false
           in
+          if
+            st.pos + 4 > String.length st.src
+            || not (String.for_all is_hex (String.sub st.src st.pos 4))
+          then fail st "bad \\u escape";
+          let code = int_of_string ("0x" ^ String.sub st.src st.pos 4) in
+          st.pos <- st.pos + 4;
           (* Escaped control characters are ASCII in our schemas; wider
              code points are emitted raw by the writers, never escaped. *)
           if code < 0x80 then Buffer.add_char b (Char.chr code)
@@ -83,22 +151,36 @@ let parse_string st =
   loop ();
   Buffer.contents b
 
+(* RFC 8259: [-]? (0 | [1-9][0-9]* ) (.[0-9]+)? ([eE][+-]?[0-9]+)?  The
+   literal is kept verbatim, so only valid JSON can be copied out. *)
 let parse_number st =
   let start = st.pos in
-  let is_num_char c =
-    match c with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let digit () =
+    match peek st with Some '0' .. '9' -> true | _ -> false
   in
-  while
-    st.pos < String.length st.src && is_num_char st.src.[st.pos]
-  do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected number";
-  match float_of_string_opt (String.sub st.src start (st.pos - start)) with
-  | Some f -> f
-  | None -> fail st "malformed number"
+  let digits () =
+    if not (digit ()) then fail st "expected digit";
+    while digit () do
+      st.pos <- st.pos + 1
+    done
+  in
+  if peek st = Some '-' then st.pos <- st.pos + 1;
+  if peek st = Some '0' then begin
+    st.pos <- st.pos + 1;
+    if digit () then fail st "leading zero in number"
+  end
+  else digits ();
+  if peek st = Some '.' then begin
+    st.pos <- st.pos + 1;
+    digits ()
+  end;
+  (match peek st with
+  | Some ('e' | 'E') ->
+    st.pos <- st.pos + 1;
+    (match peek st with Some ('+' | '-') -> st.pos <- st.pos + 1 | _ -> ());
+    digits ()
+  | _ -> ());
+  String.sub st.src start (st.pos - start)
 
 let rec parse_value st =
   skip_ws st;
@@ -158,7 +240,8 @@ let rec parse_value st =
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
-  | Some _ -> Num (parse_number st)
+  | Some ('-' | '0' .. '9') -> Num (parse_number st)
+  | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
 
 let parse src =
   let st = { src; pos = 0 } in
@@ -185,13 +268,22 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list = function List l -> Some l | _ -> None
-let to_float = function Num f -> Some f | _ -> None
+let schema j =
+  match member "schema" j with
+  | Some (Str s) -> Some s
+  | _ -> (
+    match Option.bind (member "otherData" j) (member "schema") with
+    | Some (Str s) -> Some s
+    | _ -> None)
 
-let to_int = function
+let to_list = function List l -> Some l | _ -> None
+let to_float = function Num lit -> float_of_string_opt lit | _ -> None
+
+let to_int v =
+  match to_float v with
   (* [is_integer] is true of infinities, whose [int_of_float] is
      undefined: require finiteness before converting. *)
-  | Num f when Float.is_finite f && Float.is_integer f -> Some (int_of_float f)
+  | Some f when Float.is_finite f && Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
 let to_string = function Str s -> Some s | _ -> None

@@ -270,17 +270,18 @@ let test_json_sink () =
     ]
 
 let test_json_string_escaping () =
-  Alcotest.(check string) "plain" {|"abc"|} (Sink.json_string "abc");
-  Alcotest.(check string) "quote" {|"a\"b"|} (Sink.json_string {|a"b|});
-  Alcotest.(check string) "backslash" {|"a\\b"|} (Sink.json_string {|a\b|});
+  let json_string s = Pc_util.Json.encode (Pc_util.Json.Str s) in
+  Alcotest.(check string) "plain" {|"abc"|} (json_string "abc");
+  Alcotest.(check string) "quote" {|"a\"b"|} (json_string {|a"b|});
+  Alcotest.(check string) "backslash" {|"a\\b"|} (json_string {|a\b|});
   Alcotest.(check string) "newline and tab" {|"a\nb\tc"|}
-    (Sink.json_string "a\nb\tc");
+    (json_string "a\nb\tc");
   Alcotest.(check string) "control char" {|"a\u0001b"|}
-    (Sink.json_string "a\001b");
+    (json_string "a\001b");
   (* Round-trip through the repo's own parser: escaping and parsing must
      agree, or artefact names with quotes corrupt pc-obs/1 reports. *)
   let nasty = "sp\"an\\na\nme\001" in
-  match Pc_util.Json.parse (Sink.json_string nasty) with
+  match Pc_util.Json.parse (json_string nasty) with
   | Ok (Pc_util.Json.Str s) ->
     Alcotest.(check string) "parse round-trip" nasty s
   | Ok _ -> Alcotest.fail "escaped string parsed as non-string"
@@ -306,6 +307,30 @@ let test_json_sink_quantiles () =
   let json = Sink.json (M.snapshot ()) [] in
   List.iter (check_contains json) [ "\"p50\":"; "\"p95\":"; "\"p99\":" ];
   M.reset ()
+
+(* Byte pin for pc-obs/1: a hand-built snapshot (no spans, so no
+   timing) covering integral and non-integral floats, a bound past the
+   [%.1f] range, an infinite sum and the overflow bucket. *)
+let test_json_golden () =
+  let snap =
+    {
+      M.counters = [ ("a.count", 7); ("b\"q", 1_000_000_000_000) ];
+      gauges = [ ("g", -3) ];
+      histograms =
+        [
+          ( "h",
+            {
+              M.le = [| 0.1; 2.0; 1e15 |];
+              bucket_counts = [| 1; 2; 0; 1 |];
+              count = 4;
+              sum = Float.infinity;
+            } );
+        ];
+    }
+  in
+  Alcotest.(check string) "pc-obs/1 bytes"
+    "{\"schema\":\"pc-obs/1\",\"counters\":{\"a.count\":7,\"b\\\"q\":1000000000000},\"gauges\":{\"g\":-3},\"histograms\":{\"h\":{\"count\":4,\"sum\":null,\"p50\":1.05,\"p95\":1e+15,\"p99\":1e+15,\"buckets\":[{\"le\":0.1,\"count\":1},{\"le\":2.0,\"count\":2},{\"le\":1e+15,\"count\":0},{\"le\":\"inf\",\"count\":1}]}},\"spans\":[]}"
+    (Sink.json snap [])
 
 let test_write_json () =
   let path = Filename.temp_file "pc_obs_test" ".json" in
@@ -467,6 +492,7 @@ let () =
           Alcotest.test_case "histogram quantiles in json" `Quick
             test_json_sink_quantiles;
           Alcotest.test_case "write_json" `Quick test_write_json;
+          Alcotest.test_case "golden bytes" `Quick test_json_golden;
         ] );
       ( "baselines",
         [

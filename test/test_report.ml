@@ -4,9 +4,9 @@
    - ledger ids are content-addressed over the deterministic slice of a
      run, so repeated equivalent invocations (any -j, any output paths)
      digest identically and perturbed runs do not;
-   - the pc-trace/1 parser is exactly inverse to the Chrome renderer
-     (emit -> parse -> re-emit is byte-identical), so trace diffing
-     works on what the tracer actually wrote;
+   - a pc-trace/1 file parses and re-prints byte-identically (emit ->
+     parse -> re-emit), so trace diffing works on what the tracer
+     actually wrote;
    - the pc-obs/1 span aligner is sound (a tree diffed with itself is
      empty) and complete for single perturbations (exactly the
      perturbed group surfaces). *)
@@ -125,19 +125,29 @@ let test_trace_round_trip () =
           Pc_exec.Store.find_or_compute store i (fun () -> i * i))
         [ 1; 2; 3; 4 ]);
    Event.instant "mark"
-     [ ("i", Event.Int 42); ("f", Event.Float 0.125); ("s", Event.Str "x\"y") ];
+     [
+       ("i", Event.Int 42);
+       ("big", Event.Int 2_000_000_000);
+       ("f", Event.Float 0.125);
+       ("s", Event.Str "x\"y");
+     ];
    Event.instant "ratio" [ ("v", Event.Float 1.5e-7) ]);
   let original = read_file path in
-  let t =
-    match Trace.parse_file path with
-    | Ok t -> t
+  let doc =
+    match Json.parse original with
+    | Ok doc -> doc
     | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let t =
+    match Trace.parse doc with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "Trace.parse: %s" e
   in
   Alcotest.(check bool)
     "parsed a non-trivial stream" true
     (List.length t.Trace.events > 8);
   Alcotest.(check string) "re-render byte-identical" original
-    (Trace.render t ^ "\n");
+    (Json.encode doc ^ "\n");
   Sys.remove path
 
 (* --- diff engine --- *)
@@ -168,7 +178,7 @@ let scenario_doc entries =
           (List.map
              (fun (name, fairness) ->
                Json.Obj
-                 [ ("name", Json.Str name); ("fairness", Json.Num fairness) ])
+                 [ ("name", Json.Str name); ("fairness", Json.float fairness) ])
              entries) );
     ]
 
@@ -182,7 +192,7 @@ let diff_thresholds fields =
 
 let fairness_tolerance rel =
   diff_thresholds
-    [ ("tolerances", Json.Obj [ ("scenarios[*]/fairness", Json.Num rel) ]) ]
+    [ ("tolerances", Json.Obj [ ("scenarios[*]/fairness", Json.float rel) ]) ]
 
 let test_diff_tolerance_and_keys () =
   let a = scenario_doc [ ("duet", 0.9); ("quad", 0.5) ] in
@@ -199,6 +209,16 @@ let test_diff_tolerance_and_keys () =
   Alcotest.(check bool) "inside the tolerance passes" true (Diff.gate th r);
   let r = diff_docs a (scenario_doc [ ("quad", 0.8); ("duet", 0.9) ]) in
   Alcotest.(check bool) "outside the tolerance fails" false (Diff.gate th r);
+  (* numbers compare by value, whatever their literal text *)
+  let lit fairness =
+    Json.Obj
+      [
+        ("schema", Json.Str "pc-scenario/1");
+        ("fairness", Json.Num fairness);
+      ]
+  in
+  Alcotest.(check int) "1.0 and 1.000000 are equal" 0
+    (List.length (diff_docs (lit "1.0") (lit "1.000000")).Diff.items);
   (* a vanished row is drift, whatever the tolerances *)
   let r = diff_docs a (scenario_doc [ ("duet", 0.9) ]) in
   Alcotest.(check int) "removed row: drift" 1 (List.length (Diff.drift r));
@@ -213,7 +233,7 @@ let run_doc ~seed ~host =
         Json.Obj
           [
             ("tool", Json.Str "test");
-            ("seed", Json.Num (float_of_int seed));
+            ("seed", Json.int seed);
             ("artifacts", Json.List []);
           ] );
       ( "env",
@@ -237,7 +257,7 @@ let test_thresholds_gate () =
   let th_ignore =
     diff_thresholds
       [
-        ("max_drift", Json.Num 0.0);
+        ("max_drift", Json.int 0);
         ("ignore", Json.List [ Json.Str "scenarios[*]/fairness" ]);
       ]
   in
@@ -251,6 +271,43 @@ let test_thresholds_gate () =
     [ Some 0.5 ]
     (List.map (fun it -> it.Diff.tol) (Diff.apply (fairness_tolerance 0.5) r).Diff.items)
 
+(* Byte pin for pc-diff/1: a drifted counter re-judged under a
+   tolerance ([tol]), a memo-store counter ([note]), a changed gauge
+   ([num]), a removed key with a quoted name, and an added one. *)
+let test_diff_json_golden () =
+  let doc counters gauges =
+    Json.Obj
+      [
+        ("schema", Json.Str "pc-obs/1");
+        ("counters", Json.Obj counters);
+        ("gauges", Json.Obj gauges);
+      ]
+  in
+  let a =
+    doc
+      [
+        ("exec.store.sim.misses", Json.int 1);
+        ("funcsim.runs", Json.int 10);
+        ("gone\"x", Json.int 2);
+      ]
+      [ ("g", Json.int 3) ]
+  and b =
+    doc
+      [
+        ("exec.store.sim.misses", Json.int 2);
+        ("funcsim.runs", Json.int 11);
+        ("new", Json.Str "v");
+      ]
+      [ ("g", Json.float 1e-7) ]
+  in
+  let th =
+    diff_thresholds
+      [ ("tolerances", Json.Obj [ ("counters/funcsim.*", Json.float 0.125) ]) ]
+  in
+  Alcotest.(check string) "pc-diff/1 bytes"
+    "{\"schema\":\"pc-diff/1\",\"artifact_schema\":\"pc-obs/1\",\"a\":\"a\",\"b\":\"b\",\"compared\":6,\"drift\":3,\"items\":[{\"path\":\"counters/exec.store.sim.misses\",\"kind\":\"note\",\"a\":\"1\",\"b\":\"2\",\"delta\":1,\"tol\":null,\"ok\":true},{\"path\":\"counters/funcsim.runs\",\"kind\":\"num\",\"a\":\"10\",\"b\":\"11\",\"delta\":1,\"tol\":0.125,\"ok\":true},{\"path\":\"counters/gone\\\"x\",\"kind\":\"removed\",\"a\":\"2\",\"b\":null,\"delta\":null,\"tol\":null,\"ok\":false},{\"path\":\"counters/new\",\"kind\":\"added\",\"a\":null,\"b\":\"\\\"v\\\"\",\"delta\":null,\"tol\":null,\"ok\":false},{\"path\":\"gauges/g\",\"kind\":\"num\",\"a\":\"3\",\"b\":\"1e-07\",\"delta\":-2.9999999,\"tol\":null,\"ok\":false}]}"
+    (Diff.to_json (Diff.apply th (diff_docs a b)))
+
 (* --- random span trees through the aligner --- *)
 
 let names = [| "prepare"; "profile"; "synth"; "sim"; "fidelity"; "pool" |]
@@ -262,16 +319,16 @@ let rec gen_span rng depth =
     0.001 +. Rng.float rng 0.5
     +. List.fold_left
          (fun acc c ->
-           match Json.member "duration_s" c with
-           | Some (Json.Num f) -> acc +. f
-           | _ -> acc)
+           match Option.bind (Json.member "duration_s" c) Json.to_float with
+           | Some f -> acc +. f
+           | None -> acc)
          0.0 children
   in
   Json.Obj
     [
       ("name", Json.Str (Rng.pick rng names));
-      ("duration_s", Json.Num d);
-      ("self_s", Json.Num 0.001);
+      ("duration_s", Json.float d);
+      ("self_s", Json.float 0.001);
       ("children", Json.List children);
     ]
 
@@ -300,8 +357,8 @@ let rec perturb rng spans =
                   Json.Obj
                     [
                       ("name", Json.Str "__perturbed__");
-                      ("duration_s", Json.Num 0.001);
-                      ("self_s", Json.Num 0.001);
+                      ("duration_s", Json.float 0.001);
+                      ("self_s", Json.float 0.001);
                       ("children", Json.List []);
                     ];
                 ]
@@ -358,6 +415,8 @@ let () =
             test_diff_tolerance_and_keys;
           Alcotest.test_case "run env skipped" `Quick test_diff_run_env_skipped;
           Alcotest.test_case "thresholds gate" `Quick test_thresholds_gate;
+          Alcotest.test_case "pc-diff/1 golden bytes" `Quick
+            test_diff_json_golden;
         ] );
       ( "aligner",
         [ QCheck_alcotest.to_alcotest ~long:false qcheck_span_aligner ] );

@@ -249,6 +249,19 @@ let test_check_gate () =
   Alcotest.(check bool) "schema mismatch flagged" true
     (Report.check ~thresholds:bad_schema ~report <> [])
 
+(* Byte pin for pc-scenario/1: the gate's seeded duet run, and an
+   empty sampled report for the [sample] integer branch. *)
+let test_report_json_golden () =
+  let settings = { Runner.quick_settings with Runner.budget = 60_000 } in
+  Runner.clear_caches ();
+  let results = Runner.run settings [ Option.get (Presets.find "duet") ] in
+  Alcotest.(check string) "duet bytes"
+    "{\"schema\":\"pc-scenario/1\",\"seed\":1,\"budget\":60000,\"sample\":null,\"scenarios\":[{\"name\":\"duet\",\"config\":\"base\",\"policy\":\"round-robin\",\"quantum\":4096,\"sampled\":false,\"weighted_speedup\":2.000000,\"fairness\":1.000000,\"tenants\":[{\"label\":\"crc32\",\"workload\":\"crc32\",\"kind\":\"original\",\"instrs\":60000,\"standalone_ipc\":0.799169,\"corun_ipc\":0.799169,\"slowdown\":1.000000,\"l2_accesses\":376,\"l2_misses\":188,\"mem_accesses\":188},{\"label\":\"qsort\",\"workload\":\"qsort\",\"kind\":\"original\",\"instrs\":60000,\"standalone_ipc\":0.868772,\"corun_ipc\":0.868772,\"slowdown\":1.000000,\"l2_accesses\":327,\"l2_misses\":165,\"mem_accesses\":165}]}]}"
+    (Report.json ~settings results);
+  Alcotest.(check string) "sampled header bytes"
+    "{\"schema\":\"pc-scenario/1\",\"seed\":1,\"budget\":60000,\"sample\":5000,\"scenarios\":[]}"
+    (Report.json ~settings:{ settings with Runner.sample = Some 5_000 } [])
+
 let () =
   Alcotest.run "pc_scenario"
     [
@@ -283,5 +296,9 @@ let () =
             test_config_of_json_errors;
         ] );
       ( "gate",
-        [ Alcotest.test_case "thresholds" `Quick test_check_gate ] );
+        [
+          Alcotest.test_case "thresholds" `Quick test_check_gate;
+          Alcotest.test_case "pc-scenario/1 golden bytes" `Quick
+            test_report_json_golden;
+        ] );
     ]

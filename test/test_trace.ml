@@ -416,6 +416,45 @@ let test_fidelity_phase_boundaries () =
     | None -> Alcotest.fail "phases array missing")
   | _ -> Alcotest.fail "expected one benchmark row"
 
+(* Byte pin for pc-fidelity/1: a hand-built report with a phases row,
+   an infinite global characteristic and an all-NaN (empty) phase. *)
+let test_fidelity_json_golden () =
+  let chars mix ratio =
+    {
+      Fidelity.instr_mix_l1 = mix;
+      dep_dist_l1 = 0.125;
+      stride_agreement = 1.0;
+      single_stride_err = 0.0;
+      taken_rate_err = 1e-7;
+      transition_rate_err = 1.0 /. 3.0;
+      sfg_block_ratio = ratio;
+      avg_block_size_ratio = 2.0 /. 3.0;
+    }
+  in
+  let phase p_index p_clone_instrs p_c =
+    {
+      Fidelity.p_index;
+      p_orig_start = p_index * 10_000;
+      p_orig_instrs = 10_000;
+      p_clone_start = p_index;
+      p_clone_instrs;
+      p_c;
+    }
+  in
+  let r =
+    {
+      Fidelity.bench = "crc\"32";
+      orig_instrs = 20_000;
+      clone_instrs = 1;
+      c = chars 0.25 Float.infinity;
+      phases =
+        [ phase 0 1 (chars (-0.5) 1.5); phase 1 0 (chars Float.nan Float.nan) ];
+    }
+  in
+  Alcotest.(check string) "pc-fidelity/1 bytes"
+    "{\"schema\":\"pc-fidelity/1\",\"seed\":3,\"profile_instrs\":20000,\"clone_dynamic\":1,\"benchmarks\":[{\"bench\":\"crc\\\"32\",\"orig_instrs\":20000,\"clone_instrs\":1,\"instr_mix_l1\":0.250000,\"dep_dist_l1\":0.125000,\"stride_agreement\":1.000000,\"single_stride_err\":0.000000,\"taken_rate_err\":0.000000,\"transition_rate_err\":0.333333,\"sfg_block_ratio\":null,\"avg_block_size_ratio\":0.666667,\"phases\":[{\"phase\":0,\"orig_start\":0,\"orig_instrs\":10000,\"clone_start\":0,\"clone_instrs\":1,\"instr_mix_l1\":-0.500000,\"dep_dist_l1\":0.125000,\"stride_agreement\":1.000000,\"single_stride_err\":0.000000,\"taken_rate_err\":0.000000,\"transition_rate_err\":0.333333,\"sfg_block_ratio\":1.500000,\"avg_block_size_ratio\":0.666667},{\"phase\":1,\"orig_start\":10000,\"orig_instrs\":10000,\"clone_start\":1,\"clone_instrs\":0,\"instr_mix_l1\":null,\"dep_dist_l1\":0.125000,\"stride_agreement\":1.000000,\"single_stride_err\":0.000000,\"taken_rate_err\":0.000000,\"transition_rate_err\":0.333333,\"sfg_block_ratio\":null,\"avg_block_size_ratio\":0.666667}]}]}"
+    (Fidelity.json ~seed:3 ~profile_instrs:20_000 ~clone_dynamic:1 [ r ])
+
 let thresholds_doc =
   {|{"schema":"pc-fidelity-thresholds/1",
      "max":{"instr_mix_l1":0.5},
@@ -490,5 +529,7 @@ let () =
           Alcotest.test_case "phase boundaries with short clones" `Quick
             test_fidelity_phase_boundaries;
           Alcotest.test_case "threshold gate" `Quick test_fidelity_check_gate;
+          Alcotest.test_case "pc-fidelity/1 golden bytes" `Quick
+            test_fidelity_json_golden;
         ] );
     ]

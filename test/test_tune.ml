@@ -343,6 +343,20 @@ let test_report_json_roundtrip () =
       ]
   | _ -> Alcotest.fail "expected one benchmark row"
 
+(* Byte pin for pc-tune/1: the seeded crc32 search above in mimic
+   mode, and a stress-mode header with a partial envelope. *)
+let test_report_json_golden () =
+  let r = run_search "crc32" in
+  Alcotest.(check string) "mimic bytes"
+    "{\"schema\":\"pc-tune/1\",\"seed\":1,\"profile_instrs\":60000,\"clone_dynamic\":20000,\"mode\":\"mimic\",\"weights\":{\"instr_mix_l1\":1.000000,\"dep_dist_l1\":1.000000,\"stride_agreement\":1.000000,\"single_stride_err\":1.000000,\"taken_rate_err\":1.000000,\"transition_rate_err\":1.000000,\"sfg_block_ratio\":0.500000,\"avg_block_size_ratio\":0.500000},\"benchmarks\":[{\"bench\":\"crc32\",\"budget\":10,\"evals\":6,\"memo_hits\":1,\"default_fitness\":0.437376,\"best_fitness\":0.437376,\"knobs\":{\"block_scale\":1.000000,\"max_streams\":12,\"dep_jitter\":0.000000,\"stride_bias\":0.000000,\"period_min\":2,\"period_max\":256},\"generations\":[{\"gen\":0,\"evals\":5,\"best\":0.437376},{\"gen\":1,\"evals\":1,\"best\":0.437376}],\"store\":{\"hits\":0,\"misses\":6}}]}"
+    (Report.json ~seed:1 ~profile_instrs:60_000 ~clone_dynamic:20_000
+       ~mode:mimic [ r ]);
+  Alcotest.(check string) "stress bytes"
+    "{\"schema\":\"pc-tune/1\",\"seed\":2,\"profile_instrs\":1,\"clone_dynamic\":1,\"mode\":\"stress\",\"envelope\":{\"ipc\":1.500000,\"power\":0.100000},\"benchmarks\":[]}"
+    (Report.json ~seed:2 ~profile_instrs:1 ~clone_dynamic:1
+       ~mode:(Fitness.Stress (Fitness.envelope ~ipc:1.5 ~power:0.1 ()))
+       [])
+
 let tune_report_doc ~default_fitness ~best_fitness =
   Printf.sprintf
     {|{"schema":"pc-tune/1","seed":1,"profile_instrs":1,"clone_dynamic":1,
@@ -420,5 +434,7 @@ let () =
           Alcotest.test_case "pc-tune/1 roundtrip" `Quick
             test_report_json_roundtrip;
           Alcotest.test_case "threshold gate" `Quick test_tune_check_gate;
+          Alcotest.test_case "pc-tune/1 golden bytes" `Quick
+            test_report_json_golden;
         ] );
     ]

@@ -177,11 +177,11 @@ let test_pick_covers () =
 
 (* --- Json --- *)
 
+let json_roundtrip_src =
+  {|{"schema":"pc-example/1","results":[{"name":"a \"b\"","ms_per_run":1.25},{"name":"c","ms_per_run":null}],"n":-3,"ok":true,"empty":{},"none":[]}|}
+
 let test_json_roundtrip () =
-  let src =
-    {|{"schema":"pc-example/1","results":[{"name":"a \"b\"","ms_per_run":1.25},{"name":"c","ms_per_run":null}],"n":-3,"ok":true,"empty":{},"none":[]}|}
-  in
-  match Json.parse src with
+  match Json.parse json_roundtrip_src with
   | Error msg -> Alcotest.failf "parse failed: %s" msg
   | Ok doc ->
     Alcotest.(check (option string)) "schema" (Some "pc-example/1")
@@ -212,24 +212,25 @@ let test_json_rejects_malformed () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "1 2"; ""; "{\"a\" 1}"; "nul" ]
 
+let own_snapshot =
+  {
+    Pc_obs.Metrics.counters = [ ("a.b", 3) ];
+    gauges = [ ("g", 12) ];
+    histograms =
+      [
+        ( "h",
+          {
+            Pc_obs.Metrics.count = 2;
+            sum = 0.5;
+            le = [| 0.1; 1.0 |];
+            bucket_counts = [| 1; 1; 0 |];
+          } );
+      ];
+  }
+
 let test_json_parses_own_artefacts () =
   (* The parser must accept what the repo's own writers emit. *)
-  let snap =
-    {
-      Pc_obs.Metrics.counters = [ ("a.b", 3) ];
-      gauges = [ ("g", 12) ];
-      histograms =
-        [
-          ( "h",
-            {
-              Pc_obs.Metrics.count = 2;
-              sum = 0.5;
-              le = [| 0.1; 1.0 |];
-              bucket_counts = [| 1; 1; 0 |];
-            } );
-        ];
-    }
-  in
+  let snap = own_snapshot in
   let path = Filename.temp_file "pc_obs" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -244,6 +245,113 @@ let test_json_parses_own_artefacts () =
           (Option.bind
              (Option.bind (Json.member "counters" doc) (Json.member "a.b"))
              Json.to_int))
+
+(* RFC 8259 numbers only: a printer that copies literals out verbatim
+   must never be handed one that is not JSON. *)
+let test_json_strict_numbers () =
+  List.iter
+    (fun lit ->
+      match Json.parse lit with
+      | Ok (Json.Num l) ->
+        Alcotest.(check string) ("literal kept: " ^ lit) lit l;
+        Alcotest.(check string) ("re-printed: " ^ lit) lit
+          (Json.encode (Json.Num l))
+      | Ok _ -> Alcotest.failf "%s parsed as a non-number" lit
+      | Error e -> Alcotest.failf "rejected valid number %s: %s" lit e)
+    [
+      "0"; "-0"; "7"; "-12"; "1E5"; "1e+20"; "1.5e-07"; "0.000000";
+      "2000000000";
+    ];
+  List.iter
+    (fun (src, byte) ->
+      match Json.parse src with
+      | Ok _ -> Alcotest.failf "accepted invalid number %S" src
+      | Error e ->
+        let at = Printf.sprintf "at byte %d:" byte in
+        let n = String.length at in
+        let rec names i =
+          i + n <= String.length e && (String.sub e i n = at || names (i + 1))
+        in
+        if not (names 0) then Alcotest.failf "%S: %S does not say %s" src e at)
+    [
+      (".5", 0); ("1.", 2); ("+1", 0); ("-.5", 1); ("01", 1); ("-", 1);
+      ("1e", 2); ("1e+", 3); ("-01", 2); ("NaN", 0); ("Infinity", 0);
+      ("[1,-inf]", 4); ("{\"a\":.5}", 5);
+    ]
+
+(* Every leaf the writers can produce: strings over all 256 bytes and
+   numbers from the three constructors, non-finite floats included. *)
+let gen_json =
+  let open QCheck.Gen in
+  let number =
+    frequency
+      [
+        (6, float);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun s -> Json.Str s) (string_size ~gen:char (int_bound 12));
+        map Json.int int;
+        map2 Json.fixed (int_bound 9) number;
+        map Json.float number;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 2)))
+               );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4)
+                      (pair (string_size ~gen:char (int_bound 6)) (self (n / 2)))) );
+             ])
+
+let qcheck_json_print_parse =
+  QCheck.Test.make ~name:"parse (encode v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.encode gen_json)
+    (fun v -> Json.parse (Json.encode v) = Ok v)
+
+(* Documents shaped like the repo's artefacts, for the corruption sweep. *)
+let golden_docs () =
+  [
+    json_roundtrip_src;
+    Pc_obs.Sink.json own_snapshot [];
+    {|{"traceEvents":[{"ph":"i","pid":1,"tid":0,"ts":12.500,"cat":"pc","name":"m\"k","s":"t","args":{"i":2000000000,"f":1.5e-07,"z":-0}}],"displayTimeUnit":"ms","otherData":{"schema":"pc-trace/1"}}|};
+  ]
+
+let test_json_corruption_never_raises () =
+  let parse_total src =
+    match Json.parse src with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+      Alcotest.failf "parse raised %s on %S" (Printexc.to_string e) src
+  in
+  List.iter
+    (fun doc ->
+      let n = String.length doc in
+      for i = 0 to n do
+        parse_total (String.sub doc 0 i)
+      done;
+      for i = 0 to n - 1 do
+        for c = 0 to 255 do
+          let b = Bytes.of_string doc in
+          Bytes.set b i (Char.chr c);
+          parse_total (Bytes.to_string b)
+        done
+      done)
+    (golden_docs ())
 
 let qcheck_split_streams_differ =
   QCheck.Test.make ~name:"split produces a distinct stream" ~count:100
@@ -291,5 +399,10 @@ let () =
             test_json_rejects_malformed;
           Alcotest.test_case "parses the repo's own artefacts" `Quick
             test_json_parses_own_artefacts;
+          Alcotest.test_case "strict number grammar" `Quick
+            test_json_strict_numbers;
+          QCheck_alcotest.to_alcotest qcheck_json_print_parse;
+          Alcotest.test_case "corrupted documents never raise" `Quick
+            test_json_corruption_never_raises;
         ] );
     ]
