@@ -81,31 +81,22 @@ let characterize instrs name =
   end;
   print_newline ()
 
-let main benches instrs trace =
-  Pc_trace.Chrome.with_trace trace @@ fun () ->
+let main benches instrs obs =
+  Pc_cli.Common.run ~tool:"characterize" obs @@ fun () ->
   let names = if benches = [] then Pc_workloads.Registry.names else benches in
-  List.iter
-    (fun name ->
-      match characterize instrs name with
-      | () -> ()
-      | exception Not_found -> Printf.eprintf "unknown benchmark %S\n" name)
-    names
+  List.iter (characterize instrs) names;
+  []
 
-let benches_arg = Arg.(value & pos_all string [] & info [] ~docv:"BENCH")
+let benches_arg =
+  Arg.(value & pos_all Pc_cli.Common.bench [] & info [] ~docv:"BENCH")
 
 let instrs_arg =
-  Arg.(value & opt int 1_000_000 & info [ "instrs" ] ~docv:"N"
+  Arg.(value & opt Pc_cli.Common.positive_int 1_000_000 & info [ "instrs" ] ~docv:"N"
          ~doc:"Profiling budget in dynamic instructions.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-         ~doc:
-           "Write a Chrome trace_event timeline (schema pc-trace/1) of the \
-            run to $(docv); loads in Perfetto / chrome://tracing.")
 
 let cmd =
   Cmd.v
     (Cmd.info "characterize" ~doc:"print workload characterizations")
-    Term.(const main $ benches_arg $ instrs_arg $ trace_arg)
+    Term.(const main $ benches_arg $ instrs_arg $ Pc_cli.Common.obs ())
 
 let () = exit (Cmd.eval cmd)

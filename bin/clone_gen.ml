@@ -34,11 +34,7 @@ let with_out path f =
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
 let load_bench name =
-  match Pc_workloads.Registry.find name with
-  | entry -> Pc_workloads.Registry.compile entry
-  | exception Not_found ->
-    Printf.eprintf "unknown benchmark %S; try 'clone_gen list'\n" name;
-    exit 1
+  Pc_workloads.Registry.compile (Pc_workloads.Registry.find name)
 
 let cmd_list () =
   List.iter
@@ -69,23 +65,8 @@ let resolve_options ~tune ~stress ~tune_store ~bench ~seed ~instrs ~dynamic
     { Pc_synth.Synth.default_options with seed; target_dynamic = dynamic }
   | budget, stress ->
     let budget = Option.value budget ~default:32 in
-    let mode =
-      match stress with
-      | None -> Pc_tune.Fitness.Mimic Pc_tune.Fitness.default_weights
-      | Some spec -> (
-        match Pc_tune.Fitness.envelope_of_string spec with
-        | Ok env -> Pc_tune.Fitness.Stress env
-        | Error msg ->
-          Printf.eprintf "clone_gen: %s\n" msg;
-          exit 1)
-    in
-    let store =
-      Option.map
-        (fun dir ->
-          Pc_tune.Tune_store.create
-            (if dir = "" then Pc_tune.Tune_store.default_dir () else dir))
-        tune_store
-    in
+    let mode = Pc_cli.Tuning.mode stress in
+    let store = Option.map Pc_tune.Tune_store.create tune_store in
     Log.info (fun m ->
         m "tuning %s (budget %d, %s mode)" bench budget
           (match mode with
@@ -99,33 +80,16 @@ let resolve_options ~tune ~stress ~tune_store ~bench ~seed ~instrs ~dynamic
     Pc_tune.Search.options_of_knobs ~seed ~target_dynamic:dynamic
       result.Pc_tune.Search.r_best_knobs
 
-(* Ledger sidecar: record the invocation once the trace file (written
-   when with_trace unwinds) exists on disk. *)
-let record_ledger ledger ~seed ~artifacts =
-  match ledger with
-  | None -> ()
-  | Some dir ->
-    let artifacts =
-      List.filter_map
-        (fun (schema, path) ->
-          Option.map (fun path -> { Pc_report.Ledger.schema; path }) path)
-        artifacts
-    in
-    let file =
-      Pc_report.Ledger.record (Pc_report.Ledger.create dir) ~tool:"clone_gen"
-        ~argv:(Array.to_list Sys.argv) ~seed ~jobs:1 ~artifacts
-    in
-    Log.info (fun m -> m "ledger: recorded %s" file)
+let run = Pc_cli.Common.run ~tool:"clone_gen" ~src:log_src
 
-let cmd_profile () trace ledger bench output instrs =
-  if ledger <> None then Pc_obs.Metrics.set_enabled true;
-  (Pc_trace.Chrome.with_trace trace @@ fun () ->
+let cmd_profile obs bench output instrs =
+  run obs @@ fun () ->
   let program = load_bench bench in
   Log.info (fun m -> m "profiling %s (%d dynamic instructions)" bench instrs);
   let profile = Pc_profile.Collector.profile ~max_instrs:instrs program in
   with_out output (fun oc -> Pc_profile.Profile.save oc profile);
-  Format.eprintf "%a" Pc_profile.Profile.pp_summary profile);
-  record_ledger ledger ~seed:0 ~artifacts:[ ("pc-trace/1", trace) ]
+  Format.eprintf "%a" Pc_profile.Profile.pp_summary profile;
+  []
 
 let emit_clone clone fmt output =
   with_out output (fun oc ->
@@ -134,14 +98,22 @@ let emit_clone clone fmt output =
       | "bin" -> Pc_isa.Encoding.write oc clone
       | "asm" | _ -> output_string oc (Pc_isa.Parser.roundtrip_text clone))
 
-let cmd_synth () trace ledger fidelity_out tune stress tune_store profile_path
-    output fmt seed dynamic =
-  if ledger <> None then Pc_obs.Metrics.set_enabled true;
-  (Pc_trace.Chrome.with_trace trace @@ fun () ->
-  let ic = open_in profile_path in
-  let profile =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Pc_profile.Profile.load ic)
-  in
+(* A damaged or unreadable profile is bad input, not a crash: report
+   it as PATH:LINE: reason and exit 1. *)
+let read_profile path =
+  match In_channel.with_open_bin path Pc_profile.Profile.load with
+  | Ok profile -> profile
+  | Error msg ->
+    Printf.eprintf "%s:%s\n" path msg;
+    exit 1
+  | exception Sys_error msg ->
+    prerr_endline msg;
+    exit 1
+
+let cmd_synth obs fidelity_out tune stress tune_store profile_path output fmt
+    seed dynamic =
+  run ~seed obs @@ fun () ->
+  let profile = read_profile profile_path in
   Log.info (fun m -> m "synthesizing clone from %s (seed %d)" profile_path seed);
   let options =
     resolve_options ~tune ~stress ~tune_store
@@ -157,14 +129,12 @@ let cmd_synth () trace ledger fidelity_out tune stress tune_store profile_path
         ~dynamic clone)
     fidelity_out;
   Log.info (fun m -> m "wrote %s clone to %s" fmt
-               (Option.value output ~default:"<stdout>")));
-  record_ledger ledger ~seed
-    ~artifacts:[ ("pc-fidelity/1", fidelity_out); ("pc-trace/1", trace) ]
+               (Option.value output ~default:"<stdout>"));
+  [ ("pc-fidelity/1", fidelity_out) ]
 
-let cmd_clone () trace ledger fidelity_out tune stress tune_store bench output
-    fmt seed instrs dynamic =
-  if ledger <> None then Pc_obs.Metrics.set_enabled true;
-  (Pc_trace.Chrome.with_trace trace @@ fun () ->
+let cmd_clone obs fidelity_out tune stress tune_store bench output fmt seed
+    instrs dynamic =
+  run ~seed obs @@ fun () ->
   let program = load_bench bench in
   Log.info (fun m -> m "cloning %s (profile %d instrs, seed %d)" bench instrs seed);
   let pipeline =
@@ -187,13 +157,13 @@ let cmd_clone () trace ledger fidelity_out tune stress tune_store bench output
         ~seed ~instrs ~dynamic clone)
     fidelity_out;
   Log.info (fun m -> m "wrote %s clone to %s" fmt
-               (Option.value output ~default:"<stdout>")));
-  record_ledger ledger ~seed
-    ~artifacts:[ ("pc-fidelity/1", fidelity_out); ("pc-trace/1", trace) ]
+               (Option.value output ~default:"<stdout>"));
+  [ ("pc-fidelity/1", fidelity_out) ]
 
 (* --- command line --- *)
 
-let bench_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH")
+let bench_pos =
+  Arg.(required & pos 0 (some Pc_cli.Common.bench) None & info [] ~docv:"BENCH")
 
 let output_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -205,35 +175,17 @@ let format_arg =
            "Output format: asm (parseable SRISC assembly), bin (SRISC binary), or c \
             (C with asm statements).")
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Generation seed.")
-
 let instrs_arg =
-  Arg.(value & opt int 1_000_000 & info [ "instrs" ] ~docv:"N"
+  Arg.(value & opt Pc_cli.Common.positive_int 1_000_000 & info [ "instrs" ] ~docv:"N"
          ~doc:"Profiling budget in dynamic instructions.")
 
 let dynamic_arg =
-  Arg.(value & opt int 100_000 & info [ "dynamic" ] ~docv:"N"
+  Arg.(value & opt Pc_cli.Common.positive_int 100_000 & info [ "dynamic" ] ~docv:"N"
          ~doc:"Target dynamic length of the clone.")
 
 let profile_arg =
-  Arg.(required & opt (some string) None & info [ "p"; "profile" ] ~docv:"FILE"
+  Arg.(required & opt (some non_dir_file) None & info [ "p"; "profile" ] ~docv:"FILE"
          ~doc:"Profile file produced by 'clone_gen profile'.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-         ~doc:
-           "Write a Chrome trace_event timeline (schema pc-trace/1) of the \
-            run to $(docv); loads in Perfetto / chrome://tracing.")
-
-let ledger_arg =
-  Arg.(value
-       & opt ~vopt:(Some "") (some string) None
-       & info [ "ledger" ] ~docv:"DIR"
-         ~doc:
-           "Append a pc-run/1 record of this invocation to the run ledger \
-            under $(docv) (default \\$XDG_CACHE_HOME/pc-ledger) for later \
-            drift diffing with pc_diff.  Implies metric collection.")
 
 let fidelity_out_arg =
   Arg.(value & opt (some string) None
@@ -246,7 +198,7 @@ let fidelity_out_arg =
 
 let tune_arg =
   Arg.(value
-       & opt ~vopt:(Some 32) (some int) None
+       & opt ~vopt:(Some 32) (some Pc_cli.Common.positive_int) None
        & info [ "tune" ] ~docv:"BUDGET"
          ~doc:
            "Search the generator's knobs (block scaling, stream count, \
@@ -254,56 +206,28 @@ let tune_arg =
             most faithful clone before emitting it.  $(docv) bounds the \
             number of candidate evaluations (default 32).")
 
-let stress_arg =
-  Arg.(value & opt (some string) None
-       & info [ "stress" ] ~docv:"SPEC"
-         ~doc:
-           "Tune toward a performance envelope instead of the original: \
-            $(docv) is a comma list of ipc=N, mpki=N, power=N targets \
-            (stress clones).  Implies --tune.")
-
-let tune_store_arg =
-  Arg.(value
-       & opt ~vopt:(Some "") (some string) None
-       & info [ "tune-store" ] ~docv:"DIR"
-         ~doc:
-           "Memoise tuning evaluations on disk under $(docv) (default \
-            \\$XDG_CACHE_HOME/pc-tune), so repeated tuning runs converge \
-            from cache.")
-
-let setup_term =
-  let verbose_arg =
-    Arg.(value & flag_all
-         & info [ "v"; "verbose" ] ~doc:"Increase log verbosity (repeatable).")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Log errors only.")
-  in
-  let setup verbose quiet =
-    Pc_obs.Logging.setup ~quiet ~verbosity:(List.length verbose) ()
-  in
-  Term.(const setup $ verbose_arg $ quiet_arg)
+let obs = Pc_cli.Common.obs ~log:true ~ledger:true ()
 
 let list_cmd = Cmd.v (Cmd.info "list" ~doc:"list available benchmarks")
     Term.(const cmd_list $ const ())
 
 let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc:"profile a workload")
-    Term.(const cmd_profile $ setup_term $ trace_arg $ ledger_arg $ bench_pos
-          $ output_arg $ instrs_arg)
+    Term.(const cmd_profile $ obs $ bench_pos $ output_arg $ instrs_arg)
 
 let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"synthesize a clone from a saved profile")
-    Term.(const cmd_synth $ setup_term $ trace_arg $ ledger_arg
-          $ fidelity_out_arg $ tune_arg $ stress_arg $ tune_store_arg
-          $ profile_arg $ output_arg $ format_arg $ seed_arg $ dynamic_arg)
+    Term.(const cmd_synth $ obs $ fidelity_out_arg $ tune_arg
+          $ Pc_cli.Tuning.stress $ Pc_cli.Tuning.store "tune-store"
+          $ profile_arg $ output_arg $ format_arg $ Pc_cli.Common.seed
+          $ dynamic_arg)
 
 let clone_cmd =
   Cmd.v (Cmd.info "clone" ~doc:"profile and synthesize in one step")
-    Term.(const cmd_clone $ setup_term $ trace_arg $ ledger_arg
-          $ fidelity_out_arg $ tune_arg $ stress_arg $ tune_store_arg
-          $ bench_pos $ output_arg $ format_arg $ seed_arg $ instrs_arg
-          $ dynamic_arg)
+    Term.(const cmd_clone $ obs $ fidelity_out_arg $ tune_arg
+          $ Pc_cli.Tuning.stress $ Pc_cli.Tuning.store "tune-store"
+          $ bench_pos $ output_arg $ format_arg $ Pc_cli.Common.seed
+          $ instrs_arg $ dynamic_arg)
 
 let main_cmd =
   Cmd.group

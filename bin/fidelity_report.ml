@@ -4,7 +4,7 @@
    Usage:
      fidelity_report [--quick] [--bench NAME]... [--seed N] [-j N]
                      [--instrs N] [--dynamic N] [--per-phase[=N]]
-                     [-o FILE] [--trace FILE]
+                     [-o FILE] [--trace FILE] [--ledger [DIR]]
 
    Runs the cloning pipeline for the selected benchmarks, re-profiles
    every clone, and prints one table row per benchmark (stdout).  -o
@@ -15,33 +15,23 @@
 module E = Perfclone.Experiments
 module Pool = Pc_exec.Pool
 
-let main quick benches seed jobs instrs dynamic per_phase output trace ledger =
-  if ledger <> None then Pc_obs.Metrics.set_enabled true;
-  (Pc_trace.Chrome.with_trace trace @@ fun () ->
-  let pool = Pool.create ~num_domains:jobs in
+let main settings jobs instrs dynamic per_phase output obs =
   let settings =
-    let base = if quick then E.quick_settings else E.default_settings in
     {
-      base with
-      E.seed;
-      profile_instrs = Option.value instrs ~default:base.E.profile_instrs;
-      clone_dynamic = Option.value dynamic ~default:base.E.clone_dynamic;
-      benchmarks = (if benches = [] then base.E.benchmarks else benches);
+      settings with
+      E.profile_instrs = Option.value instrs ~default:settings.E.profile_instrs;
+      clone_dynamic = Option.value dynamic ~default:settings.E.clone_dynamic;
     }
   in
+  Pc_cli.Common.run ~tool:"fidelity_report" ~seed:settings.E.seed ~jobs obs
+  @@ fun () ->
+  let pool = Pool.create ~num_domains:jobs in
   let pipelines = E.prepare ~pool settings in
   let reports = E.fidelity_reports ~pool settings pipelines in
   let reports =
-    match per_phase with
+    match Pc_cli.Sampling.resolve ~budget:settings.E.profile_instrs per_phase with
     | None -> reports
     | Some interval ->
-      let interval =
-        match interval with
-        | Some n -> n
-        | None ->
-          Pc_sample.Sample.auto_interval
-            ~max_instrs:settings.E.profile_instrs
-      in
       (* prepare and fidelity_reports both preserve benchmark order, so
          zipping pipelines with their reports is positional *)
       Pool.map pool
@@ -57,94 +47,32 @@ let main quick benches seed jobs instrs dynamic per_phase output trace ledger =
       Pc_trace.Fidelity.write_json path ~seed:settings.E.seed
         ~profile_instrs:settings.E.profile_instrs
         ~clone_dynamic:settings.E.clone_dynamic reports)
-    output);
-  (* Record last, once the trace file exists on disk. *)
-  match ledger with
-  | None -> ()
-  | Some dir ->
-    let artifacts =
-      List.filter_map
-        (fun (schema, path) ->
-          Option.map (fun path -> { Pc_report.Ledger.schema; path }) path)
-        [ ("pc-fidelity/1", output); ("pc-trace/1", trace) ]
-    in
-    ignore
-      (Pc_report.Ledger.record (Pc_report.Ledger.create dir)
-         ~tool:"fidelity_report"
-         ~argv:(Array.to_list Sys.argv)
-         ~seed ~jobs ~artifacts)
+    output;
+  [ ("pc-fidelity/1", output) ]
 
 open Cmdliner
 
-let quick_arg =
-  Arg.(value & flag
-       & info [ "quick" ] ~doc:"Quick mode: fewer benchmarks, shorter profiles.")
-
-let bench_arg =
-  Arg.(value & opt_all string []
-       & info [ "bench"; "b" ] ~docv:"NAME"
-           ~doc:"Restrict to the named benchmark (repeatable).")
-
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Generation seed.")
-
-let jobs_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "must be a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value
-       & opt positive_int (Pool.default_jobs ())
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for per-benchmark fan-out.")
-
 let instrs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some Pc_cli.Common.positive_int) None
        & info [ "instrs" ] ~docv:"N"
            ~doc:"Profiling budget in dynamic instructions (for both the \
                  original's profile and the clone's re-profile).")
 
 let dynamic_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some Pc_cli.Common.positive_int) None
        & info [ "dynamic" ] ~docv:"N"
            ~doc:"Target dynamic length of the clones.")
-
-let per_phase_arg =
-  Arg.(value
-       & opt ~vopt:(Some None) (some (some int)) None
-       & info [ "per-phase" ] ~docv:"N"
-           ~doc:"Also score each sampling interval separately (phase-local \
-                 fidelity rows).  $(docv) sets the interval in dynamic \
-                 instructions; without a value it is derived from the \
-                 profiling budget like pc_sample's auto interval.")
 
 let output_arg =
   Arg.(value & opt (some string) None
        & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the report as pc-fidelity/1 JSON to $(docv).")
 
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a pc-trace/1 Chrome timeline of the run to $(docv).")
-
-let ledger_arg =
-  Arg.(value
-       & opt ~vopt:(Some "") (some string) None
-       & info [ "ledger" ] ~docv:"DIR"
-           ~doc:"Append a pc-run/1 record of this invocation to the run \
-                 ledger under $(docv) (default \
-                 \\$XDG_CACHE_HOME/pc-ledger) for later drift diffing \
-                 with pc_diff.  Implies metric collection.")
-
 let cmd =
   Cmd.v
     (Cmd.info "fidelity_report" ~doc:"measure clone fidelity on the paper characteristics")
-    Term.(const main $ quick_arg $ bench_arg $ seed_arg $ jobs_arg $ instrs_arg
-          $ dynamic_arg $ per_phase_arg $ output_arg $ trace_arg $ ledger_arg)
+    Term.(const main $ Pc_cli.Experiments.settings $ Pc_cli.Jobs.jobs
+          $ instrs_arg $ dynamic_arg $ Pc_cli.Sampling.per_phase $ output_arg
+          $ Pc_cli.Common.obs ~ledger:true ())
 
 let () = exit (Cmd.eval cmd)

@@ -5,19 +5,18 @@
                      [--sample N] [--sample-out FILE] [--sample-no-ref]
                      [--plan-cache [DIR]] [--cache-onepass] [--trace FILE]
                      [--trace-period-ms MS] [--metrics] [--metrics-out FILE]
-                     [-v] [--quiet]
+                     [--ledger [DIR]] [-v] [--quiet]
 
    Experiments: table1 table2 fig3 fig4 fig5 fig6 fig7 table3 fig8 fig9
-   ablation all (default: all).
+   ablation statsim portable bpred seeds all (default: all).
 
    Per-benchmark and per-configuration work fans out over -j worker
    domains; all randomness is seeded per pipeline, so the output is
-   byte-identical at every -j.  --sample N (or PC_SAMPLE=N) switches the
-   timing and cache estimators to SimPoint-style sampled simulation with
-   N-instruction intervals; bare --sample (or PC_SAMPLE=auto) picks the
-   interval from the simulation budget via Sample.auto_interval.  Off by
-   default, so without it every table is byte-identical to earlier
-   releases.  Observability output (progress
+   byte-identical at every -j.  --sample N switches the timing and
+   cache estimators to SimPoint-style sampled simulation with
+   N-instruction intervals; bare --sample derives the interval from the
+   simulation budget.  Off by default, so without it every table is
+   byte-identical to earlier releases.  Observability output (progress
    logs, the --metrics console report) goes to stderr, and --metrics-out
    / --sample-out write to files, so none of it can perturb the
    experiment tables on stdout. *)
@@ -190,38 +189,12 @@ let write_sample_summary ~pool ~interval ~no_ref settings pipelines path =
          ("programs", Json.List (List.map program rows));
        ])
 
-let main experiments quick benches seed jobs sample sample_out sample_no_ref
-    plan_cache cache_onepass trace trace_period_ms metrics metrics_out ledger
-    verbosity quiet =
-  Pc_obs.Logging.setup ~quiet ~verbosity ();
-  if metrics || metrics_out <> None || ledger <> None then
-    Pc_obs.Metrics.set_enabled true;
-  let written =
-    Pc_trace.Chrome.with_trace
-      ~period_s:(float_of_int trace_period_ms /. 1000.0)
-      trace
-    @@ fun () ->
+let main experiments settings jobs sample sample_out sample_no_ref plan_cache
+    cache_onepass obs =
+  Pc_cli.Common.run ~tool:"run_experiments" ~seed:settings.E.seed ~jobs obs
+  @@ fun () ->
   let pool = Pool.create ~num_domains:jobs in
-  let base = if quick then E.quick_settings else E.default_settings in
-  let sample =
-    (* Bare [--sample] / [PC_SAMPLE=auto] derive the interval from the
-       simulation budget the settings will actually run with. *)
-    let resolve = function
-      | `Fixed n -> Some n
-      | `Auto ->
-        Some (Pc_sample.Sample.auto_interval ~max_instrs:base.E.sim_instrs)
-    in
-    match sample with
-    | Some s -> resolve s
-    | None -> (
-      match Sys.getenv_opt "PC_SAMPLE" with
-      | Some "auto" -> resolve `Auto
-      | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Some n
-        | Some _ | None -> None)
-      | None -> None)
-  in
+  let sample = Pc_cli.Sampling.resolve ~budget:settings.E.sim_instrs sample in
   let plan_cache =
     match plan_cache with
     | None -> None
@@ -230,19 +203,10 @@ let main experiments quick benches seed jobs sample sample_out sample_no_ref
   in
   if plan_cache <> None && sample = None then
     Format.eprintf "run_experiments: --plan-cache ignored without --sample@.";
-  let cache_onepass =
-    cache_onepass
-    ||
-    match Sys.getenv_opt "PC_CACHE_ONEPASS" with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false
-  in
   let settings =
     {
-      base with
-      E.seed;
-      benchmarks = (if benches = [] then base.E.benchmarks else benches);
-      sample;
+      settings with
+      E.sample;
       plan_cache = (if sample = None then None else plan_cache);
       cache_onepass;
     }
@@ -299,107 +263,9 @@ let main experiments quick benches seed jobs sample sample_out sample_no_ref
         pipelines path
     | _ -> ()
   end;
-  let snap = Pc_obs.Metrics.snapshot () in
-  let spans = Pc_obs.Span.roots () in
-  if metrics || Pc_obs.Metrics.env_enabled then
-    Pc_obs.Sink.pp_console Format.err_formatter snap spans;
-  Option.iter (fun path -> Pc_obs.Sink.write_json path snap spans) metrics_out;
-  (match metrics_out with Some p -> [ ("pc-obs/1", p) ] | None -> [])
-  @
-  match (sample_summary, settings.E.sample, needs_pipelines) with
-  | Some p, Some _, true -> [ ("pc-sample/1", p) ]
-  | _ -> []
-  in
-  (* Record last, once the trace file exists, so the record can digest
-     every artefact the run emitted. *)
-  match ledger with
-  | None -> ()
-  | Some dir ->
-    let written =
-      written
-      @ match trace with Some p -> [ ("pc-trace/1", p) ] | None -> []
-    in
-    let file =
-      Pc_report.Ledger.record (Pc_report.Ledger.create dir)
-        ~tool:"run_experiments"
-        ~argv:(Array.to_list Sys.argv)
-        ~seed ~jobs
-        ~artifacts:
-          (List.map
-             (fun (schema, path) -> { Pc_report.Ledger.schema; path })
-             written)
-    in
-    Logs.info (fun m -> m "ledger: recorded %s" file)
+  [ ("pc-sample/1", sample_summary) ]
 
 open Cmdliner
-
-let experiments_arg =
-  let doc =
-    "Experiments to run: table1, table2, fig3, fig4, fig5, fig6, fig7, table3, \
-     fig8, fig9, ablation, statsim, portable, bpred, seeds, or all."
-  in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
-
-let quick_arg =
-  let doc = "Quick mode: fewer benchmarks and shorter simulations." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
-
-let bench_arg =
-  let doc = "Restrict to the named benchmark (repeatable)." in
-  Arg.(value & opt_all string [] & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
-
-let seed_arg =
-  let doc = "Random seed for clone generation." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Number of worker domains for per-benchmark and per-configuration \
-     fan-out.  The output is byte-identical at every value.  Defaults to \
-     $(b,PC_JOBS) when set, otherwise the number of cores."
-  in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "must be a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(
-    value
-    & opt positive_int (Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let sample_arg =
-  let doc =
-    "Estimate timing and cache results by SimPoint-style sampled \
-     simulation with $(docv)-instruction intervals instead of simulating \
-     every dynamic instruction.  $(docv) is a positive interval length, \
-     or $(b,auto) to derive one from the simulation budget (about 32 \
-     intervals per run, clamped to [10000, 1000000]); bare $(b,--sample) \
-     means $(b,auto).  Defaults to $(b,PC_SAMPLE) when that is set to a \
-     positive integer or $(b,auto); off otherwise.  With sampling off \
-     the output is byte-identical to earlier releases."
-  in
-  let interval =
-    let parse s =
-      if s = "auto" then Ok `Auto
-      else
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok (`Fixed n)
-        | Some _ | None -> Error (`Msg "must be a positive integer or 'auto'")
-    in
-    let print ppf = function
-      | `Auto -> Format.pp_print_string ppf "auto"
-      | `Fixed n -> Format.pp_print_int ppf n
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some `Auto) (some interval) None
-    & info [ "sample" ] ~docv:"N" ~doc)
 
 let sample_out_arg =
   let doc =
@@ -441,77 +307,18 @@ let cache_onepass_arg =
      stack-distance profiler instead of simulating all 28 caches — the \
      same results (byte-identical, the test suite holds the two equal) \
      at about the cost of a single pass over the trace.  Applies to \
-     both full-trace sweeps and sampled projections.  Also enabled by \
-     setting $(b,PC_CACHE_ONEPASS) to 1, true or yes."
+     both full-trace sweeps and sampled projections."
   in
   Arg.(value & flag & info [ "cache-onepass" ] ~doc)
-
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event timeline (schema $(b,pc-trace/1), loads \
-     in Perfetto / chrome://tracing) of the whole run to $(docv): one \
-     lane per worker domain from the span tree, plus counter tracks \
-     sampled from the metrics registry.  Implies metric and event \
-     collection; never touches stdout."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let trace_period_ms_arg =
-  let doc =
-    "Counter-sampling period for $(b,--trace), in milliseconds.  0 \
-     disables periodic sampling (counters are still sampled once at \
-     exit)."
-  in
-  Arg.(value & opt int 50 & info [ "trace-period-ms" ] ~docv:"MS" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Print the observability report (metrics registry and per-stage span \
-     tree) to stderr after the run.  Setting $(b,PC_OBS=1) in the \
-     environment has the same effect."
-  in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let metrics_out_arg =
-  let doc =
-    "Write the observability report as JSON (schema $(b,pc-obs/1)) to \
-     $(docv).  Implies metric and span collection, but not the stderr \
-     report."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let ledger_arg =
-  let doc =
-    "Append a $(b,pc-run/1) record of this invocation (tool, normalised \
-     argument digest, seed, git describe, metric snapshot, and the \
-     schemas/paths/digests of every artefact written) to the run ledger \
-     under $(docv), for later drift diffing with $(b,pc_diff).  Without \
-     a value, defaults to \\$XDG_CACHE_HOME/pc-ledger (or \
-     ~/.cache/pc-ledger).  Implies metric collection; never touches \
-     stdout."
-  in
-  Arg.(
-    value & opt ~vopt:(Some "") (some string) None
-    & info [ "ledger" ] ~docv:"DIR" ~doc)
-
-let verbose_arg =
-  let doc = "Increase log verbosity (per-benchmark progress is shown by default; $(b,-v) adds debug detail)." in
-  Arg.(value & flag_all & info [ "v"; "verbose" ] ~doc)
-
-let quiet_arg =
-  let doc = "Log errors only." in
-  Arg.(value & flag & info [ "quiet" ] ~doc)
 
 let cmd =
   let doc = "regenerate the Performance Cloning paper's tables and figures" in
   Cmd.v
     (Cmd.info "run_experiments" ~doc)
     Term.(
-      const main $ experiments_arg $ quick_arg $ bench_arg $ seed_arg $ jobs_arg
-      $ sample_arg $ sample_out_arg $ sample_no_ref_arg $ plan_cache_arg
-      $ cache_onepass_arg $ trace_arg
-      $ trace_period_ms_arg $ metrics_arg $ metrics_out_arg $ ledger_arg
-      $ (const List.length $ verbose_arg)
-      $ quiet_arg)
+      const main $ Pc_cli.Experiments.experiments $ Pc_cli.Experiments.settings
+      $ Pc_cli.Jobs.jobs $ Pc_cli.Sampling.sample $ sample_out_arg
+      $ sample_no_ref_arg $ plan_cache_arg $ cache_onepass_arg
+      $ Pc_cli.Common.obs ~log:true ~metrics:true ~ledger:true ())
 
 let () = exit (Cmd.eval cmd)

@@ -6,7 +6,7 @@
      run_scenarios [SCENARIO]... [--config FILE] [--list] [--quick]
                    [--seed N] [--budget N] [-j N] [--sample N] [-o FILE]
                    [--metrics] [--metrics-out FILE] [--trace FILE]
-                   [--trace-period-ms MS] [-v] [--quiet]
+                   [--trace-period-ms MS] [--ledger [DIR]] [-v] [--quiet]
 
    Scenarios come from the preset table (run_scenarios --list) or from a
    pc-scenario-config/1 JSON file; positional names select from whichever
@@ -29,17 +29,10 @@ let die fmt =
       exit 1)
     fmt
 
-let main names config_file list_only quick seed budget jobs sample out metrics
-    metrics_out trace trace_period_ms ledger verbosity quiet =
-  Pc_obs.Logging.setup ~quiet ~verbosity ();
+let main names config_file list_only quick seed budget jobs sample out obs =
   if list_only then List.iter print_endline Presets.names
-  else begin
-    if metrics || metrics_out <> None || ledger <> None then
-      Pc_obs.Metrics.set_enabled true;
-    (Pc_trace.Chrome.with_trace
-      ~period_s:(float_of_int trace_period_ms /. 1000.0)
-      trace
-    @@ fun () ->
+  else
+    Pc_cli.Common.run ~tool:"run_scenarios" ~seed ~jobs obs @@ fun () ->
     let pool = Pool.create ~num_domains:jobs in
     let base =
       if quick then Runner.quick_settings else Runner.default_settings
@@ -49,23 +42,7 @@ let main names config_file list_only quick seed budget jobs sample out metrics
       | None -> base
       | Some b -> { base with Runner.budget = b }
     in
-    let sample =
-      let resolve = function
-        | `Fixed n -> Some n
-        | `Auto ->
-          Some (Pc_sample.Sample.auto_interval ~max_instrs:base.Runner.budget)
-      in
-      match sample with
-      | Some s -> resolve s
-      | None -> (
-        match Sys.getenv_opt "PC_SAMPLE" with
-        | Some "auto" -> resolve `Auto
-        | Some s -> (
-          match int_of_string_opt s with
-          | Some n when n > 0 -> Some n
-          | Some _ | None -> None)
-        | None -> None)
-    in
+    let sample = Pc_cli.Sampling.resolve ~budget:base.Runner.budget sample in
     let settings = { base with Runner.seed; sample } in
     let available =
       match config_file with
@@ -93,33 +70,7 @@ let main names config_file list_only quick seed budget jobs sample out metrics
     let results = Runner.run ~pool settings specs in
     Report.pp Format.std_formatter results;
     Option.iter (fun path -> Report.write_json path ~settings results) out;
-    let snap = Pc_obs.Metrics.snapshot () in
-    let spans = Pc_obs.Span.roots () in
-    if metrics || Pc_obs.Metrics.env_enabled then
-      Pc_obs.Sink.pp_console Format.err_formatter snap spans;
-    Option.iter (fun path -> Pc_obs.Sink.write_json path snap spans) metrics_out);
-    (* Record last, once the trace file exists on disk. *)
-    match ledger with
-    | None -> ()
-    | Some dir ->
-      let artifacts =
-        List.filter_map
-          (fun (schema, path) ->
-            Option.map (fun path -> { Pc_report.Ledger.schema; path }) path)
-          [
-            ("pc-scenario/1", out);
-            ("pc-obs/1", metrics_out);
-            ("pc-trace/1", trace);
-          ]
-      in
-      let file =
-        Pc_report.Ledger.record (Pc_report.Ledger.create dir)
-          ~tool:"run_scenarios"
-          ~argv:(Array.to_list Sys.argv)
-          ~seed ~jobs ~artifacts
-      in
-      Logs.info (fun m -> m "ledger: recorded %s" file)
-  end
+    [ ("pc-scenario/1", out) ]
 
 open Cmdliner
 
@@ -140,110 +91,13 @@ let list_arg =
   let doc = "List the preset scenario names and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
 
-let quick_arg =
-  let doc = "Quick mode: shorter profiling and simulation budgets." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
-
-let seed_arg =
-  let doc = "Random seed for clone generation and sampling." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
-
 let budget_arg =
   let doc = "Per-tenant instruction budget (overrides the mode default)." in
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Number of worker domains for per-scenario fan-out.  The output is \
-     byte-identical at every value.  Defaults to $(b,PC_JOBS) when set, \
-     otherwise the number of cores."
-  in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "must be a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(
-    value
-    & opt positive_int (Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let sample_arg =
-  let doc =
-    "Price tenants by SimPoint-style sampled co-run with \
-     $(docv)-instruction intervals instead of interleaving every dynamic \
-     instruction.  $(docv) is a positive interval length, or $(b,auto) to \
-     derive one from the budget; bare $(b,--sample) means $(b,auto).  \
-     Defaults to $(b,PC_SAMPLE) when that is set; off otherwise."
-  in
-  let interval =
-    let parse s =
-      if s = "auto" then Ok `Auto
-      else
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok (`Fixed n)
-        | Some _ | None -> Error (`Msg "must be a positive integer or 'auto'")
-    in
-    let print ppf = function
-      | `Auto -> Format.pp_print_string ppf "auto"
-      | `Fixed n -> Format.pp_print_int ppf n
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some `Auto) (some interval) None
-    & info [ "sample" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some Pc_cli.Common.positive_int) None & info [ "budget" ] ~docv:"N" ~doc)
 
 let out_arg =
   let doc = "Write the $(b,pc-scenario/1) JSON document to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Print the observability report to stderr after the run \
-     ($(b,PC_OBS=1) has the same effect)."
-  in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let metrics_out_arg =
-  let doc =
-    "Write the observability report as JSON (schema $(b,pc-obs/1)) to \
-     $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event timeline (schema $(b,pc-trace/1)) of the \
-     whole run to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let trace_period_ms_arg =
-  let doc = "Counter-sampling period for $(b,--trace), in milliseconds." in
-  Arg.(value & opt int 50 & info [ "trace-period-ms" ] ~docv:"MS" ~doc)
-
-let ledger_arg =
-  let doc =
-    "Append a $(b,pc-run/1) record of this invocation to the run ledger \
-     under $(docv) (default \\$XDG_CACHE_HOME/pc-ledger) for later \
-     drift diffing with $(b,pc_diff).  Implies metric collection."
-  in
-  Arg.(
-    value & opt ~vopt:(Some "") (some string) None
-    & info [ "ledger" ] ~docv:"DIR" ~doc)
-
-let verbose_arg =
-  let doc = "Increase log verbosity." in
-  Arg.(value & flag_all & info [ "v"; "verbose" ] ~doc)
-
-let quiet_arg =
-  let doc = "Log errors only." in
-  Arg.(value & flag & info [ "quiet" ] ~doc)
 
 let cmd =
   let doc =
@@ -252,10 +106,9 @@ let cmd =
   Cmd.v
     (Cmd.info "run_scenarios" ~doc)
     Term.(
-      const main $ names_arg $ config_arg $ list_arg $ quick_arg $ seed_arg
-      $ budget_arg $ jobs_arg $ sample_arg $ out_arg $ metrics_arg
-      $ metrics_out_arg $ trace_arg $ trace_period_ms_arg $ ledger_arg
-      $ (const List.length $ verbose_arg)
-      $ quiet_arg)
+      const main $ names_arg $ config_arg $ list_arg $ Pc_cli.Common.quick
+      $ Pc_cli.Common.seed $ budget_arg $ Pc_cli.Jobs.jobs
+      $ Pc_cli.Sampling.sample $ out_arg
+      $ Pc_cli.Common.obs ~log:true ~metrics:true ~ledger:true ())
 
 let () = exit (Cmd.eval cmd)

@@ -39,7 +39,7 @@ val run_trace_onepass :
     tag-array simulations, making a grid sweep cost about one pass.
     Bumps [study.onepass.runs]/[study.onepass.trace_refs] (not the
     simulated-path counters) and runs under a [study:onepass] span.
-    This is what [--cache-onepass] / [PC_CACHE_ONEPASS] route the
+    This is what [--cache-onepass] routes the
     experiment drivers through; the simulated {!run_trace} remains the
     oracle it is differentially tested against. *)
 

@@ -28,7 +28,7 @@ type settings = {
           {!Pc_sample.Sample.project_mpi} bounds.  Results are
           byte-identical to the simulated path (the test suite holds the
           two equal); only the cost changes.  Exposed as
-          [--cache-onepass] / [PC_CACHE_ONEPASS] on the CLI. *)
+          [--cache-onepass] on the CLI. *)
 }
 
 val default_settings : settings

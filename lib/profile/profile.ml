@@ -131,94 +131,148 @@ let save oc t =
 
 exception Parse of string
 
-let load ic =
-  let line () = try input_line ic with End_of_file -> raise (Parse "unexpected EOF") in
+(* Every count and id a consumer indexes or allocates with is checked
+   here, so a damaged file is an [Error] naming its line rather than an
+   exception in whichever consumer trips over it.  Records are read
+   into lists, never into arrays sized by a count from the file, so a
+   corrupt count fails at the end of the text instead of allocating. *)
+let parse text =
+  let lines = ref (String.split_on_char '\n' text) in
+  let lineno = ref 0 in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
   let expect_tokens expected =
-    let l = line () in
-    match String.split_on_char ' ' l with
-    | tok :: rest when tok = expected -> rest
-    | _ -> raise (Parse (Printf.sprintf "expected %S, got %S" expected l))
+    match !lines with
+    | [] | [ "" ] ->
+      incr lineno;
+      fail "unexpected end of file"
+    | l :: rest -> (
+      lines := rest;
+      incr lineno;
+      match String.split_on_char ' ' l with
+      | tok :: toks when tok = expected -> toks
+      | _ -> fail "expected %S, got %S" expected l)
   in
-  let floats_of = Array.of_list in
   let parse_float s =
-    try float_of_string s with Failure _ -> raise (Parse ("bad float " ^ s))
+    match float_of_string_opt s with Some v -> v | None -> fail "bad float %S" s
   in
   let parse_int s =
-    try int_of_string s with Failure _ -> raise (Parse ("bad int " ^ s))
+    match int_of_string_opt s with Some v -> v | None -> fail "bad int %S" s
   in
-  try
-    (match expect_tokens "perfclone-profile" with
-    | [ "5" ] -> ()
-    | _ -> raise (Parse "unsupported version"));
-    let name = String.concat " " (expect_tokens "name") in
-    let instr_count = parse_int (List.hd (expect_tokens "instr_count")) in
-    let avg_block_size = parse_float (List.hd (expect_tokens "avg_block_size")) in
-    let single_stride_fraction =
-      parse_float (List.hd (expect_tokens "single_stride_fraction"))
+  let count what s =
+    let n = parse_int s in
+    if n < 0 then fail "negative %s %d" what n;
+    n
+  in
+  let one key =
+    match expect_tokens key with
+    | [ v ] -> v
+    | _ -> fail "%s: expected one value" key
+  in
+  let floats key n =
+    let v = Array.of_list (List.map parse_float (expect_tokens key)) in
+    if Array.length v <> n then
+      fail "%s: expected %d values, got %d" key n (Array.length v);
+    v
+  in
+  let rec read_n n f i acc =
+    if i = n then Array.of_list (List.rev acc)
+    else read_n n f (i + 1) (f i :: acc)
+  in
+  let mem_op _ =
+    match expect_tokens "mem" with
+    | [ a; b; c; d; e; f; g; h; k; l ] ->
+      {
+        static_pc = parse_int a;
+        is_store =
+          (match b with
+          | "0" -> false
+          | "1" -> true
+          | _ -> fail "bad store flag %S" b);
+        stride = parse_int c;
+        stream_length = count "stream length" d;
+        footprint = count "footprint" e;
+        window_span = count "window span" f;
+        region = parse_int g;
+        row_stride = parse_int h;
+        refs = count "refs" k;
+        single_stride_refs = count "single-stride refs" l;
+      }
+    | _ -> fail "bad mem record"
+  in
+  let node n_nodes i =
+    let id, pred_start, start, count_, size =
+      match expect_tokens "node" with
+      | [ a; b; c; d; e ] ->
+        ( parse_int a,
+          parse_int b,
+          parse_int c,
+          count "node count" d,
+          count "node size" e )
+      | _ -> fail "bad node header"
     in
-    let unique_streams = parse_int (List.hd (expect_tokens "unique_streams")) in
-    let global_mix = floats_of (List.map parse_float (expect_tokens "global_mix")) in
-    let n_nodes = parse_int (List.hd (expect_tokens "nodes")) in
-    let nodes =
-      Array.init n_nodes (fun _ ->
-          let id, pred_start, start, count, size =
-            match expect_tokens "node" with
-            | [ a; b; c; d; e ] ->
-              (parse_int a, parse_int b, parse_int c, parse_int d, parse_int e)
-            | _ -> raise (Parse "bad node header")
-          in
-          let mix = floats_of (List.map parse_float (expect_tokens "mix")) in
-          let dep_fractions = floats_of (List.map parse_float (expect_tokens "deps")) in
-          let n_mem = parse_int (List.hd (expect_tokens "mem_ops")) in
-          let mem_ops =
-            Array.init n_mem (fun _ ->
-                match expect_tokens "mem" with
-                | [ a; b; c; d; e; f; g; h; k; l ] ->
-                  {
-                    static_pc = parse_int a;
-                    is_store = parse_int b = 1;
-                    stride = parse_int c;
-                    stream_length = parse_int d;
-                    footprint = parse_int e;
-                    window_span = parse_int f;
-                    region = parse_int g;
-                    row_stride = parse_int h;
-                    refs = parse_int k;
-                    single_stride_refs = parse_int l;
-                  }
-                | _ -> raise (Parse "bad mem record"))
-          in
-          let branch =
-            match expect_tokens "branch" with
-            | [ "none" ] -> None
-            | [ a; b; c ] ->
-              Some
-                {
-                  execs = parse_int a;
-                  taken_rate = parse_float b;
-                  transition_rate = parse_float c;
-                }
-            | _ -> raise (Parse "bad branch record")
-          in
-          let successors =
-            match expect_tokens "succs" with
-            | count :: rest ->
-              let n = parse_int count in
-              let arr = Array.of_list rest in
-              if Array.length arr <> 2 * n then raise (Parse "bad succs record");
-              Array.init n (fun k ->
-                  (parse_int arr.(2 * k), parse_float arr.((2 * k) + 1)))
-            | [] -> raise (Parse "bad succs record")
-          in
-          { id; pred_start; start; count; size; mix; dep_fractions; mem_ops; branch; successors })
+    if id <> i then fail "node %d out of order (expected %d)" id i;
+    let mix = floats "mix" Pc_isa.Instr.class_count in
+    let dep_fractions = floats "deps" (Array.length dep_bounds + 1) in
+    let mem_ops = read_n (count "mem_ops" (one "mem_ops")) mem_op 0 [] in
+    let branch =
+      match expect_tokens "branch" with
+      | [ "none" ] -> None
+      | [ a; b; c ] ->
+        Some
+          {
+            execs = count "branch execs" a;
+            taken_rate = parse_float b;
+            transition_rate = parse_float c;
+          }
+      | _ -> fail "bad branch record"
+    in
+    let successors =
+      match expect_tokens "succs" with
+      | n :: rest ->
+        let n = count "succs" n in
+        let arr = Array.of_list rest in
+        if Array.length arr <> 2 * n then fail "bad succs record";
+        Array.init n (fun k ->
+            let succ = parse_int arr.(2 * k) in
+            if succ < 0 || succ >= n_nodes then
+              fail "successor %d outside [0, %d)" succ n_nodes;
+            (succ, parse_float arr.((2 * k) + 1)))
+      | [] -> fail "bad succs record"
     in
     {
-      name;
-      instr_count;
-      nodes;
-      global_mix;
-      avg_block_size;
-      single_stride_fraction;
-      unique_streams;
+      id;
+      pred_start;
+      start;
+      count = count_;
+      size;
+      mix;
+      dep_fractions;
+      mem_ops;
+      branch;
+      successors;
     }
-  with Parse msg -> failwith ("Profile.load: " ^ msg)
+  in
+  try
+    if one "perfclone-profile" <> "5" then fail "unsupported version";
+    let name = String.concat " " (expect_tokens "name") in
+    let instr_count = count "instr_count" (one "instr_count") in
+    let avg_block_size = parse_float (one "avg_block_size") in
+    let single_stride_fraction = parse_float (one "single_stride_fraction") in
+    let unique_streams = count "unique_streams" (one "unique_streams") in
+    let global_mix = floats "global_mix" Pc_isa.Instr.class_count in
+    let n_nodes = count "nodes" (one "nodes") in
+    if n_nodes = 0 then fail "no SFG nodes";
+    let nodes = read_n n_nodes (node n_nodes) 0 [] in
+    Ok
+      {
+        name;
+        instr_count;
+        nodes;
+        global_mix;
+        avg_block_size;
+        single_stride_fraction;
+        unique_streams;
+      }
+  with Parse msg -> Error (Printf.sprintf "%d: %s" !lineno msg)
+
+let load ic = parse (In_channel.input_all ic)

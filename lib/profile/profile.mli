@@ -86,5 +86,17 @@ val pp_summary : Format.formatter -> t -> unit
 val save : out_channel -> t -> unit
 (** Serialise in a line-oriented text format. *)
 
-val load : in_channel -> t
-(** Inverse of [save].  Raises [Failure] on malformed input. *)
+val parse : string -> (t, string) result
+(** Inverse of [save], over the text it wrote.  [Error] on malformed
+    input, with the message [LINE: reason] (LINE 1-based), so a caller
+    holding the file name can report [PATH:LINE: reason].  Beyond the
+    format it checks every value a consumer indexes or sizes with:
+    counts and sizes are non-negative, the SFG has at least one node
+    (every profiled run has one; the clone generator needs one), [mix]
+    and [global_mix] have {!Pc_isa.Instr.class_count} entries,
+    [dep_fractions] has [Array.length dep_bounds + 1], nodes appear in
+    id order and every successor id is in [\[0, nodes)].  Never
+    raises. *)
+
+val load : in_channel -> (t, string) result
+(** {!parse} over the rest of the channel. *)

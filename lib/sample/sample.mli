@@ -53,7 +53,7 @@ val auto_interval : max_instrs:int -> int
     per run, floored at 10k instructions (below that the basic-block
     vectors are noise) and capped at 1M (above that a single interval
     swallows the whole run).  This is what bare [--sample] and
-    [PC_SAMPLE=auto] use.  Raises [Invalid_argument] when [max_instrs]
+    [--per-phase] use.  Raises [Invalid_argument] when [max_instrs]
     is not positive. *)
 
 val plan :

@@ -9,9 +9,9 @@ type estimate = {
   memory_cycles : float;
 }
 
-(* Build the estimate from the counters of a (timing-free) run.  We reuse
-   Sim.run/Sim.run_events outputs only for their event counts — the
-   formula below never looks at [cycles]. *)
+(* Build the estimate from the counters of a timing run.  Sim.run
+   outputs are used only for their event counts — the formula below
+   never looks at [cycles]. *)
 let of_counters (cfg : Config.t) (r : Sim.result) =
   let n = float_of_int (max 1 r.Sim.instrs) in
   let count ci = float_of_int r.Sim.class_counts.(I.class_index ci) in
@@ -46,9 +46,9 @@ let of_counters (cfg : Config.t) (r : Sim.result) =
   let cycles = base_cycles +. branch_cycles +. memory_cycles in
   { ipc = n /. cycles; base_cycles; branch_cycles; memory_cycles }
 
-(* Count miss events cheaply: run with a degenerate timing configuration
-   (the counters do not depend on the schedule, only on the event
-   stream). *)
+(* The miss events come from a full timing run with the caller's
+   configuration: only its counters are read, but the run costs as much
+   as a detailed simulation. *)
 let of_program ?(max_instrs = 2_000_000) cfg program =
   let r = Sim.run ~max_instrs cfg program in
   of_counters cfg r

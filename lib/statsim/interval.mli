@@ -12,10 +12,13 @@
     where [D] is the effective dispatch rate (bounded by width and by the
     ILP the dependency-distance profile allows).
 
-    Miss-event counts come from functionally simulating the program
-    against the configuration's caches and predictor (no timing) —
-    hundreds of times cheaper than the full scheduler — or from a
-    profile via {!of_profile}. *)
+    Miss-event counts come from the counters of a run of the timing
+    model: {!of_program} runs the full {!Pc_uarch.Sim.run} with the
+    caller's configuration, so it costs as much as the detailed
+    simulation it approximates; {!of_profile} takes them from the
+    statistical simulator's synthetic trace.  Nothing in the library or
+    the tools calls this module; the tests hold its estimates against
+    detailed simulation. *)
 
 type estimate = {
   ipc : float;
@@ -28,13 +31,13 @@ val of_counters : Pc_uarch.Config.t -> Pc_uarch.Sim.result -> estimate
 (** Apply the interval formula to the event counters of an existing
     run.  Only the counter fields of the result are read — never
     [cycles] — so a timing result can be cross-checked against the
-    analytical model for free, which is how sampled simulation sanity-
-    checks its projections. *)
+    analytical model for free. *)
 
 val of_program :
   ?max_instrs:int -> Pc_uarch.Config.t -> Pc_isa.Program.t -> estimate
-(** Functionally simulate to count miss events under the configuration's
-    caches/predictor, then apply the interval formula. *)
+(** Run the timing model ({!Pc_uarch.Sim.run} with [cfg], at most
+    [max_instrs] instructions, default 2M) and apply the interval formula
+    to the run's miss-event counters. *)
 
 val of_profile :
   ?seed:int -> ?instrs:int -> Pc_uarch.Config.t -> Pc_profile.Profile.t -> estimate

@@ -269,7 +269,11 @@ let test_profile_roundtrip () =
   Profile.save oc prof;
   close_out oc;
   let ic = open_in path in
-  let prof2 = Profile.load ic in
+  let prof2 =
+    match Profile.load ic with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "load: %s" msg
+  in
   close_in ic;
   Sys.remove path;
   Alcotest.(check string) "name" prof.Profile.name prof2.Profile.name;
@@ -292,10 +296,63 @@ let test_load_rejects_garbage () =
   output_string oc "not a profile\n";
   close_out oc;
   let ic = open_in path in
-  let rejected = match Profile.load ic with _ -> false | exception Failure _ -> true in
+  let result = Profile.load ic in
   close_in ic;
   Sys.remove path;
-  Alcotest.(check bool) "rejected" true rejected
+  match result with
+  | Ok _ -> Alcotest.fail "garbage accepted"
+  | Error msg ->
+    Alcotest.(check string) "names the line" "1: expected \"perfclone-profile\", got \"not a profile\"" msg
+
+(* Every truncation and every one-byte replacement (from characters
+   that make plausible damage: a sign, a digit, a token or line split,
+   junk) of a real saved profile either parses to an [Error] or yields
+   a profile the clone generator accepts.  Nothing raises: no negative
+   array size, no out-of-range successor reaching [Synth.generate]. *)
+let test_damaged_profiles_never_raise () =
+  let prof =
+    Collector.profile ~max_instrs:20_000
+      (Pc_workloads.Registry.compile (Pc_workloads.Registry.find "crc32"))
+  in
+  let path = Filename.temp_file "perfclone" ".profile" in
+  Out_channel.with_open_bin path (fun oc -> Profile.save oc prof);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let accepted = ref 0 in
+  let check what damaged =
+    match Profile.parse damaged with
+    | Error _ -> ()
+    | Ok p -> (
+      incr accepted;
+      match Pc_synth.Synth.generate p with
+      | _ -> ()
+      | exception e ->
+        Alcotest.failf "generate raised %s (%s)" (Printexc.to_string e) what)
+    | exception e ->
+      Alcotest.failf "parse raised %s (%s)" (Printexc.to_string e) what
+  in
+  let n = String.length text in
+  for i = 0 to n do
+    check (Printf.sprintf "truncated to %d bytes" i) (String.sub text 0 i)
+  done;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        let b = Bytes.of_string text in
+        Bytes.set b i c;
+        check (Printf.sprintf "byte %d set to %C" i c) (Bytes.to_string b))
+      [ '-'; '9'; ' '; '\n'; 'x' ]
+  done;
+  (* An empty SFG is damage too: the generator has nothing to walk. *)
+  check "nodes 0"
+    (String.concat "\n"
+       (List.map
+          (fun l ->
+            if String.length l > 6 && String.sub l 0 6 = "nodes " then "nodes 0"
+            else l)
+          (String.split_on_char '\n' text)));
+  (* The undamaged text is among the accepted inputs. *)
+  Alcotest.(check bool) "some damage still parses" true (!accepted > 1)
 
 let test_node_cdf () =
   let p = loop ~iters:50 [ I.Alu (I.Add, 1, 2, 3) ] in
@@ -345,5 +402,7 @@ let () =
             test_instr_count_and_block_size;
           Alcotest.test_case "save/load roundtrip" `Quick test_profile_roundtrip;
           Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
+          Alcotest.test_case "damaged profiles never raise" `Quick
+            test_damaged_profiles_never_raise;
         ] );
     ]

@@ -217,6 +217,36 @@ let test_config_of_json_errors () =
   bad {|"pc-scenario-config/1"|}
     {|{"name": "x", "tenants": [{"workload": "crc32", "kind": "weird"}]}|}
 
+(* The shipped example config, truncated at every byte and damaged one
+   byte at a time: parsing and spec validation answer [Error], never
+   raise. *)
+let test_config_damage_never_raises () =
+  let text =
+    In_channel.with_open_bin "../examples/scenarios/mixed_tenancy.json"
+      In_channel.input_all
+  in
+  let check what damaged =
+    match Json.parse damaged with
+    | Error _ -> ()
+    | Ok doc -> (
+      match Spec.of_json doc with
+      | Ok _ | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "of_json raised %s (%s)" (Printexc.to_string e) what)
+  in
+  let n = String.length text in
+  for i = 0 to n do
+    check (Printf.sprintf "truncated to %d bytes" i) (String.sub text 0 i)
+  done;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        let b = Bytes.of_string text in
+        Bytes.set b i c;
+        check (Printf.sprintf "byte %d set to %C" i c) (Bytes.to_string b))
+      [ '-'; '9'; ' '; '\n'; 'x' ]
+  done
+
 (* --- the threshold gate --- *)
 
 let report_doc () =
@@ -294,6 +324,8 @@ let () =
           Alcotest.test_case "config JSON" `Quick test_config_of_json;
           Alcotest.test_case "config JSON errors" `Quick
             test_config_of_json_errors;
+          Alcotest.test_case "damaged config never raises" `Quick
+            test_config_damage_never_raises;
         ] );
       ( "gate",
         [
