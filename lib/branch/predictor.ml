@@ -128,7 +128,8 @@ let rec predict t ~pc =
     if tn.meta.(pc land tn.meta_mask) >= 2 then predict tn.b ~pc else predict tn.a ~pc
 
 let bump counters i taken =
-  counters.(i) <- (if taken then min 3 (counters.(i) + 1) else max 0 (counters.(i) - 1))
+  counters.(i) <-
+    (if taken then Int.min 3 (counters.(i) + 1) else Int.max 0 (counters.(i) - 1))
 
 let rec update t ~pc ~taken =
   match t.state with
@@ -149,8 +150,8 @@ let rec update t ~pc ~taken =
     let ca = predict tn.a ~pc = taken and cb = predict tn.b ~pc = taken in
     let i = pc land tn.meta_mask in
     (* train the chooser towards the component that was right *)
-    if cb && not ca then tn.meta.(i) <- min 3 (tn.meta.(i) + 1)
-    else if ca && not cb then tn.meta.(i) <- max 0 (tn.meta.(i) - 1);
+    if cb && not ca then tn.meta.(i) <- Int.min 3 (tn.meta.(i) + 1)
+    else if ca && not cb then tn.meta.(i) <- Int.max 0 (tn.meta.(i) - 1);
     update tn.a ~pc ~taken;
     update tn.b ~pc ~taken
 

@@ -3,6 +3,7 @@ module Study = Pc_caches.Study
 module Stats = Pc_stats.Stats
 module Config = Pc_uarch.Config
 module Sim = Pc_uarch.Sim
+module Predictor = Pc_branch.Predictor
 module Power = Pc_power.Power
 module Profile = Pc_profile.Profile
 module Pool = Pc_exec.Pool
@@ -401,7 +402,7 @@ let design_changes () =
     };
     {
       change = "Change the predictor from a 2-level to a not-taken predictor";
-      config = Config.with_bpred Pc_branch.Predictor.Not_taken Config.base;
+      config = Config.with_bpred Predictor.Not_taken Config.base;
     };
     {
       change = "Change the instruction issue policy to in-order";
@@ -510,7 +511,7 @@ let pp_fig9 ppf r =
 (* --- branch-predictor study --- *)
 
 let bpred_configs =
-  let open Pc_branch.Predictor in
+  let open Predictor in
   [
     Taken;
     Not_taken;
@@ -532,20 +533,36 @@ type bpred_study = {
   bp_clone_rates : float array;
 }
 
+(* A predictor sees only the retired (pc, taken) stream of conditional
+   branches, so one functional pass feeds all ten predictors in retire
+   order (SimpleScalar's sim-bpred) and gives each exactly the rate a
+   timing-model run under that predictor reports. *)
+let bpred_rates settings program =
+  match settings.sample with
+  | Some interval ->
+    Pc_sample.Sample.project_bpred bpred_configs
+      (sample_plan settings ~interval program)
+  | None ->
+    let preds = Array.of_list (List.map Predictor.create bpred_configs) in
+    let m = Machine.load program in
+    let classes = (Machine.statics m).Machine.s_classes in
+    ignore
+      (Machine.run_batched ~max_instrs:settings.sim_instrs m (fun b ->
+           for j = 0 to b.Machine.len - 1 do
+             let pc = b.Machine.b_pc.(j) in
+             if classes.(pc) = Pc_isa.Instr.C_branch then begin
+               let taken = b.Machine.b_taken.(j) in
+               Array.iter (fun p -> ignore (Predictor.observe p ~pc ~taken)) preds
+             end
+           done));
+    Array.map Predictor.misprediction_rate preds
+
 let bpred_studies ?(pool = Pool.serial) settings pipelines =
   Span.with_ "bpred" @@ fun () ->
-  let rates program =
-    Array.of_list
-      (List.map
-         (fun bp ->
-           let cfg = Config.with_bpred bp Config.base in
-           Sim.mispredict_rate (sim_run settings cfg program))
-         bpred_configs)
-  in
   Pool.map pool
     (fun (p : Pipeline.t) ->
-      let bp_orig_rates = rates p.Pipeline.original in
-      let bp_clone_rates = rates p.Pipeline.clone in
+      let bp_orig_rates = bpred_rates settings p.Pipeline.original in
+      let bp_clone_rates = bpred_rates settings p.Pipeline.clone in
       {
         bp_bench = p.Pipeline.name;
         bp_correlation = Stats.pearson bp_clone_rates bp_orig_rates;

@@ -261,12 +261,25 @@ type bpred_study = {
   bp_clone_rates : float array;
 }
 
+val bpred_rates : settings -> Pc_isa.Program.t -> float array
+(** The misprediction rate of every {!bpred_configs} entry, in order,
+    for one program, from one functional pass that feeds all ten
+    predictors in retire order (SimpleScalar's [sim-bpred] role); no
+    timing model runs.  A predictor sees only the retired (pc, taken)
+    stream of conditional branches, so each rate equals
+    [Sim.mispredict_rate (sim_run settings (Config.with_bpred bp
+    Config.base) program)] bit for bit.  Unsampled, the pass is one
+    {!Pc_funcsim.Machine.run_batched} over [settings.sim_instrs]
+    instructions; sampled, it is {!Pc_sample.Sample.project_bpred} over
+    the program's plan.  Not memoized. *)
+
 val bpred_studies :
   ?pool:Pc_exec.Pool.t -> settings -> Pipeline.t list -> bpred_study list
-(** The analogue of the 28-cache study for branch predictors: simulate
-    original and clone under every {!bpred_configs} entry and correlate
-    misprediction rates.  Supports the paper's claim that the clone
-    tracks "a wide range of ... branch predictor configurations". *)
+(** The analogue of the 28-cache study for branch predictors: price
+    original and clone under every {!bpred_configs} entry
+    ({!bpred_rates}) and correlate misprediction rates.  Supports the
+    paper's claim that the clone tracks "a wide range of ... branch
+    predictor configurations". *)
 
 val pp_bpred : Format.formatter -> bpred_study list -> unit
 

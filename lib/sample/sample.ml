@@ -2,6 +2,7 @@ module I = Pc_isa.Instr
 module Machine = Pc_funcsim.Machine
 module Rng = Pc_util.Rng
 module Sim = Pc_uarch.Sim
+module Predictor = Pc_branch.Predictor
 module Config = Pc_uarch.Config
 module Study = Pc_caches.Study
 module Power = Pc_power.Power
@@ -405,15 +406,49 @@ let warn_skipped ~what ~config_name ~weight (r : Sim.result) =
       m "%s(%s): skipping empty representative (weight %d, measured %d instrs / %d cycles)"
         what config_name weight r.Sim.measured_instrs r.Sim.measured_cycles)
 
-let recombine ~config_name ~total_instrs phases =
+(* The weighting of every counter projection.  [phases] are
+   (population, replayed length, payload) triples; [skip] is called on
+   each phase [valid] rejects.  Returns the survivors, in order, with
+   their population as a float scaled by the renormalisation factor;
+   empty when nothing survives.  With nothing skipped the factor is
+   exactly 1.0, so every float is bit-identical to the unguarded fold. *)
+let reweigh ~valid ~skip phases =
   let valid, skipped =
-    List.partition (fun (_, _, r) -> phase_valid r) (Array.to_list phases)
+    List.partition (fun (_, _, x) -> valid x) (Array.to_list phases)
   in
-  List.iter
-    (fun (weight, _, r) -> warn_skipped ~what:"recombine" ~config_name ~weight r)
-    skipped;
-  match valid with
-  | [] ->
+  List.iter (fun (w, _, x) -> skip w x) skipped;
+  let renorm =
+    if skipped = [] then 1.0
+    else
+      let sum l = List.fold_left (fun acc (w, _, _) -> acc + w) 0 l in
+      let valid_w = sum valid in
+      if valid_w <= 0 then 1.0
+      else float_of_int (valid_w + sum skipped) /. float_of_int valid_w
+  in
+  Array.of_list
+    (List.map (fun (w, len, x) -> (float_of_int w *. renorm, len, x)) valid)
+
+(* A whole-program event count: each surviving phase's count scaled by
+   its population over its replayed length — an approximation (the
+   warmup share of each replay is attributed pro rata), good enough for
+   the power model and cross-checks. *)
+let scaled runs field =
+  let acc =
+    Array.fold_left
+      (fun acc (wf, len, x) ->
+        let ratio = wf /. float_of_int (max 1 len) in
+        acc +. (float_of_int (field x) *. ratio))
+      0.0 runs
+  in
+  int_of_float (Float.round acc)
+
+let recombine ~config_name ~total_instrs phases =
+  let runs =
+    reweigh ~valid:phase_valid
+      ~skip:(fun weight r -> warn_skipped ~what:"recombine" ~config_name ~weight r)
+      phases
+  in
+  if Array.length runs = 0 then begin
     (* Degenerate: nothing measured anywhere.  Project IPC 1.0 with
        zeroed event counters rather than divide by zero. *)
     Log.warn (fun m ->
@@ -441,23 +476,8 @@ let recombine ~config_name ~total_instrs phases =
       measured_instrs = total_instrs;
       measured_cycles = cycles;
     }
-  | _ ->
-    (* Skipped phases hand their population to the survivors so the
-       projection still speaks for [total_instrs].  With nothing skipped
-       the factor is exactly 1.0 and every float below is bit-identical
-       to the unguarded fold. *)
-    let renorm =
-      if skipped = [] then 1.0
-      else
-        let sum l = List.fold_left (fun acc (w, _, _) -> acc + w) 0 l in
-        let valid_w = sum valid in
-        if valid_w <= 0 then 1.0
-        else float_of_int (valid_w + sum skipped) /. float_of_int valid_w
-    in
-    let runs =
-      Array.of_list
-        (List.map (fun (w, len, r) -> (float_of_int w *. renorm, len, r)) valid)
-    in
+  end
+  else begin
     (* Whole-program cycles: each cluster contributes its population's
        instruction count at its representative's warmup-free CPI. *)
     let cycles_f =
@@ -472,19 +492,7 @@ let recombine ~config_name ~total_instrs phases =
     in
     let cycles = max 1 (int_of_float (Float.round cycles_f)) in
     let total = total_instrs in
-    (* Event counters scale by cluster population over replayed length —
-       an approximation (the warmup share of each replay is attributed
-       pro rata), good enough for the power model and cross-checks. *)
-    let scaled field =
-      let acc =
-        Array.fold_left
-          (fun acc (wf, len, r) ->
-            let ratio = wf /. float_of_int (max 1 len) in
-            acc +. (float_of_int (field r) *. ratio))
-          0.0 runs
-      in
-      int_of_float (Float.round acc)
-    in
+    let scaled = scaled runs in
     let class_counts =
       Array.init I.class_count (fun i -> scaled (fun r -> r.Sim.class_counts.(i)))
     in
@@ -510,6 +518,7 @@ let recombine ~config_name ~total_instrs phases =
       measured_instrs = total;
       measured_cycles = cycles;
     }
+  end
 
 let project_of_phases plan phases =
   if Array.length phases = 0 then
@@ -640,3 +649,46 @@ let project_mpi ?(onepass = false) plan =
     plan.reps;
   M.incr c_projections;
   Array.map (fun misses -> misses /. float_of_int plan.total_instrs) proj_misses
+
+(* --- projection: branch predictors ---
+
+   A predictor sees only the (pc, taken) stream of conditional branches
+   in retire order, so one replay of a representative prices every
+   predictor without the timing model.  The replayed window is empty
+   exactly when the timing model's would be ([measured_instrs] is the
+   trace length past the warmup, and a non-empty window always costs at
+   least one cycle), so [reweigh] and [scaled] give each predictor the
+   lookups and mispredictions [recombine] projects. *)
+let project_bpred configs plan =
+  let classes = plan.statics.Machine.s_classes in
+  let phases =
+    Array.map
+      (fun rep ->
+        M.add c_replayed (Array.length rep.trace);
+        let preds = Array.of_list (List.map Predictor.create configs) in
+        Array.iter
+          (fun packed ->
+            let pc = packed_pc packed in
+            if classes.(pc) = I.C_branch then begin
+              let taken = packed_taken packed in
+              Array.iter (fun p -> ignore (Predictor.observe p ~pc ~taken)) preds
+            end)
+          rep.trace;
+        (rep.weight, Array.length rep.trace, (rep, preds)))
+      plan.reps
+  in
+  let runs =
+    reweigh
+      ~valid:(fun (rep, _) -> Array.length rep.trace > rep.warmup)
+      ~skip:(fun weight (rep, _) ->
+        Log.warn (fun m ->
+            m "project_bpred: skipping empty representative (weight %d, warmup %d of %d instrs)"
+              weight rep.warmup (Array.length rep.trace)))
+      phases
+  in
+  M.incr c_projections;
+  Array.init (List.length configs) (fun i ->
+      let count field = scaled runs (fun (_, preds) -> field preds.(i)) in
+      let lookups = count Predictor.lookups in
+      if lookups = 0 then 0.0
+      else float_of_int (count Predictor.mispredictions) /. float_of_int lookups)

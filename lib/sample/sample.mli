@@ -142,6 +142,17 @@ val project_mpi : ?onepass:bool -> plan -> float array
     of the 28 simulated caches; the projection is byte-identical either
     way, the grids just cost one traversal per bound. *)
 
+val project_bpred : Pc_branch.Predictor.config list -> plan -> float array
+(** The misprediction rate of each predictor configuration, in list
+    order, without the timing model: every representative's conditional
+    branches are replayed once through fresh predictors (a predictor
+    sees only the retired (pc, taken) stream), and each phase's lookups
+    and mispredictions are recombined with {!recombine}'s own weighting
+    — the empty-window skip, the renormalisation and the rounding of the
+    scaled counters.  Each rate therefore equals
+    [Sim.mispredict_rate (project_sim (Config.with_bpred bp base) plan)]
+    bit for bit, and is 0.0 when no window measured anything. *)
+
 val replay_events :
   Pc_funcsim.Machine.statics ->
   int array ->

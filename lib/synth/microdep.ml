@@ -4,17 +4,39 @@ module Asm = Pc_isa.Asm
 module Program = Pc_isa.Program
 module Profile = Pc_profile.Profile
 module Rng = Pc_util.Rng
-module Sim = Pc_uarch.Sim
+module Config = Pc_uarch.Config
+module Machine = Pc_funcsim.Machine
+module Hierarchy = Pc_caches.Hierarchy
+module Predictor = Pc_branch.Predictor
 
 type targets = { l1d_miss_rate : float; mispredict_rate : float }
 
-let measure_targets ?max_instrs cfg program =
-  let r = Sim.run ?max_instrs cfg program in
+(* Both targets depend only on retire order: the D-cache sees the loads
+   and stores, the predictor the conditional branches.  So one
+   functional pass over fresh copies of the timing model's D-side
+   hierarchy and predictor reads exactly what a [Sim.run] would (with
+   its default 10M-instruction budget), without scheduling anything. *)
+let measure_targets ?(max_instrs = 10_000_000) (cfg : Config.t) program =
+  let dcache = Hierarchy.create cfg.Config.dcache in
+  let bpred = Predictor.create cfg.Config.bpred in
+  let m = Machine.load program in
+  let classes = (Machine.statics m).Machine.s_classes in
+  ignore
+    (Machine.run_batched ~max_instrs m (fun b ->
+         for j = 0 to b.Machine.len - 1 do
+           let pc = b.Machine.b_pc.(j) in
+           match classes.(pc) with
+           | I.C_load | I.C_store -> ignore (Hierarchy.access dcache b.Machine.b_addr.(j))
+           | I.C_branch ->
+             ignore (Predictor.observe bpred ~pc ~taken:b.Machine.b_taken.(j))
+           | _ -> ()
+         done));
+  let accesses = Hierarchy.l1_accesses dcache in
   {
     l1d_miss_rate =
-      (if r.Sim.l1d_accesses = 0 then 0.0
-       else float_of_int r.Sim.l1d_misses /. float_of_int r.Sim.l1d_accesses);
-    mispredict_rate = Sim.mispredict_rate r;
+      (if accesses = 0 then 0.0
+       else float_of_int (Hierarchy.l1_misses dcache) /. float_of_int accesses);
+    mispredict_rate = Predictor.misprediction_rate bpred;
   }
 
 (* Register layout mirrors Synth: r1..r13 integer pool, f1..f13 FP pool,

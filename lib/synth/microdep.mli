@@ -23,8 +23,12 @@ type targets = {
 
 val measure_targets :
   ?max_instrs:int -> Pc_uarch.Config.t -> Pc_isa.Program.t -> targets
-(** Run the original on the reference configuration and extract the two
-    target metrics. *)
+(** The original's L1 D-cache miss rate and misprediction rate on the
+    reference configuration, exactly as a {!Pc_uarch.Sim.run} with the
+    same [max_instrs] (default 10M) would report them.  Both depend only
+    on retire order, so they come from one functional pass that feeds
+    the loads and stores to the configuration's D-side hierarchy and the
+    conditional branches to its predictor; no timing model runs. *)
 
 val generate :
   ?seed:int ->

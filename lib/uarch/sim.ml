@@ -3,6 +3,9 @@ module Machine = Pc_funcsim.Machine
 module Hierarchy = Pc_caches.Hierarchy
 module Predictor = Pc_branch.Predictor
 
+(* Cycle arithmetic uses [Int.max]: [Stdlib.max] is polymorphic, and
+   without flambda each use is a C call to the generic comparison. *)
+
 type result = {
   config_name : string;
   instrs : int;
@@ -78,14 +81,14 @@ end
 module Fu_pool = struct
   type t = { free_at : int array }
 
-  let create n = { free_at = Array.make (max n 1) 0 }
+  let create n = { free_at = Array.make (Int.max n 1) 0 }
 
   let acquire t ~earliest ~occupancy =
     let best = ref 0 in
     for u = 1 to Array.length t.free_at - 1 do
       if t.free_at.(u) < t.free_at.(!best) then best := u
     done;
-    let start = max earliest t.free_at.(!best) in
+    let start = Int.max earliest t.free_at.(!best) in
     t.free_at.(!best) <- start + occupancy;
     start
 end
@@ -141,7 +144,7 @@ type state = {
 let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
   {
     st_cfg = cfg;
-    measure_from = max 0 measure_from;
+    measure_from = Int.max 0 measure_from;
     icache =
       (match icache with Some h -> h | None -> Hierarchy.create cfg.icache);
     dcache =
@@ -158,7 +161,7 @@ let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
     mem_port = Fu_pool.create cfg.mem_ports;
     reg_ready = Array.make 64 0;
     rob = Array.make cfg.rob_size 0;
-    lsq = Array.make (max cfg.lsq_size 1) 0;
+    lsq = Array.make (Int.max cfg.lsq_size 1) 0;
     st_class_counts = Array.make I.class_count 0;
     icache_hit_latency = cfg.icache.Hierarchy.l1_latency;
     index = 0;
@@ -170,6 +173,13 @@ let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
     stall_mispredict = 0;
     measure_start = 0;
   }
+
+(* The latest ready cycle of the registers in [reads], at least [acc].
+   Top level rather than a closure over [st], which would allocate on
+   every instruction. *)
+let rec reads_ready reg_ready acc = function
+  | [] -> acc
+  | id :: rest -> reads_ready reg_ready (Int.max acc reg_ready.(id)) rest
 
 let feed st (ev : Machine.event) =
   let cfg = st.st_cfg in
@@ -194,39 +204,37 @@ let feed st (ev : Machine.event) =
   in
   let d =
     Slot.take st.dispatch_slot
-      (max (fc + cfg.frontend_depth) (max rob_free lsq_free))
+      (Int.max (fc + cfg.frontend_depth) (Int.max rob_free lsq_free))
   in
   (* --- register readiness --- *)
-  let ready =
-    List.fold_left (fun acc id -> max acc st.reg_ready.(id)) d ev.Machine.reads
-  in
-  let ready = if cfg.in_order then max ready st.last_issue else ready in
+  let ready = reads_ready st.reg_ready d ev.Machine.reads in
+  let ready = if cfg.in_order then Int.max ready st.last_issue else ready in
   (* --- issue: bandwidth then functional unit --- *)
   let issue0 = Cycle_table.take st.issue_table ready in
-  let i_lat = Array.get cfg.latencies in
+  let lat = cfg.latencies.(ci) in
   let issue =
     match cls with
     | I.C_int_alu | I.C_branch | I.C_jump | I.C_other ->
       Fu_pool.acquire st.int_alu ~earliest:issue0 ~occupancy:1
     | I.C_int_mul -> Fu_pool.acquire st.int_mul ~earliest:issue0 ~occupancy:1
     | I.C_int_div ->
-      Fu_pool.acquire st.int_mul ~earliest:issue0 ~occupancy:(i_lat ci)
+      Fu_pool.acquire st.int_mul ~earliest:issue0 ~occupancy:lat
     | I.C_fp_alu -> Fu_pool.acquire st.fp_alu ~earliest:issue0 ~occupancy:1
     | I.C_fp_mul -> Fu_pool.acquire st.fp_mul ~earliest:issue0 ~occupancy:1
-    | I.C_fp_div -> Fu_pool.acquire st.fp_mul ~earliest:issue0 ~occupancy:(i_lat ci)
+    | I.C_fp_div -> Fu_pool.acquire st.fp_mul ~earliest:issue0 ~occupancy:lat
     | I.C_load | I.C_store -> Fu_pool.acquire st.mem_port ~earliest:issue0 ~occupancy:1
   in
   if cfg.in_order && issue > st.last_issue then st.last_issue <- issue;
   (* --- complete --- *)
   let complete =
     match cls with
-    | I.C_load -> issue + Hierarchy.access st.dcache ev.Machine.mem_addr + i_lat ci
+    | I.C_load -> issue + Hierarchy.access st.dcache ev.Machine.mem_addr + lat
     | I.C_store ->
       (* Update tag state and counters; the store buffer hides the
          latency from the pipeline. *)
       ignore (Hierarchy.access st.dcache ev.Machine.mem_addr);
-      issue + i_lat ci
-    | _ -> issue + i_lat ci
+      issue + lat
+    | _ -> issue + lat
   in
   (* --- writeback: wake up dependents --- *)
   (match ev.Machine.writes with
@@ -247,7 +255,7 @@ let feed st (ev : Machine.event) =
     end
   end;
   (* --- commit --- *)
-  let m = Slot.take st.commit_slot (max (complete + 1) st.last_commit) in
+  let m = Slot.take st.commit_slot (Int.max (complete + 1) st.last_commit) in
   st.last_commit <- m;
   st.rob.(i mod cfg.rob_size) <- m;
   if is_mem then begin
@@ -261,12 +269,12 @@ let committed_cycle st = st.last_commit
 let finish ?instrs st =
   let cfg = st.st_cfg in
   let instrs = match instrs with Some n -> n | None -> st.index in
-  let cycles = max st.last_commit 1 in
-  let measured_instrs = max 0 (instrs - st.measure_from) in
+  let cycles = Int.max st.last_commit 1 in
+  let measured_instrs = Int.max 0 (instrs - st.measure_from) in
   let measured_cycles =
     if st.measure_from = 0 then cycles
     else if measured_instrs = 0 then 0
-    else max (st.last_commit - st.measure_start) 1
+    else Int.max (st.last_commit - st.measure_start) 1
   in
   Pc_obs.Metrics.add c_instrs instrs;
   Pc_obs.Metrics.add c_cycles cycles;

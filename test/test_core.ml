@@ -176,6 +176,29 @@ let test_ablation_indep_beats_dep () =
   Alcotest.(check bool)
     "microarchitecture-independent clones track caches better" true (indep > dep)
 
+(* The predictor study's functional pass against its oracle, the timing
+   model: every rate of two originals and their clones must be the same
+   float a full Sim run under that predictor reports. *)
+let test_bpred_rates_match_timing_model () =
+  let max_instrs = 100_000 in
+  let s = { settings with E.sim_instrs = max_instrs } in
+  List.iter
+    (fun (p : Pipeline.t) ->
+      List.iter
+        (fun (kind, program) ->
+          let expected = Bpred_oracle.rates ~max_instrs E.bpred_configs program in
+          let got = E.bpred_rates s program in
+          Array.iteri
+            (fun i e ->
+              if got.(i) <> e then
+                Alcotest.failf "%s %s, %s: functional %.17g vs timing model %.17g"
+                  p.Pipeline.name kind
+                  (Pc_branch.Predictor.config_name (List.nth E.bpred_configs i))
+                  got.(i) e)
+            expected)
+        [ ("original", p.Pipeline.original); ("clone", p.Pipeline.clone) ])
+    (List.filteri (fun i _ -> i < 2) (Lazy.force pipelines))
+
 let test_microdep_baseline_runs () =
   let p = List.hd (Lazy.force pipelines) in
   let baseline = Pipeline.microdep_baseline ~reference:Pc_uarch.Config.base p in
@@ -211,5 +234,7 @@ let () =
           Alcotest.test_case "table 3 relative errors" `Slow test_table3_relative_errors;
           Alcotest.test_case "figure 8 speedups" `Slow test_width_change_speedups_tracked;
           Alcotest.test_case "ablation" `Slow test_ablation_indep_beats_dep;
+          Alcotest.test_case "predictor rates equal the timing model's" `Slow
+            test_bpred_rates_match_timing_model;
         ] );
     ]

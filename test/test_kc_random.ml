@@ -125,6 +125,20 @@ let qcheck_structured_programs =
       let rng = Rng.create seed in
       agree (gen_prog rng))
 
+(* The predictor study's functional pass on random programs, against
+   the timing model run once per predictor: equal floats. *)
+let qcheck_bpred_rates_match_timing_model =
+  let max_instrs = 50_000 in
+  let settings = { Perfclone.Experiments.quick_settings with sim_instrs = max_instrs } in
+  let configs = Perfclone.Experiments.bpred_configs in
+  QCheck.Test.make ~name:"random programs: functional predictor rates = timing model's"
+    ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let program = Compile.compile ~name:"fuzz" (gen_prog (Rng.create seed)) in
+      Perfclone.Experiments.bpred_rates settings program
+      = Bpred_oracle.rates ~max_instrs configs program)
+
 let test_fixed_seeds () =
   (* a deterministic sweep, independent of qcheck's sampling *)
   for seed = 1 to 100 do
@@ -140,5 +154,6 @@ let () =
         [
           Alcotest.test_case "100 fixed seeds" `Slow test_fixed_seeds;
           QCheck_alcotest.to_alcotest qcheck_structured_programs;
+          QCheck_alcotest.to_alcotest qcheck_bpred_rates_match_timing_model;
         ] );
     ]

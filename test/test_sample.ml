@@ -255,6 +255,52 @@ let test_project_mpi_onepass_identical () =
           onepass.(i))
     simulated
 
+(* The sampled predictor projection against its oracle, the timing
+   model's projection under each predictor: equal floats, also when a
+   representative's window is emptied (skip and renormalise) and when
+   every window is (rate 0). *)
+let test_project_bpred_matches_project_sim () =
+  let configs = E.bpred_configs in
+  let plan = Sample.plan ~seed:1 ~interval:10_000 ~max_instrs:300_000 (program "crc32") in
+  Alcotest.(check bool) "several representatives" true (Array.length plan.Sample.reps >= 2);
+  let empty (rep : Sample.rep) = { rep with Sample.warmup = Array.length rep.Sample.trace } in
+  let check what plan =
+    let expected = Bpred_oracle.projected_rates configs plan in
+    let got = Sample.project_bpred configs plan in
+    Array.iteri
+      (fun i e ->
+        if got.(i) <> e then
+          Alcotest.failf "%s, %s: functional %.17g vs timing model %.17g" what
+            (Pc_branch.Predictor.config_name (List.nth configs i))
+            got.(i) e)
+      expected;
+    got
+  in
+  ignore (check "plan" plan);
+  let one_empty =
+    { plan with Sample.reps = Array.mapi (fun i r -> if i = 0 then empty r else r) plan.Sample.reps }
+  in
+  ignore (check "one window emptied" one_empty);
+  let all_empty = { plan with Sample.reps = Array.map empty plan.Sample.reps } in
+  Array.iter
+    (fun rate -> Alcotest.(check (float 0.0)) "no window measured: rate 0" 0.0 rate)
+    (check "every window emptied" all_empty)
+
+(* The experiment driver's sampled path prices the same rates the
+   sampled timing-model runs of [sim_run] report. *)
+let test_sampled_bpred_rates_match_sim_run () =
+  let settings =
+    { E.quick_settings with E.sim_instrs = 300_000; sample = Some 10_000 }
+  in
+  let p = program "crc32" in
+  let expected =
+    Array.of_list
+      (List.map
+         (fun bp -> Sim.mispredict_rate (E.sim_run settings (Bpred_oracle.config bp) p))
+         E.bpred_configs)
+  in
+  Alcotest.(check bool) "same rates" true (E.bpred_rates settings p = expected)
+
 let test_plan_determinism () =
   let p = program "fft" in
   let mk () = Sample.plan ~seed:7 ~interval:25_000 ~max_instrs:120_000 p in
@@ -437,6 +483,10 @@ let () =
             test_full_coverage_projection_matches_detailed;
           Alcotest.test_case "zero-cycle phases skipped" `Quick
             test_recombine_zero_cycle_guard;
+          Alcotest.test_case "predictor projection equals the timing model's" `Quick
+            test_project_bpred_matches_project_sim;
+          Alcotest.test_case "sampled predictor study equals sim_run" `Quick
+            test_sampled_bpred_rates_match_sim_run;
         ] );
       ( "accuracy",
         [

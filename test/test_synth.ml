@@ -261,6 +261,40 @@ let test_microdep_halts_and_misses () =
   Alcotest.(check bool) "miss rate in the target neighbourhood" true
     (abs_float (mr -. targets.Microdep.l1d_miss_rate) < 0.15)
 
+(* The ablation targets come from a functional pass; the timing model
+   is the oracle.  Both rates must be the floats a Sim run reports, on
+   the reference configuration and on ones with a smaller D-cache and
+   another predictor. *)
+let test_microdep_targets_match_timing_model () =
+  let module Config = Pc_uarch.Config in
+  let module Sim = Pc_uarch.Sim in
+  let max_instrs = 200_000 in
+  let configs =
+    [
+      Config.base;
+      Config.with_l1d_size 4096 Config.base;
+      Config.with_bpred (Pc_branch.Predictor.Bimodal 64) Config.base;
+    ]
+  in
+  List.iter
+    (fun name ->
+      let program = Pc_workloads.Registry.(compile (find name)) in
+      List.iter
+        (fun (cfg : Config.t) ->
+          let r = Sim.run ~max_instrs cfg program in
+          let t = Microdep.measure_targets ~max_instrs cfg program in
+          let what = Printf.sprintf "%s on %s" name cfg.Config.name in
+          let l1d =
+            if r.Sim.l1d_accesses = 0 then 0.0
+            else float_of_int r.Sim.l1d_misses /. float_of_int r.Sim.l1d_accesses
+          in
+          Alcotest.(check bool) (what ^ ": L1D miss rate") true
+            (t.Microdep.l1d_miss_rate = l1d);
+          Alcotest.(check bool) (what ^ ": misprediction rate") true
+            (t.Microdep.mispredict_rate = Sim.mispredict_rate r))
+        configs)
+    [ "dijkstra"; "qsort"; "crc32" ]
+
 let test_microdep_insensitive_to_cache_size () =
   (* the design flaw the paper criticises: the baseline's miss rate
      barely moves when the cache shrinks *)
@@ -339,6 +373,8 @@ let () =
             test_microdep_halts_and_misses;
           Alcotest.test_case "baseline insensitive to cache size" `Slow
             test_microdep_insensitive_to_cache_size;
+          Alcotest.test_case "targets equal the timing model's" `Slow
+            test_microdep_targets_match_timing_model;
         ] );
       ("render", [ Alcotest.test_case "C output" `Quick test_render_c ]);
     ]

@@ -325,6 +325,30 @@ let test_known_answer (_, cfg, body, expected) () =
     (Float.abs (per_iter -. expected) <= 0.01 *. expected);
   Alcotest.(check int) "only the loop exit mispredicts" 1 r.Sim.mispredictions
 
+(* A predictable loop pays for one redirect at most: its only
+   misprediction is the exit, so against a perfect predictor the base
+   GAp run costs at most one penalty plus a front-end refill (and the
+   cycle the branch resolves in).  Under [Perfect] nothing mispredicts
+   and no fetch cycle is charged to a redirect. *)
+let predictable_loop_cases =
+  List.map (fun (name, cfg, body, _) -> (name, cfg, body)) known_answer_cases
+  @ [ ("one add", Config.base, [ I.Alu (I.Add, 1, 1, 10) ]) ]
+
+let test_predictable_loop (_, (cfg : Config.t), body) () =
+  let p = loop_program ~name:"ka" ~iters:2000 body in
+  let run cfg = Sim.run ~max_instrs:1_000_000 cfg p in
+  let perfect = run (Config.with_bpred Predictor.Perfect cfg) in
+  let gap = run cfg in
+  Alcotest.(check int) "no misprediction under Perfect" 0 perfect.Sim.mispredictions;
+  Alcotest.(check int) "no redirect stall under Perfect" 0
+    perfect.Sim.fetch_stall_mispredict_cycles;
+  let extra = gap.Sim.cycles - perfect.Sim.cycles in
+  let bound = cfg.Config.mispredict_penalty + cfg.Config.frontend_depth + 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "GAp costs %d cycles over Perfect, within [0, %d]" extra bound)
+    true
+    (extra >= 0 && extra <= bound)
+
 let () =
   Alcotest.run "pc_uarch"
     [
@@ -357,6 +381,11 @@ let () =
           (fun ((name, _, _, _) as case) ->
             Alcotest.test_case name `Quick (test_known_answer case))
           known_answer_cases );
+      ( "one-redirect",
+        List.map
+          (fun ((name, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_predictable_loop case))
+          predictable_loop_cases );
       ( "accounting",
         [
           Alcotest.test_case "statistics" `Quick test_stats_accounting;
