@@ -1,71 +1,66 @@
 (* check_baselines: CI regression gate over archived artefacts.
 
    Usage:
-     check_baselines metrics baselines/metrics.json metrics.json
-     check_baselines fidelity baselines/fidelity.json fidelity.json
-     check_baselines scenario baselines/scenario.json scenario.json
-     check_baselines tune baselines/tune.json tune.json
-     check_baselines all BASELINE CURRENT [BASELINE CURRENT]...
+     check_baselines BASELINE CURRENT [BASELINE CURRENT]...
 
-   Exits 0 when the current artefact matches the baseline (exactly for
-   pc-obs/1 counters and gauges; within the pc-fidelity-thresholds/1
-   bounds for pc-fidelity/1 clone-fidelity reports; within the
-   pc-scenario-thresholds/1 bounds for pc-scenario/1 co-run reports;
-   within the pc-tune-thresholds/1 bounds for pc-tune/1 tuning
-   reports), 1 with one line per discrepancy otherwise.  The $(b,all) mode runs any
-   number of baseline/current pairs in one invocation — the gate kind
-   is inferred from each baseline's schema — prints a one-line-per-gate
-   summary table, and aggregates the exit code.  Baselines are
-   regenerated deliberately — see EXPERIMENTS.md. *)
+   The gate kind comes from each baseline's schema: a pc-obs/1 baseline
+   compares counters and gauges exactly; a pc-bounds/1 document bounds
+   the numbers in an artefact of the schema it names (clone fidelity,
+   scenario co-runs, tuning).  Prints a one-line-per-gate summary table
+   and the discrepancies of every failing gate.  Exits 0 when every
+   gate passes, 1 when any fails, 2 on an unparsable or malformed
+   input.  Baselines are regenerated deliberately — see
+   EXPERIMENTS.md. *)
 
 module Json = Pc_util.Json
+module Bounds = Pc_report.Bounds
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("check_baselines: " ^ msg);
+      exit 2)
+    fmt
 
 let load path =
   match Json.parse_file path with
   | Ok doc -> doc
-  | Error msg ->
-    Printf.eprintf "check_baselines: %s: %s\n" path msg;
-    exit 2
+  | Error msg -> fail "%s: %s" path msg
 
-let check kind ~baseline ~current =
-  match kind with
-  | `Metrics -> Pc_obs.Baseline.check_metrics ~baseline ~current
-  | `Fidelity -> Pc_trace.Fidelity.check ~thresholds:baseline ~report:current
-  | `Scenario -> Pc_scenario.Report.check ~thresholds:baseline ~report:current
-  | `Tune -> Pc_tune.Report.check ~thresholds:baseline ~report:current
+(* The gate column is the artefact's schema without its "pc-" prefix
+   and version: pc-fidelity/1 gates under "fidelity". *)
+let gate_name artifact =
+  let base =
+    match String.index_opt artifact '/' with
+    | Some i -> String.sub artifact 0 i
+    | None -> artifact
+  in
+  if String.starts_with ~prefix:"pc-" base then
+    String.sub base 3 (String.length base - 3)
+  else base
 
-(* In [all] mode the gate kind comes from the baseline document itself:
-   every baseline/thresholds schema names exactly one checker. *)
-let kind_of_baseline path doc =
-  match Json.schema doc with
-  | Some "pc-obs/1" -> ("metrics", `Metrics)
-  | Some "pc-fidelity-thresholds/1" -> ("fidelity", `Fidelity)
-  | Some "pc-scenario-thresholds/1" -> ("scenario", `Scenario)
-  | Some "pc-tune-thresholds/1" -> ("tune", `Tune)
-  | Some s ->
-    Printf.eprintf "check_baselines: %s: no gate for schema %s\n" path s;
-    exit 2
-  | None ->
-    Printf.eprintf "check_baselines: %s: no schema field\n" path;
-    exit 2
+let gate path baseline =
+  match Json.schema baseline with
+  | Some "pc-obs/1" ->
+    ("metrics", fun current -> Pc_obs.Baseline.check_metrics ~baseline ~current)
+  | Some "pc-bounds/1" -> (
+    match Bounds.of_json baseline with
+    | Ok b -> (gate_name (Bounds.artifact b), Bounds.check b)
+    | Error msg -> fail "%s: %s" path msg)
+  | Some s -> fail "%s: no gate for schema %s" path s
+  | None -> fail "%s: no schema field" path
 
 let rec pairs = function
   | [] -> []
-  | [ odd ] ->
-    Printf.eprintf
-      "check_baselines: all mode needs BASELINE CURRENT pairs (odd file %s)\n"
-      odd;
-    exit 2
+  | [ odd ] -> fail "needs BASELINE CURRENT pairs (odd file %s)" odd
   | b :: c :: rest -> (b, c) :: pairs rest
 
-let run_all files =
+let main files =
   let rows =
     List.map
       (fun (baseline_path, current_path) ->
-        let baseline = load baseline_path and current = load current_path in
-        let name, kind = kind_of_baseline baseline_path baseline in
-        let issues = check kind ~baseline ~current in
-        (name, current_path, issues))
+        let name, check = gate baseline_path (load baseline_path) in
+        (name, current_path, check (load current_path)))
       (pairs files)
   in
   Printf.printf "  %-10s %-36s %-6s %s\n" "gate" "current" "status" "issues";
@@ -90,78 +85,20 @@ let run_all files =
       (List.length failed) (List.length rows);
     1
 
-let main mode baseline_path current_path rest =
-  match mode with
-  | `All -> run_all (baseline_path :: current_path :: rest)
-  | (`Metrics | `Fidelity | `Scenario | `Tune) as kind -> (
-    if rest <> [] then begin
-      Printf.eprintf
-        "check_baselines: extra files %s (only the all mode takes more than \
-         one pair)\n"
-        (String.concat " " rest);
-      exit 2
-    end;
-    let baseline = load baseline_path and current = load current_path in
-    match check kind ~baseline ~current with
-    | [] ->
-      Printf.printf "check_baselines: %s matches %s\n" current_path
-        baseline_path;
-      0
-    | issues ->
-      List.iter (fun i -> Printf.printf "check_baselines: %s\n" i) issues;
-      Printf.printf "check_baselines: %d discrepancies against %s\n"
-        (List.length issues) baseline_path;
-      1)
-
 open Cmdliner
 
-let mode_arg =
-  let modes =
-    [
-      ("metrics", `Metrics);
-      ("fidelity", `Fidelity);
-      ("scenario", `Scenario);
-      ("tune", `Tune);
-      ("all", `All);
-    ]
-  in
+let files_arg =
   Arg.(
-    required
-    & pos 0 (some (enum modes)) None
-    & info [] ~docv:"MODE"
-        ~doc:"$(b,metrics) compares pc-obs/1 counters/gauges exactly; \
-              $(b,fidelity) gates a pc-fidelity/1 report against \
-              pc-fidelity-thresholds/1 bounds; $(b,scenario) gates a \
-              pc-scenario/1 co-run report against \
-              pc-scenario-thresholds/1 bounds; $(b,tune) gates a \
-              pc-tune/1 tuning report against pc-tune-thresholds/1 \
-              bounds; $(b,all) runs any \
-              number of baseline/current pairs (gate kinds inferred \
-              from each baseline's schema) and prints a per-gate \
-              summary table with an aggregated exit code.")
-
-let baseline_arg =
-  Arg.(
-    required
-    & pos 1 (some file) None
-    & info [] ~docv:"BASELINE" ~doc:"Checked-in baseline artefact.")
-
-let current_arg =
-  Arg.(
-    required
-    & pos 2 (some file) None
-    & info [] ~docv:"CURRENT" ~doc:"Artefact produced by this run.")
-
-let rest_arg =
-  Arg.(
-    value & pos_right 2 file []
-    & info [] ~docv:"PAIR"
-        ~doc:"Further BASELINE CURRENT pairs ($(b,all) mode only).")
+    non_empty & pos_all file []
+    & info [] ~docv:"BASELINE CURRENT"
+        ~doc:"Pairs of a checked-in baseline and the artefact this run \
+              produced.  A $(b,pc-obs/1) baseline compares counters and \
+              gauges exactly; a $(b,pc-bounds/1) document bounds the \
+              numbers in the artefact schema it names.")
 
 let cmd =
   Cmd.v
     (Cmd.info "check_baselines" ~doc:"gate CI artefacts against baselines")
-    Term.(
-      const main $ mode_arg $ baseline_arg $ current_arg $ rest_arg)
+    Term.(const main $ files_arg)
 
 let () = exit (Cmd.eval' cmd)

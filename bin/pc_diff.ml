@@ -2,7 +2,9 @@
 
    Usage:
      pc_diff A.json B.json            diff two same-schema artefacts
-     pc_diff --ledger[=DIR]           diff the ledger's last two records
+     pc_diff --ledger[=DIR]           diff the ledger's newest record with
+                                      the latest earlier run of the same
+                                      tool and args digest
      pc_diff ... --gate thresholds.json --json report.json
 
    A and B may be any pc-*/1 artefact (pc-obs/1, pc-sample/1,
@@ -13,8 +15,8 @@
    results in under artifacts[<schema>]/ paths.
 
    Exit codes: 0 no drift beyond the gate, 1 drift, 2 usage/parse
-   error.  The console table goes to stdout; --json writes the
-   pc-diff/1 document. *)
+   error or no ledger record to pair with.  The console table goes to
+   stdout; --json writes the pc-diff/1 document. *)
 
 module Json = Pc_util.Json
 module Diff = Pc_report.Diff
@@ -58,12 +60,9 @@ let main paths ledger gate_file json_out =
     match (paths, ledger) with
     | [ a; b ], _ -> (a, b)
     | [], Some dir -> (
-      let l = Ledger.create dir in
-      match Ledger.last l 2 with
-      | [ a; b ] -> (a, b)
-      | entries ->
-        die "ledger %s has %d record(s); need two to diff" (Ledger.dir l)
-          (List.length entries))
+      match Ledger.latest_pair (Ledger.create dir) with
+      | Ok pair -> pair
+      | Error e -> die "%s" e)
     | [], None -> die "need two files (or --ledger); see --help"
     | _ -> die "expected exactly two files"
   in
@@ -114,9 +113,11 @@ let paths_arg =
 
 let ledger_arg =
   let doc =
-    "Diff the last two records of the run ledger under $(docv) instead of \
-     two explicit files.  Without a value, defaults to \
-     \\$XDG_CACHE_HOME/pc-ledger (or ~/.cache/pc-ledger)."
+    "Diff the newest record of the run ledger under $(docv) with the \
+     latest earlier record of the same tool and args digest, instead of \
+     two explicit files; exits 2 when there is no such record.  Without a \
+     value, defaults to \\$XDG_CACHE_HOME/pc-ledger (or \
+     ~/.cache/pc-ledger)."
   in
   Arg.(
     value & opt ~vopt:(Some "") (some string) None

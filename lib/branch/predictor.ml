@@ -170,8 +170,3 @@ let mispredictions t = t.mispredictions
 let misprediction_rate t =
   if t.lookups = 0 then 0.0
   else float_of_int t.mispredictions /. float_of_int t.lookups
-
-let publish_metrics t ~prefix =
-  let c suffix v = Pc_obs.Metrics.add (Pc_obs.Metrics.counter (prefix ^ suffix)) v in
-  c ".lookups" t.lookups;
-  c ".mispredicts" t.mispredictions

@@ -51,9 +51,3 @@ val mispredictions : t -> int
 
 val misprediction_rate : t -> float
 (** Mispredictions per lookup; [0] when no lookups. *)
-
-val publish_metrics : t -> prefix:string -> unit
-(** Add this predictor's lifetime [lookups] / [mispredictions] into the
-    global {!Pc_obs.Metrics} registry as [<prefix>.lookups] and
-    [<prefix>.mispredicts].  The timing model calls this once per
-    simulated run with prefix [uarch.bpred]. *)

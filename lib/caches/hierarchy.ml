@@ -79,11 +79,3 @@ let reset t =
 
 let l1_mpi t ~instrs =
   if instrs = 0 then 0.0 else float_of_int (Cache.misses t.l1) /. float_of_int instrs
-
-let publish_metrics t ~prefix =
-  let c suffix v = Pc_obs.Metrics.add (Pc_obs.Metrics.counter (prefix ^ suffix)) v in
-  c ".l1.accesses" (l1_accesses t);
-  c ".l1.misses" (l1_misses t);
-  c ".l2.accesses" (l2_accesses t);
-  c ".l2.misses" (l2_misses t);
-  c ".mem.accesses" (mem_accesses t)

@@ -64,10 +64,3 @@ val reset : t -> unit
 
 val l1_mpi : t -> instrs:int -> float
 (** L1 misses per instruction. *)
-
-val publish_metrics : t -> prefix:string -> unit
-(** Add this hierarchy's lifetime counters into the global
-    {!Pc_obs.Metrics} registry, as [<prefix>.l1.accesses],
-    [<prefix>.l1.misses], [<prefix>.l2.accesses], [<prefix>.l2.misses]
-    and [<prefix>.mem.accesses].  The timing model calls this once per
-    simulated run with prefixes [uarch.icache] / [uarch.dcache]. *)

@@ -77,7 +77,8 @@ let list_key schema path =
   match (schema, List.map seg_base path) with
   | "pc-sample/1", [ "programs" ] ->
     Some (fun i v -> get "bench" v i ^ "/" ^ get "kind" v i)
-  | "pc-fidelity/1", [ "benchmarks" ] -> Some (fun i v -> get "bench" v i)
+  | ("pc-fidelity/1" | "pc-tune/1"), [ "benchmarks" ] ->
+    Some (fun i v -> get "bench" v i)
   | "pc-scenario/1", [ "scenarios" ] -> Some (fun i v -> get "name" v i)
   | "pc-run/1", [ "run"; "artifacts" ] -> Some (fun i v -> get "schema" v i)
   | _ -> None

@@ -51,6 +51,15 @@ type report = {
   items : item list;  (** every difference, in traversal order *)
 }
 
+val list_key :
+  string -> string list -> (int -> Pc_util.Json.t -> string) option
+(** [list_key schema fields]: the identity the elements of the list at
+    [fields] (field names; any [\[key\]] suffix is ignored) align on —
+    ["bench"] for fidelity and tune rows, ["name"] for scenarios, and
+    so on per schema, as a function of the element and its index — or
+    [None] for a list aligned by index.  {!Bounds} paths pick elements
+    by the same key. *)
+
 val diff :
   a_label:string ->
   b_label:string ->

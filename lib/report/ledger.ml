@@ -132,10 +132,35 @@ let entries t =
     let l = List.filter is_record (Array.to_list files) in
     List.map (Filename.concat t.dir) (List.sort compare l)
 
-let last t n =
-  let l = entries t in
-  let len = List.length l in
-  List.filteri (fun i _ -> i >= len - n) l
+(* The (tool, args digest) a record was written for; [None] when the
+   file is not a readable record. *)
+let work_of path =
+  match Json.parse_file path with
+  | Error _ -> None
+  | Ok doc -> (
+    let field k =
+      Option.bind (Json.member "run" doc) (fun run ->
+          Option.bind (Json.member k run) Json.to_string)
+    in
+    match (field "tool", field "args_digest") with
+    | Some tool, Some ad -> Some (tool, ad)
+    | _ -> None)
+
+let latest_pair t =
+  match List.rev (entries t) with
+  | [] -> Error (Printf.sprintf "ledger %s has no records" t.dir)
+  | newest :: earlier -> (
+    match work_of newest with
+    | None -> Error (Printf.sprintf "%s: not a readable pc-run/1 record" newest)
+    | Some ((tool, ad) as work) -> (
+      match List.find_opt (fun p -> work_of p = Some work) earlier with
+      | Some partner -> Ok (partner, newest)
+      | None ->
+        Error
+          (Printf.sprintf
+             "ledger %s: no earlier %s record with args digest %s to pair \
+              with %s"
+             t.dir tool ad (Filename.basename newest))))
 
 let next_seq t =
   match Sys.readdir t.dir with

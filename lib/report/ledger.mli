@@ -66,8 +66,12 @@ val record :
 val entries : t -> string list
 (** Record paths, oldest first. *)
 
-val last : t -> int -> string list
-(** The latest [n] record paths, oldest first. *)
+val latest_pair : t -> (string * string, string) result
+(** The newest record and the latest earlier one written by the same
+    tool with the same [args_digest] — two runs of the same work — as
+    [(earlier, newest)].  [Error] says why there is none: an empty
+    ledger, an unreadable newest record, or no earlier run of that
+    work. *)
 
 val args_digest : string list -> string
 (** The normalised-argv digest {!record} stores ([-j]/[--jobs]/

@@ -1,5 +1,4 @@
-(** [pc-scenario/1] emission, the scenario threshold gate and the
-    console table.
+(** [pc-scenario/1] emission and the console table.
 
     The artefact:
 
@@ -14,28 +13,12 @@
     Scenarios appear in run order and tenants in arbiter slot order, and
     every float is formatted with [%.6f] (non-finite values become
     [null]), so the document is byte-identical across [-j] widths and
-    across runs — the property CI and the test suite rely on. *)
+    across runs — the property CI and the test suite rely on.  CI gates
+    the co-run numbers with the [pc-bounds/1] document
+    [baselines/scenario.json] ([Pc_report.Bounds]). *)
 
 val json : settings:Runner.settings -> Runner.result list -> string
 val write_json : string -> settings:Runner.settings -> Runner.result list -> unit
 (** {!json} plus a trailing newline. *)
-
-val check :
-  thresholds:Pc_util.Json.t -> report:Pc_util.Json.t -> string list
-(** Gate a [pc-scenario/1] report against a
-    [pc-scenario-thresholds/1] document; returns human-readable issues
-    (empty = pass).  Thresholds:
-
-    [{"schema": "pc-scenario-thresholds/1", "scenarios": {"<name>":
-    {"max_slowdown": .., "min_fairness": .., "min_weighted_speedup":
-    ..}}, "pairs": [{"original": "<name>", "clone": "<name>",
-    "max_slowdown_gap": ..}]}]
-
-    Scenario bounds apply [max_slowdown] to every tenant of the named
-    scenario and the [min_*] bounds to its aggregates.  Each pair
-    matches an original-mix scenario with its clone-mix twin by tenant
-    slot position and requires the per-slot slowdowns to agree within
-    [max_slowdown_gap] — the clone-fidelity claim for co-run
-    interference, gated in CI by [check_baselines scenario]. *)
 
 val pp : Format.formatter -> Runner.result list -> unit

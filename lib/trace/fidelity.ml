@@ -30,8 +30,8 @@ type report = {
   phases : phase list;
 }
 
-(* Characteristic names as they appear in pc-fidelity/1 rows and in the
-   thresholds file — one source of truth for emit, check and pp. *)
+(* Characteristic names as they appear in pc-fidelity/1 rows — one
+   source of truth for emit and fitness. *)
 let characteristic_fields c =
   [
     ("instr_mix_l1", c.instr_mix_l1);
@@ -43,11 +43,6 @@ let characteristic_fields c =
     ("sfg_block_ratio", c.sfg_block_ratio);
     ("avg_block_size_ratio", c.avg_block_size_ratio);
   ]
-
-let characteristic_names = List.map fst (characteristic_fields
-  { instr_mix_l1 = 0.; dep_dist_l1 = 0.; stride_agreement = 0.;
-    single_stride_err = 0.; taken_rate_err = 0.; transition_rate_err = 0.;
-    sfg_block_ratio = 0.; avg_block_size_ratio = 0. })
 
 (* --- distribution distances over profile aggregates --- *)
 
@@ -313,100 +308,6 @@ let json ~seed ~profile_instrs ~clone_dynamic reports =
 
 let write_json path ~seed ~profile_instrs ~clone_dynamic reports =
   Json.to_file path (doc ~seed ~profile_instrs ~clone_dynamic reports)
-
-(* --- threshold gate (check_baselines fidelity) --- *)
-
-let bench_rows doc =
-  match Option.bind (Json.member "benchmarks" doc) Json.to_list with
-  | Some rows -> rows
-  | None -> []
-
-let row_bench row =
-  Option.value ~default:"?"
-    (Option.bind (Json.member "bench" row) Json.to_string)
-
-let check ~thresholds ~report =
-  let issues = ref [] in
-  let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  (match Json.schema thresholds with
-  | Some "pc-fidelity-thresholds/1" -> ()
-  | s ->
-    issue "thresholds: expected schema pc-fidelity-thresholds/1, got %s"
-      (Option.value ~default:"<none>" s));
-  (match Json.schema report with
-  | Some "pc-fidelity/1" -> ()
-  | s ->
-    issue "report: expected schema pc-fidelity/1, got %s"
-      (Option.value ~default:"<none>" s));
-  let bound_map key =
-    match Json.member key thresholds with
-    | Some (Json.Obj fields) -> fields
-    | Some _ ->
-      issue "thresholds: %S must be an object" key;
-      []
-    | None -> []
-  in
-  let maxima = bound_map "max" in
-  let minima = bound_map "min" in
-  let ranges = bound_map "range" in
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem name characteristic_names) then
-        issue "thresholds: unknown characteristic %S" name)
-    (maxima @ minima @ ranges);
-  let value_of row name =
-    match Json.member name row with
-    | None -> Error (Printf.sprintf "missing characteristic %S" name)
-    | Some Json.Null -> Error (Printf.sprintf "non-finite %S" name)
-    | Some v -> (
-      match Json.to_float v with
-      | Some f when Float.is_finite f -> Ok f
-      | Some _ -> Error (Printf.sprintf "non-finite %S" name)
-      | None -> Error (Printf.sprintf "non-numeric %S" name))
-  in
-  let rows = bench_rows report in
-  if rows = [] then issue "report: no benchmarks";
-  List.iter
-    (fun row ->
-      let bench = row_bench row in
-      let with_value name k =
-        match value_of row name with
-        | Ok v -> k v
-        | Error msg -> issue "%s: %s" bench msg
-      in
-      List.iter
-        (fun (name, bound) ->
-          match Json.to_float bound with
-          | None -> issue "thresholds: max.%s is not a number" name
-          | Some b ->
-            with_value name (fun v ->
-                if v > b then
-                  issue "%s: %s = %.6f exceeds max %.6f" bench name v b))
-        maxima;
-      List.iter
-        (fun (name, bound) ->
-          match Json.to_float bound with
-          | None -> issue "thresholds: min.%s is not a number" name
-          | Some b ->
-            with_value name (fun v ->
-                if v < b then
-                  issue "%s: %s = %.6f below min %.6f" bench name v b))
-        minima;
-      List.iter
-        (fun (name, bound) ->
-          match bound with
-          | Json.List [ lo; hi ] -> (
-            match (Json.to_float lo, Json.to_float hi) with
-            | Some lo, Some hi ->
-              with_value name (fun v ->
-                  if v < lo || v > hi then
-                    issue "%s: %s = %.6f outside [%.6f, %.6f]" bench name v
-                      lo hi)
-            | _ -> issue "thresholds: range.%s bounds are not numbers" name)
-          | _ -> issue "thresholds: range.%s must be [lo, hi]" name)
-        ranges)
-    rows;
-  List.rev !issues
 
 (* --- console table --- *)
 

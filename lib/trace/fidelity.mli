@@ -20,9 +20,9 @@
     - [sfg_block_ratio]: clone SFG nodes / original SFG nodes;
     - [avg_block_size_ratio]: clone / original mean basic-block size.
 
-    Reports serialise as schema ["pc-fidelity/1"] and gate CI through
-    {!check} against a ["pc-fidelity-thresholds/1"] document
-    ([baselines/fidelity.json]). *)
+    Reports serialise as schema ["pc-fidelity/1"]; CI gates them
+    against the [pc-bounds/1] document [baselines/fidelity.json]
+    ([Pc_report.Bounds]). *)
 
 type characteristics = {
   instr_mix_l1 : float;
@@ -53,9 +53,6 @@ type report = {
   phases : phase list;
       (** phase-local rows; [[]] unless {!measure_phases} ran *)
 }
-
-val characteristic_names : string list
-(** The pc-fidelity/1 row field names, in emission order. *)
 
 val characteristic_fields : characteristics -> (string * float) list
 (** The characteristics as [(name, value)] rows in emission order —
@@ -107,7 +104,7 @@ val json :
     characteristic values serialise as [null] — JSON has no [NaN].
     Reports carrying {!measure_phases} rows gain an additive
     ["phases"] array per benchmark; reports without stay byte-identical
-    to pre-phase output, and {!check} ignores the extra field. *)
+    to pre-phase output. *)
 
 val write_json :
   string ->
@@ -116,23 +113,6 @@ val write_json :
   clone_dynamic:int ->
   report list ->
   unit
-
-val check : thresholds:Pc_util.Json.t -> report:Pc_util.Json.t -> string list
-(** Gate a parsed pc-fidelity/1 report against a parsed
-    pc-fidelity-thresholds/1 document:
-
-    {v
-    { "schema": "pc-fidelity-thresholds/1",
-      "max":   { "instr_mix_l1": 0.10, ... },
-      "min":   { "stride_agreement": 0.60, ... },
-      "range": { "sfg_block_ratio": [0.02, 3.0], ... } }
-    v}
-
-    Every bound applies to every benchmark row.  Returns one message per
-    violation; missing, non-numeric or non-finite ([null]) values and
-    unknown characteristic names in the thresholds are themselves
-    violations, so a drifting or corrupt report can never pass
-    silently.  Empty list = pass. *)
 
 val pp : Format.formatter -> report list -> unit
 (** Console table, one row per benchmark. *)

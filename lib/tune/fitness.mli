@@ -22,8 +22,8 @@
       once. *)
 
 type weights = (string * float) list
-(** Per-characteristic weights, keyed by
-    {!Pc_trace.Fidelity.characteristic_names}.  Characteristics absent
+(** Per-characteristic weights, keyed by the names of
+    {!Pc_trace.Fidelity.characteristic_fields}.  Characteristics absent
     from the list weigh 1.0. *)
 
 val default_weights : weights

@@ -79,83 +79,6 @@ let json ~seed ~profile_instrs ~clone_dynamic ~mode results =
 let write_json path ~seed ~profile_instrs ~clone_dynamic ~mode results =
   Json.to_file path (doc ~seed ~profile_instrs ~clone_dynamic ~mode results)
 
-(* --- threshold gate (check_baselines tune) --- *)
-
-let check ~thresholds ~report =
-  let issues = ref [] in
-  let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  (match Json.schema thresholds with
-  | Some "pc-tune-thresholds/1" -> ()
-  | s ->
-    issue "thresholds: expected schema pc-tune-thresholds/1, got %s"
-      (Option.value ~default:"<none>" s));
-  (match Json.schema report with
-  | Some "pc-tune/1" -> ()
-  | s ->
-    issue "report: expected schema pc-tune/1, got %s"
-      (Option.value ~default:"<none>" s));
-  let bound key =
-    match Json.member key thresholds with
-    | None -> None
-    | Some v -> (
-      match Json.to_float v with
-      | Some f when Float.is_finite f -> Some f
-      | _ ->
-        issue "thresholds: %s is not a finite number" key;
-        None)
-  in
-  let max_best = bound "max_best_fitness" in
-  let min_gain = bound "min_gain" in
-  let min_improved =
-    match Json.member "min_improved" thresholds with
-    | None -> None
-    | Some v -> (
-      match Json.to_int v with
-      | Some n when n >= 0 -> Some n
-      | _ ->
-        issue "thresholds: min_improved is not a non-negative integer";
-        None)
-  in
-  let rows =
-    match Option.bind (Json.member "benchmarks" report) Json.to_list with
-    | Some rows -> rows
-    | None -> []
-  in
-  if rows = [] then issue "report: no benchmarks";
-  let improved = ref 0 in
-  List.iter
-    (fun row ->
-      let bench =
-        Option.value ~default:"?"
-          (Option.bind (Json.member "bench" row) Json.to_string)
-      in
-      let value_of name =
-        match Option.bind (Json.member name row) Json.to_float with
-        | Some f when Float.is_finite f -> Some f
-        | _ ->
-          issue "%s: missing or non-finite %s" bench name;
-          None
-      in
-      match (value_of "default_fitness", value_of "best_fitness") with
-      | Some d, Some best ->
-        if best < d then incr improved;
-        (match max_best with
-        | Some b when best > b ->
-          issue "%s: best_fitness = %.6f exceeds max %.6f" bench best b
-        | _ -> ());
-        (match min_gain with
-        | Some g when d -. best < g ->
-          issue "%s: gain %.6f below min_gain %.6f" bench (d -. best) g
-        | _ -> ())
-      | _ -> ())
-    rows;
-  (match min_improved with
-  | Some n when !improved < n ->
-    issue "only %d/%d benchmarks improved over default knobs (need %d)"
-      !improved (List.length rows) n
-  | _ -> ());
-  List.rev !issues
-
 (* --- console table ---
 
    Deliberately free of store hit/miss counts: this table is the

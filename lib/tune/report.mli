@@ -1,22 +1,12 @@
-(** pc-tune/1 artefacts: serialise {!Search.result}s, gate them in CI.
+(** pc-tune/1 artefacts: serialise {!Search.result}s and print the
+    console table.
 
     The JSON document carries, per benchmark, the untuned (default-knob)
     fitness, the tuned best with its knob vector, the per-generation
     best-fitness trajectory, and the memo/store hit statistics —
-    everything the cold/warm CI comparison and the threshold gate need.
-
-    The gate reads a ["pc-tune-thresholds/1"] document
-    ([baselines/tune.json]):
-
-    {v
-    { "schema": "pc-tune-thresholds/1",
-      "max_best_fitness": 1.0,   // every bench: best_fitness <= this
-      "min_gain": 0.0,           // every bench: default - best >= this
-      "min_improved": 2 }        // at least N benches strictly improved
-    v}
-
-    As with the fidelity gate, missing or non-numeric report values are
-    themselves violations — a corrupt report can never pass silently. *)
+    everything the cold/warm CI comparison and the CI gate need.  The
+    gate is the [pc-bounds/1] document [baselines/tune.json]
+    ([Pc_report.Bounds]). *)
 
 val json :
   seed:int ->
@@ -35,11 +25,6 @@ val write_json :
   mode:Fitness.mode ->
   Search.result list ->
   unit
-
-val check : thresholds:Pc_util.Json.t -> report:Pc_util.Json.t -> string list
-(** Gate a parsed pc-tune/1 report against a parsed
-    pc-tune-thresholds/1 document.  One message per violation; empty
-    list = pass. *)
 
 val pp : Format.formatter -> Search.result list -> unit
 (** Console table, one row per benchmark: default and best fitness,

@@ -98,6 +98,24 @@ let c_cycles = Pc_obs.Metrics.counter "uarch.cycles"
 let c_stall_icache = Pc_obs.Metrics.counter "uarch.fetch_stall.icache_cycles"
 let c_stall_mispredict = Pc_obs.Metrics.counter "uarch.fetch_stall.mispredict_cycles"
 
+(* Registered with the rest so every report of a tool that links the
+   timing model lists them, at 0 when no run used it. *)
+let hierarchy_counters prefix =
+  List.map
+    (fun (suffix, read) -> (Pc_obs.Metrics.counter (prefix ^ suffix), read))
+    [
+      (".l1.accesses", Hierarchy.l1_accesses);
+      (".l1.misses", Hierarchy.l1_misses);
+      (".l2.accesses", Hierarchy.l2_accesses);
+      (".l2.misses", Hierarchy.l2_misses);
+      (".mem.accesses", Hierarchy.mem_accesses);
+    ]
+
+let c_icache = hierarchy_counters "uarch.icache"
+let c_dcache = hierarchy_counters "uarch.dcache"
+let c_bpred_lookups = Pc_obs.Metrics.counter "uarch.bpred.lookups"
+let c_bpred_mispredicts = Pc_obs.Metrics.counter "uarch.bpred.mispredicts"
+
 (* The whole scheduling state of one simulated core, so a retired
    stream can be fed incrementally (instruction by instruction, from
    any producer — a live functional machine, a packed replay trace, or
@@ -280,9 +298,10 @@ let finish ?instrs st =
   Pc_obs.Metrics.add c_cycles cycles;
   Pc_obs.Metrics.add c_stall_icache st.stall_icache;
   Pc_obs.Metrics.add c_stall_mispredict st.stall_mispredict;
-  Hierarchy.publish_metrics st.icache ~prefix:"uarch.icache";
-  Hierarchy.publish_metrics st.dcache ~prefix:"uarch.dcache";
-  Predictor.publish_metrics st.bpred ~prefix:"uarch.bpred";
+  List.iter (fun (c, read) -> Pc_obs.Metrics.add c (read st.icache)) c_icache;
+  List.iter (fun (c, read) -> Pc_obs.Metrics.add c (read st.dcache)) c_dcache;
+  Pc_obs.Metrics.add c_bpred_lookups (Predictor.lookups st.bpred);
+  Pc_obs.Metrics.add c_bpred_mispredicts (Predictor.mispredictions st.bpred);
   {
     config_name = cfg.name;
     instrs;

@@ -114,7 +114,9 @@ val run_events :
     Both entry points publish lifetime aggregates into the global
     {!Pc_obs.Metrics} registry at the end of each run: [uarch.instrs],
     [uarch.cycles], the [uarch.fetch_stall.*] counters, and the
-    [uarch.icache.*], [uarch.dcache.*] and [uarch.bpred.*] families. *)
+    [uarch.icache.*], [uarch.dcache.*] and [uarch.bpred.*] families.
+    All of them are registered when this module is, so a report of a
+    process that never ran the model lists them at 0. *)
 
 val mispredict_rate : result -> float
 val l1d_mpi : result -> float

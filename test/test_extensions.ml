@@ -133,55 +133,6 @@ let test_statsim_mix_respected () =
   let d = abs_float (frac Pc_isa.Instr.C_load -. orig_frac Pc_isa.Instr.C_load) in
   Alcotest.(check bool) "load fraction within 5 points" true (d < 0.05)
 
-(* --- interval analysis --- *)
-
-let test_interval_close_to_timing () =
-  List.iter
-    (fun name ->
-      let entry = Pc_workloads.Registry.find name in
-      let orig = Pc_workloads.Registry.compile entry in
-      let real = Sim.run ~max_instrs:400_000 Config.base orig in
-      let est = Pc_statsim.Interval.of_program ~max_instrs:400_000 Config.base orig in
-      let err =
-        Pc_stats.Stats.abs_rel_error ~actual:real.Sim.ipc
-          ~predicted:est.Pc_statsim.Interval.ipc
-      in
-      if err > 0.30 then
-        Alcotest.failf "%s: interval IPC %.3f vs real %.3f" name
-          est.Pc_statsim.Interval.ipc real.Sim.ipc)
-    [ "sha"; "dijkstra"; "qsort"; "fft" ]
-
-let test_interval_components_positive () =
-  let entry = Pc_workloads.Registry.find "gsm" in
-  let orig = Pc_workloads.Registry.compile entry in
-  let est = Pc_statsim.Interval.of_program ~max_instrs:300_000 Config.base orig in
-  Alcotest.(check bool) "base cycles positive" true (est.Pc_statsim.Interval.base_cycles > 0.0);
-  Alcotest.(check bool) "branch cycles non-negative" true
-    (est.Pc_statsim.Interval.branch_cycles >= 0.0);
-  Alcotest.(check bool) "memory cycles non-negative" true
-    (est.Pc_statsim.Interval.memory_cycles >= 0.0);
-  Alcotest.(check bool) "ipc positive" true (est.Pc_statsim.Interval.ipc > 0.0)
-
-let test_interval_tracks_predictor_quality () =
-  (* swapping GAp for not-taken must not raise the interval estimate *)
-  let entry = Pc_workloads.Registry.find "qsort" in
-  let orig = Pc_workloads.Registry.compile entry in
-  let good = Pc_statsim.Interval.of_program ~max_instrs:300_000 Config.base orig in
-  let bad =
-    Pc_statsim.Interval.of_program ~max_instrs:300_000
-      (Config.with_bpred Pc_branch.Predictor.Not_taken Config.base)
-      orig
-  in
-  Alcotest.(check bool) "worse predictor, lower estimate" true
-    (bad.Pc_statsim.Interval.ipc <= good.Pc_statsim.Interval.ipc)
-
-let test_interval_from_profile () =
-  let est =
-    Pc_statsim.Interval.of_profile ~instrs:50_000 Config.base (profile "sha")
-  in
-  Alcotest.(check bool) "profile-based estimate sane" true
-    (est.Pc_statsim.Interval.ipc > 0.2 && est.Pc_statsim.Interval.ipc <= 1.0)
-
 let test_statsim_rejects_empty () =
   let empty =
     {
@@ -213,15 +164,6 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_portable_deterministic;
           Alcotest.test_case "tracks cache behaviour" `Slow
             test_portable_tracks_cache_behaviour;
-        ] );
-      ( "interval",
-        [
-          Alcotest.test_case "close to detailed timing" `Slow test_interval_close_to_timing;
-          Alcotest.test_case "components well-formed" `Quick
-            test_interval_components_positive;
-          Alcotest.test_case "tracks predictor quality" `Quick
-            test_interval_tracks_predictor_quality;
-          Alcotest.test_case "estimate from a profile" `Quick test_interval_from_profile;
         ] );
       ( "statsim",
         [

@@ -17,6 +17,7 @@ module Presets = Pc_scenario.Presets
 module Scenario = Pc_scenario.Scenario
 module Runner = Pc_scenario.Runner
 module Report = Pc_scenario.Report
+module Bounds = Pc_report.Bounds
 module Pool = Pc_exec.Pool
 module Json = Pc_util.Json
 
@@ -249,6 +250,9 @@ let test_config_damage_never_raises () =
 
 (* --- the threshold gate --- *)
 
+(* The co-run gate is a pc-bounds/1 document over pc-scenario/1, here
+   applied to a real seeded duet run; the checked-in
+   baselines/scenario.json is probed bound by bound in test_report. *)
 let report_doc () =
   let settings = { Runner.quick_settings with Runner.budget = 60_000 } in
   Runner.clear_caches ();
@@ -259,25 +263,35 @@ let report_doc () =
 
 let test_check_gate () =
   let report = report_doc () in
-  let thresholds bound =
-    json_exn
-      (Printf.sprintf
-         {|{"schema": "pc-scenario-thresholds/1",
-            "scenarios": {"duet": {"max_slowdown": %s,
-                                   "min_fairness": 0.5,
-                                   "min_weighted_speedup": 1.0}}}|}
-         bound)
+  let gate ?(artifact = "pc-scenario/1") rules =
+    Bounds.of_json
+      (json_exn
+         (Printf.sprintf
+            {|{"schema": "pc-bounds/1", "artifact": "%s", "bounds": [%s]}|}
+            artifact rules))
+  in
+  let check ?artifact rules =
+    match gate ?artifact rules with
+    | Ok b -> Bounds.check b report
+    | Error e -> Alcotest.failf "bounds rejected: %s" e
+  in
+  let thresholds max_slowdown =
+    Printf.sprintf
+      {|{"path": "scenarios[duet]/tenants[*]/slowdown", "le": %s},
+        {"path": "scenarios[duet]/fairness", "ge": 0.5},
+        {"path": "scenarios[duet]/weighted_speedup", "ge": 1.0}|}
+      max_slowdown
   in
   Alcotest.(check (list string)) "passes generous bounds" []
-    (Report.check ~thresholds:(thresholds "2.0") ~report);
+    (check (thresholds "2.0"));
   Alcotest.(check bool) "fails impossible bound" true
-    (Report.check ~thresholds:(thresholds "0.5") ~report <> []);
-  let wrong = json_exn {|{"schema": "pc-scenario-thresholds/1"}|} in
-  Alcotest.(check (list string)) "no bounds, no issues" []
-    (Report.check ~thresholds:wrong ~report);
-  let bad_schema = json_exn {|{"schema": "nope/1"}|} in
+    (check (thresholds "0.5") <> []);
+  Alcotest.(check (list string)) "no bounds, no issues" [] (check "");
+  Alcotest.(check bool) "artifact mismatch flagged" true
+    (check ~artifact:"nope/1" (thresholds "2.0") <> []);
+  let bad_schema = json_exn {|{"schema": "nope/1", "bounds": []}|} in
   Alcotest.(check bool) "schema mismatch flagged" true
-    (Report.check ~thresholds:bad_schema ~report <> [])
+    (Result.is_error (Bounds.of_json bad_schema))
 
 (* Byte pin for pc-scenario/1: the gate's seeded duet run, and an
    empty sampled report for the [sample] integer branch. *)

@@ -11,6 +11,7 @@ module Event = Pc_obs.Event
 module Span = Pc_obs.Span
 module Chrome = Pc_trace.Chrome
 module Fidelity = Pc_trace.Fidelity
+module Bounds = Pc_report.Bounds
 module Json = Pc_util.Json
 module Pool = Pc_exec.Pool
 module E = Perfclone.Experiments
@@ -310,7 +311,7 @@ let test_fidelity_measure_and_json () =
         match Option.bind (Json.member field row) Json.to_float with
         | Some _ -> ()
         | None -> Alcotest.failf "characteristic %s missing from row" field)
-      Fidelity.characteristic_names
+      (List.map fst (Fidelity.characteristic_fields c))
   | _ -> Alcotest.fail "expected one benchmark row")
 
 let test_fidelity_per_phase () =
@@ -455,11 +456,14 @@ let test_fidelity_json_golden () =
     "{\"schema\":\"pc-fidelity/1\",\"seed\":3,\"profile_instrs\":20000,\"clone_dynamic\":1,\"benchmarks\":[{\"bench\":\"crc\\\"32\",\"orig_instrs\":20000,\"clone_instrs\":1,\"instr_mix_l1\":0.250000,\"dep_dist_l1\":0.125000,\"stride_agreement\":1.000000,\"single_stride_err\":0.000000,\"taken_rate_err\":0.000000,\"transition_rate_err\":0.333333,\"sfg_block_ratio\":null,\"avg_block_size_ratio\":0.666667,\"phases\":[{\"phase\":0,\"orig_start\":0,\"orig_instrs\":10000,\"clone_start\":0,\"clone_instrs\":1,\"instr_mix_l1\":-0.500000,\"dep_dist_l1\":0.125000,\"stride_agreement\":1.000000,\"single_stride_err\":0.000000,\"taken_rate_err\":0.000000,\"transition_rate_err\":0.333333,\"sfg_block_ratio\":1.500000,\"avg_block_size_ratio\":0.666667},{\"phase\":1,\"orig_start\":10000,\"orig_instrs\":10000,\"clone_start\":1,\"clone_instrs\":0,\"instr_mix_l1\":null,\"dep_dist_l1\":0.125000,\"stride_agreement\":1.000000,\"single_stride_err\":0.000000,\"taken_rate_err\":0.000000,\"transition_rate_err\":0.333333,\"sfg_block_ratio\":null,\"avg_block_size_ratio\":0.666667}]}]}"
     (Fidelity.json ~seed:3 ~profile_instrs:20_000 ~clone_dynamic:1 [ r ])
 
-let thresholds_doc =
-  {|{"schema":"pc-fidelity-thresholds/1",
-     "max":{"instr_mix_l1":0.5},
-     "min":{"stride_agreement":0.1},
-     "range":{"sfg_block_ratio":[0.1,5.0]}}|}
+(* The fidelity gate is a pc-bounds/1 document over pc-fidelity/1; the
+   checked-in baselines/fidelity.json is probed bound by bound in
+   test_report. *)
+let bounds_doc =
+  {|{"schema":"pc-bounds/1","artifact":"pc-fidelity/1","bounds":[
+     {"path":"benchmarks[*]/instr_mix_l1","le":0.5},
+     {"path":"benchmarks[*]/stride_agreement","ge":0.1},
+     {"path":"benchmarks[*]/sfg_block_ratio","ge":0.1,"le":5.0}]}|}
 
 let report_doc mix =
   Printf.sprintf
@@ -471,27 +475,27 @@ let report_doc mix =
     mix
 
 let test_fidelity_check_gate () =
-  let thresholds = json_exn thresholds_doc in
+  let check ?(bounds = bounds_doc) report =
+    match Bounds.of_json (json_exn bounds) with
+    | Ok b -> Bounds.check b (json_exn report)
+    | Error e -> Alcotest.failf "bounds rejected: %s" e
+  in
   Alcotest.(check (list string)) "in-bounds report passes" []
-    (Fidelity.check ~thresholds ~report:(json_exn (report_doc "0.2")));
+    (check (report_doc "0.2"));
   Alcotest.(check bool) "max violation flagged" true
-    (Fidelity.check ~thresholds ~report:(json_exn (report_doc "0.9")) <> []);
+    (check (report_doc "0.9") <> []);
   Alcotest.(check bool) "non-finite value flagged" true
-    (Fidelity.check ~thresholds ~report:(json_exn (report_doc "null")) <> []);
+    (check (report_doc "null") <> []);
   Alcotest.(check bool) "infinite value flagged" true
-    (Fidelity.check ~thresholds ~report:(json_exn (report_doc "1e999")) <> []);
-  let wrong_schema =
-    json_exn {|{"schema":"pc-fidelity/2","benchmarks":[]}|}
-  in
+    (check (report_doc "1e999") <> []);
   Alcotest.(check bool) "schema drift flagged" true
-    (Fidelity.check ~thresholds ~report:wrong_schema <> []);
+    (check {|{"schema":"pc-fidelity/2","benchmarks":[]}|} <> []);
   let unknown =
-    json_exn
-      {|{"schema":"pc-fidelity-thresholds/1","max":{"no_such_metric":1.0}}|}
+    {|{"schema":"pc-bounds/1","artifact":"pc-fidelity/1","bounds":[
+       {"path":"benchmarks[*]/no_such_metric","le":1.0}]}|}
   in
-  Alcotest.(check bool) "unknown characteristic in thresholds flagged" true
-    (Fidelity.check ~thresholds:unknown ~report:(json_exn (report_doc "0.2"))
-    <> [])
+  Alcotest.(check bool) "unknown characteristic in bounds flagged" true
+    (check ~bounds:unknown (report_doc "0.2") <> [])
 
 let () =
   Alcotest.run "pc_trace"

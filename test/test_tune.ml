@@ -15,6 +15,7 @@ module Fitness = Pc_tune.Fitness
 module Search = Pc_tune.Search
 module Tune_store = Pc_tune.Tune_store
 module Report = Pc_tune.Report
+module Bounds = Pc_report.Bounds
 module Pool = Pc_exec.Pool
 module Rng = Pc_util.Rng
 module Json = Pc_util.Json
@@ -315,7 +316,7 @@ let test_stress_converges_on_reachable_envelope () =
   Alcotest.(check (float 1e-9)) "search reaches the reachable envelope" 0.0
     r.Search.r_best.Fitness.fitness
 
-(* --- report + gate --- *)
+(* --- report --- *)
 
 let json_exn s =
   match Json.parse s with
@@ -357,6 +358,9 @@ let test_report_json_golden () =
        ~mode:(Fitness.Stress (Fitness.envelope ~ipc:1.5 ~power:0.1 ()))
        [])
 
+(* The tuning gate is a pc-bounds/1 document over pc-tune/1; the
+   checked-in baselines/tune.json is probed bound by bound in
+   test_report. *)
 let tune_report_doc ~default_fitness ~best_fitness =
   Printf.sprintf
     {|{"schema":"pc-tune/1","seed":1,"profile_instrs":1,"clone_dynamic":1,
@@ -367,14 +371,24 @@ let tune_report_doc ~default_fitness ~best_fitness =
     default_fitness best_fitness
 
 let test_tune_check_gate () =
-  let thresholds =
-    json_exn
-      {|{"schema":"pc-tune-thresholds/1",
-         "max_best_fitness":0.8,"min_gain":0.0,"min_improved":1}|}
+  let bounds =
+    match
+      Bounds.of_json
+        (json_exn
+           {|{"schema":"pc-bounds/1","artifact":"pc-tune/1","bounds":[
+              {"path":"benchmarks[*]/best_fitness","le":0.8},
+              {"path":"benchmarks[*]/best_fitness",
+               "minus":"benchmarks[*]/default_fitness","le":0.0},
+              {"path":"benchmarks[*]/best_fitness",
+               "minus":"benchmarks[*]/default_fitness","lt":0.0,
+               "at_least":1}]}|})
+    with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "bounds rejected: %s" e
   in
   let check default best =
-    Report.check ~thresholds
-      ~report:(json_exn (tune_report_doc ~default_fitness:default ~best_fitness:best))
+    Bounds.check bounds
+      (json_exn (tune_report_doc ~default_fitness:default ~best_fitness:best))
   in
   Alcotest.(check (list string)) "improving report passes" []
     (check "0.6" "0.5");
@@ -387,8 +401,7 @@ let test_tune_check_gate () =
   Alcotest.(check bool) "non-finite value flagged" true
     (check "0.6" "null" <> []);
   Alcotest.(check bool) "schema drift flagged" true
-    (Report.check ~thresholds
-       ~report:(json_exn {|{"schema":"pc-tune/2","benchmarks":[]}|})
+    (Bounds.check bounds (json_exn {|{"schema":"pc-tune/2","benchmarks":[]}|})
     <> [])
 
 let () =

@@ -349,9 +349,31 @@ let test_predictable_loop (_, (cfg : Config.t), body) () =
     true
     (extra >= 0 && extra <= bound)
 
+(* The timing model's cache and predictor counters are registered with
+   the model, not on its first run: a tool that never runs it still
+   lists all twelve, at 0.  This group runs first, before any
+   [Sim.run] in this process. *)
+let test_counters_listed_before_any_run () =
+  let counters = (Pc_obs.Metrics.snapshot ()).Pc_obs.Metrics.counters in
+  List.iter
+    (fun name ->
+      Alcotest.(check (option int)) name (Some 0) (List.assoc_opt name counters))
+    (List.concat_map
+       (fun cache ->
+         List.map
+           (fun c -> Printf.sprintf "uarch.%s.%s" cache c)
+           [ "l1.accesses"; "l1.misses"; "l2.accesses"; "l2.misses"; "mem.accesses" ])
+       [ "icache"; "dcache" ]
+    @ [ "uarch.bpred.lookups"; "uarch.bpred.mispredicts" ])
+
 let () =
   Alcotest.run "pc_uarch"
     [
+      ( "metrics",
+        [
+          Alcotest.test_case "timing counters listed before any run" `Quick
+            test_counters_listed_before_any_run;
+        ] );
       ( "resources",
         [
           Alcotest.test_case "IPC bounded by width" `Quick test_ipc_bounded_by_width;
