@@ -17,8 +17,8 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
    The timing model reads only (pc, taken, mem_addr) dynamically; class,
    register reads and the written register are static per-pc tables
-   (Machine.statics), and next_pc is never consulted.  One native int
-   per retired instruction therefore replays the exact event stream:
+   (Machine.statics).  One native int per retired instruction therefore
+   replays the exact stream [Sim.step] sees:
 
      bit 0            taken
      bits 1..22       static pc
@@ -347,50 +347,29 @@ let plan ?(dims = 32) ?(max_k = 6) ?(restarts = 3) ?warmup ~seed ~interval
 
 (* --- replay --- *)
 
-let replay_slice statics trace ~pos ~len on_event =
+let feed_trace sim statics trace ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length trace then
-    invalid_arg "Pc_sample.replay_slice";
-  let ev =
-    {
-      Machine.pc = 0;
-      iclass = I.C_other;
-      mem_addr = -1;
-      is_store = false;
-      is_branch = false;
-      taken = false;
-      next_pc = 0;
-      reads = [];
-      writes = -1;
-    }
-  in
+    invalid_arg "Pc_sample.feed_trace";
+  let classes = statics.Machine.s_classes in
+  let reads = statics.Machine.s_read_lists in
+  let writes = statics.Machine.s_write_ids in
   for i = pos to pos + len - 1 do
     let packed = trace.(i) in
     let pc = packed_pc packed in
-    let cls = statics.Machine.s_classes.(pc) in
-    ev.Machine.pc <- pc;
-    ev.Machine.iclass <- cls;
-    ev.Machine.mem_addr <- packed_mem_addr packed;
-    ev.Machine.is_store <- cls = I.C_store;
-    ev.Machine.is_branch <- cls = I.C_branch;
-    ev.Machine.taken <- packed_taken packed;
-    ev.Machine.reads <- statics.Machine.s_read_lists.(pc);
-    ev.Machine.writes <- statics.Machine.s_write_ids.(pc);
-    on_event ev
-  done;
-  len
-
-let replay_events statics trace on_event =
-  replay_slice statics trace ~pos:0 ~len:(Array.length trace) on_event
+    Sim.step sim ~pc ~cls:classes.(pc) ~reads:reads.(pc) ~write:writes.(pc)
+      ~addr:(packed_mem_addr packed) ~taken:(packed_taken packed)
+  done
 
 (* --- projection: timing --- *)
 
 let replay_phases (cfg : Config.t) plan =
   Array.map
     (fun rep ->
-      M.add c_replayed (Array.length rep.trace);
-      ( rep,
-        Sim.run_events ~measure_from:rep.warmup cfg
-          (replay_events plan.statics rep.trace) ))
+      let len = Array.length rep.trace in
+      M.add c_replayed len;
+      let sim = Sim.create ~measure_from:rep.warmup cfg in
+      feed_trace sim plan.statics rep.trace ~pos:0 ~len;
+      (rep, Sim.finish sim))
     plan.reps
 
 (* A representative whose measurement window retired nothing (or whose

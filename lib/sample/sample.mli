@@ -79,10 +79,11 @@ val plan :
 val replay_phases :
   Pc_uarch.Config.t -> plan -> (rep * Pc_uarch.Sim.result) array
 (** Replay every representative through the detailed timing model
-    ({!Pc_uarch.Sim.run_events} with [measure_from] at the warmup
-    boundary) and return the per-phase results, one per representative in
-    plan order.  The phase array is the shared input of every projection
-    below, so one replay pass serves the IPC and the power estimates. *)
+    ({!feed_trace} into a {!Pc_uarch.Sim.create} state with
+    [measure_from] at the warmup boundary) and return the per-phase
+    results, one per representative in plan order.  The phase array is
+    the shared input of every projection below, so one replay pass
+    serves the IPC and the power estimates. *)
 
 val recombine :
   config_name:string ->
@@ -153,26 +154,24 @@ val project_bpred : Pc_branch.Predictor.config list -> plan -> float array
     [Sim.mispredict_rate (project_sim (Config.with_bpred bp base) plan)]
     bit for bit, and is 0.0 when no window measured anything. *)
 
-val replay_events :
-  Pc_funcsim.Machine.statics ->
-  int array ->
-  (Pc_funcsim.Machine.event -> unit) ->
-  int
-(** [replay_events statics trace on_event] reconstructs the full retired
-    event stream from a packed trace and the per-pc static tables,
-    invoking [on_event] once per instruction (the event record is
-    reused); returns the trace length.  Exposed for tests and custom
-    consumers. *)
-
-val replay_slice :
+val feed_trace :
+  Pc_uarch.Sim.state ->
   Pc_funcsim.Machine.statics ->
   int array ->
   pos:int ->
   len:int ->
-  (Pc_funcsim.Machine.event -> unit) ->
-  int
-(** Like {!replay_events} but over the sub-range [\[pos, pos+len)] of
-    the packed trace; returns [len].  Multi-tenant sampled scenarios
-    use this to feed one arbiter quantum at a time from a tenant's
-    concatenated representative traces.  Raises [Invalid_argument] on
-    an out-of-bounds range. *)
+  unit
+(** [feed_trace sim statics trace ~pos ~len] steps the timing model
+    through the sub-range [\[pos, pos+len)] of a packed trace, with
+    class, reads and write taken from the per-pc static tables.
+    {!replay_phases} feeds each representative whole; multi-tenant
+    sampled scenarios feed one arbiter quantum at a time from a tenant's
+    concatenated representative traces.  Raises [Invalid_argument] on an
+    out-of-bounds range. *)
+
+val packed_pc : int -> int
+val packed_mem_addr : int -> int
+val packed_taken : int -> bool
+(** The fields of one packed trace entry: the static pc, the effective
+    byte address ([-1] when the instruction accessed no memory) and the
+    conditional-branch outcome ([false] for every other instruction). *)

@@ -59,7 +59,7 @@ let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 let program_store : (string, Pc_isa.Program.t) Store.t =
   Store.create ~name:"scenario-program" ()
 
-let baseline_store : (string, Sim.result) Store.t =
+let baseline_store : (string, float) Store.t =
   Store.create ~name:"scenario-baseline" ()
 
 let plan_store : (string, Sample.plan) Store.t =
@@ -96,19 +96,24 @@ let plan_of settings program =
       Sample.plan ~seed:settings.seed ~interval ~max_instrs:settings.budget
         program)
 
-(* The standalone baseline: the same effective config, the same budget,
-   one tenant alone on the machine.  Memoized so duplicate slots, the
-   clone scenario of a pair, and repeated invocations share one run. *)
-let standalone settings cfg program =
-  match settings.sample with
-  | None ->
-    let key = digest (cfg, program, settings.budget) in
-    Store.find_or_compute baseline_store key (fun () ->
-        Sim.run ~max_instrs:settings.budget cfg program)
-  | Some interval ->
-    let key = digest ("sampled", cfg, program, settings.budget, interval, settings.seed) in
-    Store.find_or_compute baseline_store key (fun () ->
-        Sample.project_sim cfg (plan_of settings program))
+(* The standalone baseline: the tenant's own input alone on the same
+   effective config, priced by [ipc] exactly like its co-run row (with
+   one tenant an unsampled co-run is bit-identical to [Sim.run]).  A
+   lone tenant needs no interleaving, so one quantum covers its whole
+   budget: one functional run, as for [Sim.run].  Memoized so duplicate
+   slots, the clone scenario of a pair, and repeated invocations share
+   one run. *)
+let standalone settings cfg program ipc input =
+  let key =
+    match settings.sample with
+    | None -> digest (cfg, program, settings.budget)
+    | Some interval ->
+      digest ("sampled", cfg, program, settings.budget, interval, settings.seed)
+  in
+  Store.find_or_compute baseline_store key (fun () ->
+      let input = input () in
+      let quantum = max 1 input.Scenario.budget in
+      ipc (Scenario.co_run ~quantum cfg [| input |]).(0))
 
 (* --- sampled co-run: concatenated representative traces --- *)
 
@@ -196,58 +201,64 @@ let run_spec settings (spec : Spec.t) =
   let programs =
     Array.map (fun (_, w, k) -> resolve_program settings w k) slots
   in
-  let baselines =
-    Array.map (fun program -> standalone settings cfg program) programs
-  in
   let sampled_srcs =
     match settings.sample with
     | None -> [||]
     | Some _ ->
       Array.map (fun program -> concat_plan (plan_of settings program)) programs
   in
-  let inputs =
+  (* A fresh input per co-run: a live machine is consumed by its run. *)
+  let input i () =
+    let label, _, _ = slots.(i) in
+    match settings.sample with
+    | None ->
+      {
+        Scenario.label;
+        budget = settings.budget;
+        source = Scenario.From_machine (Machine.load programs.(i));
+      }
+    | Some _ ->
+      let src = sampled_srcs.(i) in
+      {
+        Scenario.label;
+        budget = Array.length src.ss_trace;
+        source =
+          Scenario.From_trace
+            {
+              statics = src.ss_plan.Sample.statics;
+              trace = src.ss_trace;
+              marks = src.ss_marks;
+            };
+      }
+  in
+  (* A tenant's IPC over the instructions its row speaks for. *)
+  let ipc i (out : Scenario.tenant_result) =
+    match settings.sample with
+    | None -> out.Scenario.result.Sim.ipc
+    | Some _ -> 1.0 /. project_corun sampled_srcs.(i) out.Scenario.mark_cycles
+  in
+  let baselines =
     Array.mapi
-      (fun i (label, _, _) ->
-        match settings.sample with
-        | None ->
-          {
-            Scenario.label;
-            budget = settings.budget;
-            source = Scenario.From_machine (Machine.load programs.(i));
-          }
-        | Some _ ->
-          let src = sampled_srcs.(i) in
-          {
-            Scenario.label;
-            budget = Array.length src.ss_trace;
-            source =
-              Scenario.From_trace
-                {
-                  statics = src.ss_plan.Sample.statics;
-                  trace = src.ss_trace;
-                  marks = src.ss_marks;
-                };
-          })
-      slots
+      (fun i program -> standalone settings cfg program (ipc i) (input i))
+      programs
   in
   let outs =
     Scenario.co_run ~quantum:spec.Spec.quantum ~weights:(Spec.weights spec)
-      cfg inputs
+      cfg
+      (Array.init (Array.length slots) (fun i -> input i ()))
   in
   let rows =
     Array.to_list
       (Array.mapi
          (fun i (label, workload, kind) ->
            let out = outs.(i) in
-           let base = baselines.(i) in
-           let corun_ipc, instrs =
+           let standalone_ipc = baselines.(i) in
+           let corun_ipc = ipc i out in
+           let instrs =
              match settings.sample with
-             | None -> (out.Scenario.result.Sim.ipc, out.Scenario.fed)
-             | Some _ ->
-               let cpi = project_corun sampled_srcs.(i) out.Scenario.mark_cycles in
-               (1.0 /. cpi, sampled_srcs.(i).ss_plan.Sample.total_instrs)
+             | None -> out.Scenario.fed
+             | Some _ -> sampled_srcs.(i).ss_plan.Sample.total_instrs
            in
-           let standalone_ipc = base.Sim.ipc in
            {
              label;
              workload;

@@ -2,6 +2,10 @@
     (registry originals or pipeline clones), run the standalone
     baselines and the shared-L2 co-run, and fold both into per-tenant
     slowdown rows plus scenario-level weighted speedup and fairness.
+    A standalone baseline is the tenant's own input alone on a
+    one-tenant {!Scenario.co_run}, priced exactly like its co-run row,
+    so a tenant that shares the machine with nobody has slowdown 1
+    sampled or not.
 
     Everything is deterministic for fixed settings, and all memo stores
     are keyed structurally, so {!run} is bit-identical at every pool
@@ -16,10 +20,9 @@ type settings = {
       (** [Some interval]: price tenants by SimPoint-style sampled
           co-run — each tenant feeds its representatives' packed traces
           through the arbiter and its windows are priced at the commit
-          cycles the co-run charged them; standalone baselines use
-          {!Pc_sample.Sample.project_sim} under the same plan.  With
-          sampling on, a tenant row's raw L2/memory counters cover only
-          the replayed instructions. *)
+          cycles the co-run charged them.  With sampling on, a tenant
+          row's raw L2/memory counters cover only the replayed
+          instructions. *)
 }
 
 val default_settings : settings

@@ -1,4 +1,3 @@
-module I = Pc_isa.Instr
 module Machine = Pc_funcsim.Machine
 module Cache = Pc_caches.Cache
 module Hierarchy = Pc_caches.Hierarchy
@@ -32,7 +31,7 @@ type tenant_result = {
 }
 
 type src_state =
-  | S_machine of Machine.t * Machine.statics * Machine.event
+  | S_machine of Machine.t * Machine.statics
   | S_trace of {
       statics : Machine.statics;
       trace : int array;
@@ -49,42 +48,6 @@ type tstate = {
   mutable remaining : int;
   mutable active : bool;
 }
-
-(* Reconstruct retired events from a chunk exactly the way the engine's
-   own [deliver_events] does (the timing model never reads [next_pc],
-   so it is left alone). *)
-let deliver_batch statics ev sim (batch : Machine.batch) =
-  let classes = statics.Machine.s_classes in
-  let reads = statics.Machine.s_read_lists in
-  let writes = statics.Machine.s_write_ids in
-  for j = 0 to batch.Machine.len - 1 do
-    let pc = batch.Machine.b_pc.(j) in
-    let cls = classes.(pc) in
-    ev.Machine.pc <- pc;
-    ev.Machine.iclass <- cls;
-    ev.Machine.mem_addr <-
-      (if cls = I.C_load || cls = I.C_store then batch.Machine.b_addr.(j)
-       else -1);
-    ev.Machine.is_store <- cls = I.C_store;
-    ev.Machine.is_branch <- cls = I.C_branch;
-    ev.Machine.taken <- ev.Machine.is_branch && batch.Machine.b_taken.(j);
-    ev.Machine.reads <- reads.(pc);
-    ev.Machine.writes <- writes.(pc);
-    Sim.feed sim ev
-  done
-
-let fresh_event () =
-  {
-    Machine.pc = 0;
-    iclass = I.C_other;
-    mem_addr = -1;
-    is_store = false;
-    is_branch = false;
-    taken = false;
-    next_pc = 0;
-    reads = [];
-    writes = -1;
-  }
 
 let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
     inputs =
@@ -121,7 +84,7 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
         let sim = Sim.create ~icache ~dcache cfg in
         let src, marks =
           match inp.source with
-          | From_machine m -> (S_machine (m, Machine.statics m, fresh_event ()), [||])
+          | From_machine m -> (S_machine (m, Machine.statics m), [||])
           | From_trace { statics; trace; marks } ->
             ( S_trace
                 { statics; trace; marks = Array.copy marks; pos = 0; mark_idx = 0 },
@@ -139,10 +102,9 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
   in
   let feed_quota (t : tstate) quota =
     match t.src with
-    | S_machine (m, statics, ev) ->
+    | S_machine (m, statics) ->
       let ran =
-        Machine.run_batched ~max_instrs:quota m
-          (deliver_batch statics ev t.sim)
+        Machine.run_batched ~max_instrs:quota m (Sim.feed_batch t.sim statics)
       in
       if Machine.halted m then t.active <- false;
       ran
@@ -168,9 +130,7 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
           else goal
         in
         let len = stop - s.pos in
-        ignore
-          (Sample.replay_slice s.statics s.trace ~pos:s.pos ~len (fun ev ->
-               Sim.feed t.sim ev));
+        Sample.feed_trace t.sim s.statics s.trace ~pos:s.pos ~len;
         s.pos <- stop;
         ran := !ran + len;
         record_marks ()
@@ -194,11 +154,11 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
   done;
   Array.map
     (fun t ->
-      let fed = Sim.fed_instrs t.sim in
+      let result = Sim.finish t.sim in
       {
         label = t.t_label;
-        result = Sim.finish ~instrs:fed t.sim;
-        fed;
+        result;
+        fed = result.Sim.instrs;
         mark_cycles = t.t_mark_cycles;
       })
     tenants

@@ -5,8 +5,9 @@
     Arbitration is a weighted round-robin over instruction quanta in
     fixed slot order: each arbiter round gives slot [i] up to
     [quantum * weights.(i)] retired instructions, delivered through
-    {!Pc_funcsim.Machine.run_batched} chunks (live tenants) or
-    {!Pc_sample.Sample.replay_slice} (packed-trace tenants), so the hot
+    {!Pc_funcsim.Machine.run_batched} chunks and
+    {!Pc_uarch.Sim.feed_batch} (live tenants) or
+    {!Pc_sample.Sample.feed_trace} (packed-trace tenants), so the hot
     loop stays batched.  The shared L2s therefore observe tenants'
     accesses in a deterministic contention order — the whole co-run is
     a pure function of (config, inputs, quantum, weights).

@@ -1,9 +1,10 @@
 module Profile = Pc_profile.Profile
-module Machine = Pc_funcsim.Machine
 module I = Pc_isa.Instr
 module Rng = Pc_util.Rng
 module Synth = Pc_synth.Synth
 module Sample = Pc_sample.Sample
+module Sim = Pc_uarch.Sim
+module Config = Pc_uarch.Config
 
 (* Per-stream walker state for synthetic addresses: mirrors the clone
    generator's geometry but lives in the trace generator. *)
@@ -169,24 +170,13 @@ let pick_successor g (node : Profile.node) =
 let comp_classes =
   [| I.C_int_alu; I.C_int_mul; I.C_int_div; I.C_fp_alu; I.C_fp_mul; I.C_fp_div |]
 
-(* Walk the SFG from [start], emitting abstract retired-instruction
-   events until [budget] instructions have been produced; returns the
-   emitted count.  Node bodies always complete, so a few extra events
-   past [budget] may be emitted by the final node. *)
-let synth g ~start ~budget on_event =
-  let ev =
-    {
-      Machine.pc = 0;
-      iclass = I.C_int_alu;
-      mem_addr = -1;
-      is_store = false;
-      is_branch = false;
-      taken = false;
-      next_pc = 0;
-      reads = [];
-      writes = -1;
-    }
-  in
+(* Walk the SFG from [start], stepping [sim] through abstract retired
+   instructions until [budget] have been produced.  Node bodies always
+   complete, so a few extra instructions past [budget] may come from the
+   final node.  Every estimate depends on the RNG draw order: each
+   instruction draws its class, then its register reads, then its
+   destination. *)
+let synth g ~start ~budget sim =
   let emitted = ref 0 in
   let current = ref start in
   while !emitted < budget do
@@ -221,10 +211,6 @@ let synth g ~start ~budget on_event =
     let mem_taken = ref 0 in
     for slot = 0 to body_slots - 1 do
       let pc = node.Profile.start + slot in
-      ev.Machine.pc <- pc;
-      ev.Machine.is_branch <- false;
-      ev.Machine.mem_addr <- -1;
-      ev.Machine.is_store <- false;
       let use_mem = !mem_taken < n_mem && slot mod mem_every = 0 in
       if use_mem then begin
         let m = mem_ops.(!mem_taken) in
@@ -239,33 +225,33 @@ let synth g ~start ~budget on_event =
           w.w_pos <- w.w_pos + 1;
           if w.w_pos >= w.w_length then w.w_pos <- 0
         end;
-        ev.Machine.iclass <- (if m.Profile.is_store then I.C_store else I.C_load);
-        ev.Machine.mem_addr <- addr;
-        ev.Machine.is_store <- m.Profile.is_store;
-        if m.Profile.is_store then begin
-          ev.Machine.reads <- [ src g node.Profile.dep_fractions ];
-          ev.Machine.writes <- -1
-        end
+        if m.Profile.is_store then
+          Sim.step sim ~pc ~cls:I.C_store
+            ~reads:[ src g node.Profile.dep_fractions ]
+            ~write:(-1) ~addr ~taken:false
         else begin
-          ev.Machine.reads <- [];
           let d = alloc_reg g in
           push_dest g d;
-          ev.Machine.writes <- d
+          Sim.step sim ~pc ~cls:I.C_load ~reads:[] ~write:d ~addr ~taken:false
         end
       end
       else begin
         let cls = sample_class () in
-        ev.Machine.iclass <- cls;
-        ev.Machine.reads <-
-          [ src g node.Profile.dep_fractions; src g node.Profile.dep_fractions ];
+        let reads =
+          [ src g node.Profile.dep_fractions; src g node.Profile.dep_fractions ]
+        in
         let d = alloc_reg g in
         push_dest g d;
-        ev.Machine.writes <- (if I.class_index cls >= 3 && I.class_index cls <= 5 then 32 + (d mod 25) + 1 else d)
+        let write =
+          if I.class_index cls >= 3 && I.class_index cls <= 5 then 32 + (d mod 25) + 1
+          else d
+        in
+        Sim.step sim ~pc ~cls ~reads ~write ~addr:(-1) ~taken:false
       end;
-      on_event ev;
       incr emitted
     done;
     (* terminator *)
+    let pc = node.Profile.start + body_slots in
     (match node.Profile.branch with
     | Some b ->
       let bs = branch_state_of g node b in
@@ -274,33 +260,20 @@ let synth g ~start ~budget on_event =
         else bs.b_count mod bs.b_period < bs.b_taken_slots
       in
       bs.b_count <- bs.b_count + 1;
-      ev.Machine.pc <- node.Profile.start + body_slots;
-      ev.Machine.iclass <- I.C_branch;
-      ev.Machine.is_branch <- true;
-      ev.Machine.taken <- taken;
-      ev.Machine.mem_addr <- -1;
-      ev.Machine.is_store <- false;
-      ev.Machine.reads <- [ src g node.Profile.dep_fractions ];
-      ev.Machine.writes <- -1
+      Sim.step sim ~pc ~cls:I.C_branch
+        ~reads:[ src g node.Profile.dep_fractions ]
+        ~write:(-1) ~addr:(-1) ~taken
     | None ->
-      ev.Machine.pc <- node.Profile.start + body_slots;
-      ev.Machine.iclass <- I.C_jump;
-      ev.Machine.is_branch <- false;
-      ev.Machine.taken <- false;
-      ev.Machine.mem_addr <- -1;
-      ev.Machine.is_store <- false;
-      ev.Machine.reads <- [];
-      ev.Machine.writes <- -1);
-    on_event ev;
+      Sim.step sim ~pc ~cls:I.C_jump ~reads:[] ~write:(-1) ~addr:(-1) ~taken:false);
     incr emitted;
     current := (match pick_successor g node with Some id -> id | None -> pick_start g)
-  done;
-  !emitted
+  done
 
 let estimate ?(seed = 1) ?(instrs = 100_000) cfg (profile : Profile.t) =
   let g = make_gen ~seed profile in
-  Pc_uarch.Sim.run_events cfg (fun on_event ->
-      synth g ~start:(pick_start g) ~budget:instrs on_event)
+  let sim = Sim.create cfg in
+  synth g ~start:(pick_start g) ~budget:instrs sim;
+  Sim.finish sim
 
 (* --- sampled estimation ---
 
@@ -315,17 +288,14 @@ let estimate ?(seed = 1) ?(instrs = 100_000) cfg (profile : Profile.t) =
 (* Most-executed measurement-window pc of a representative (warmup
    excluded); ties break towards the smaller pc so the choice is
    independent of counting order. *)
-let dominant_window_pc (plan : Sample.plan) (rep : Sample.rep) =
+let dominant_window_pc (rep : Sample.rep) =
   let counts : (int, int ref) Hashtbl.t = Hashtbl.create 256 in
-  let idx = ref 0 in
-  ignore
-    (Sample.replay_events plan.Sample.statics rep.Sample.trace (fun ev ->
-         let i = !idx in
-         incr idx;
-         if i >= rep.Sample.warmup then
-           match Hashtbl.find_opt counts ev.Machine.pc with
-           | Some r -> incr r
-           | None -> Hashtbl.add counts ev.Machine.pc (ref 1)));
+  for i = rep.Sample.warmup to Array.length rep.Sample.trace - 1 do
+    let pc = Sample.packed_pc rep.Sample.trace.(i) in
+    match Hashtbl.find_opt counts pc with
+    | Some r -> incr r
+    | None -> Hashtbl.add counts pc (ref 1)
+  done;
   let best_pc = ref (-1) and best_count = ref 0 in
   Hashtbl.iter
     (fun pc r ->
@@ -377,13 +347,12 @@ let estimate_sampled ?(seed = 1) ?(instrs = 100_000) ~(plan : Sample.plan) cfg
                   (float_of_int instrs *. float_of_int rep.Sample.weight
                  /. float_of_int total_w)))
         in
-        let start = node_for_pc profile (dominant_window_pc plan rep) in
-        let r =
-          Pc_uarch.Sim.run_events cfg (fun on_event ->
-              synth g ~start ~budget on_event)
-        in
-        (rep.Sample.weight, r.Pc_uarch.Sim.instrs, r))
+        let start = node_for_pc profile (dominant_window_pc rep) in
+        let sim = Sim.create cfg in
+        synth g ~start ~budget sim;
+        let r = Sim.finish sim in
+        (rep.Sample.weight, r.Sim.instrs, r))
       plan.Sample.reps
   in
-  Sample.recombine ~config_name:cfg.Pc_uarch.Config.name
+  Sample.recombine ~config_name:cfg.Config.name
     ~total_instrs:plan.Sample.total_instrs phases

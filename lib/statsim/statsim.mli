@@ -5,11 +5,11 @@
     Section 2): a short synthetic {e trace} is generated from the
     statistical profile and run through a processor timing model.  The
     trace generator here walks the statistical flow graph exactly like
-    the clone generator does, but emits abstract retired-instruction
-    events instead of code; the paper's microarchitecture-independent
-    memory and branch models supply addresses and branch outcomes, and
-    the events drive the same {!Pc_uarch.Sim} scheduler used for real
-    binaries.
+    the clone generator does, but emits abstract retired instructions
+    instead of code; the paper's microarchitecture-independent memory
+    and branch models supply addresses and branch outcomes, and each
+    instruction steps the same {!Pc_uarch.Sim} scheduler used for real
+    binaries ({!Pc_uarch.Sim.step}).
 
     The comparison with the synthetic clone is the interesting ablation:
     statistical simulation is cheaper (no code generation or functional

@@ -118,9 +118,10 @@ let c_bpred_mispredicts = Pc_obs.Metrics.counter "uarch.bpred.mispredicts"
 
 (* The whole scheduling state of one simulated core, so a retired
    stream can be fed incrementally (instruction by instruction, from
-   any producer — a live functional machine, a packed replay trace, or
-   a multi-tenant arbiter interleaving several streams).  [run_events]
-   below is exactly [create] + a feed loop + [finish]. *)
+   any producer — a live functional machine, a packed replay trace, a
+   statistical-simulation walk, or a multi-tenant arbiter interleaving
+   several streams).  [run] below is exactly [create] + [feed_batch]
+   over one batched functional run + [finish]. *)
 type state = {
   st_cfg : Config.t;
   measure_from : int;
@@ -199,17 +200,16 @@ let rec reads_ready reg_ready acc = function
   | [] -> acc
   | id :: rest -> reads_ready reg_ready (Int.max acc reg_ready.(id)) rest
 
-let feed st (ev : Machine.event) =
+let step st ~pc ~cls ~reads ~write ~addr ~taken =
   let cfg = st.st_cfg in
   let i = st.index in
   st.index <- i + 1;
   if i = st.measure_from then st.measure_start <- st.last_commit;
-  let cls = ev.Machine.iclass in
   let ci = I.class_index cls in
   st.st_class_counts.(ci) <- st.st_class_counts.(ci) + 1;
   (* --- fetch --- *)
   let f0 = Slot.take st.fetch_slot st.fetch_ready in
-  let ilat = Hierarchy.access st.icache (4 * ev.Machine.pc) in
+  let ilat = Hierarchy.access st.icache (4 * pc) in
   if ilat > st.icache_hit_latency then
     st.stall_icache <- st.stall_icache + (ilat - st.icache_hit_latency);
   let fc = f0 + (ilat - st.icache_hit_latency) in
@@ -225,7 +225,7 @@ let feed st (ev : Machine.event) =
       (Int.max (fc + cfg.frontend_depth) (Int.max rob_free lsq_free))
   in
   (* --- register readiness --- *)
-  let ready = reads_ready st.reg_ready d ev.Machine.reads in
+  let ready = reads_ready st.reg_ready d reads in
   let ready = if cfg.in_order then Int.max ready st.last_issue else ready in
   (* --- issue: bandwidth then functional unit --- *)
   let issue0 = Cycle_table.take st.issue_table ready in
@@ -246,32 +246,37 @@ let feed st (ev : Machine.event) =
   (* --- complete --- *)
   let complete =
     match cls with
-    | I.C_load -> issue + Hierarchy.access st.dcache ev.Machine.mem_addr + lat
+    | I.C_load -> issue + Hierarchy.access st.dcache addr + lat
     | I.C_store ->
       (* Update tag state and counters; the store buffer hides the
          latency from the pipeline. *)
-      ignore (Hierarchy.access st.dcache ev.Machine.mem_addr);
+      ignore (Hierarchy.access st.dcache addr);
       issue + lat
     | _ -> issue + lat
   in
   (* --- writeback: wake up dependents --- *)
-  (match ev.Machine.writes with
+  (match write with
   | -1 -> ()
   | 0 -> () (* r0 is constant *)
   | id -> st.reg_ready.(id) <- complete);
   (* --- branch resolution --- *)
-  if ev.Machine.is_branch then begin
-    let correct =
-      Predictor.observe st.bpred ~pc:ev.Machine.pc ~taken:ev.Machine.taken
-    in
+  (match cls with
+  | I.C_branch ->
+    let correct = Predictor.observe st.bpred ~pc ~taken in
     if not correct then begin
       let redirect = complete + cfg.mispredict_penalty in
       if redirect > st.fetch_ready then begin
-        st.stall_mispredict <- st.stall_mispredict + (redirect - st.fetch_ready);
+        (* The ROB does not back-pressure fetch, so [fetch_ready] can
+           lag far behind dispatch.  Dispatch is in order, so without
+           the redirect the next instruction's fetch could not matter
+           before this branch's dispatch less the front-end depth: only
+           the delay past that point is the redirect's. *)
+        let unredirected = Int.max st.fetch_ready (d - cfg.frontend_depth) in
+        st.stall_mispredict <- st.stall_mispredict + (redirect - unredirected);
         st.fetch_ready <- redirect
       end
     end
-  end;
+  | _ -> ());
   (* --- commit --- *)
   let m = Slot.take st.commit_slot (Int.max (complete + 1) st.last_commit) in
   st.last_commit <- m;
@@ -281,12 +286,21 @@ let feed st (ev : Machine.event) =
     st.mem_index <- st.mem_index + 1
   end
 
-let fed_instrs st = st.index
+let feed_batch st (statics : Machine.statics) (batch : Machine.batch) =
+  let classes = statics.Machine.s_classes in
+  let reads = statics.Machine.s_read_lists in
+  let writes = statics.Machine.s_write_ids in
+  for j = 0 to batch.Machine.len - 1 do
+    let pc = batch.Machine.b_pc.(j) in
+    step st ~pc ~cls:classes.(pc) ~reads:reads.(pc) ~write:writes.(pc)
+      ~addr:batch.Machine.b_addr.(j) ~taken:batch.Machine.b_taken.(j)
+  done
+
 let committed_cycle st = st.last_commit
 
-let finish ?instrs st =
+let finish st =
   let cfg = st.st_cfg in
-  let instrs = match instrs with Some n -> n | None -> st.index in
+  let instrs = st.index in
   let cycles = Int.max st.last_commit 1 in
   let measured_instrs = Int.max 0 (instrs - st.measure_from) in
   let measured_cycles =
@@ -323,15 +337,13 @@ let finish ?instrs st =
     measured_cycles;
   }
 
-let run_events ?measure_from (cfg : Config.t) feed_stream =
-  let st = create ?measure_from cfg in
-  let instrs = feed_stream (fun ev -> feed st ev) in
-  finish ~instrs st
-
 let run ?(max_instrs = 10_000_000) cfg program =
-  run_events cfg (fun on_event ->
-      let machine = Machine.load program in
-      Machine.run ~max_instrs machine on_event)
+  let st = create cfg in
+  let machine = Machine.load program in
+  ignore
+    (Machine.run_batched ~max_instrs machine
+       (feed_batch st (Machine.statics machine)));
+  finish st
 
 let mispredict_rate r =
   if r.branches = 0 then 0.0

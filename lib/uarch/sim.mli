@@ -41,7 +41,9 @@ type result = {
   fetch_stall_icache_cycles : int;
       (** fetch-ready pushback attributed to I-cache miss latency *)
   fetch_stall_mispredict_cycles : int;
-      (** fetch-ready pushback attributed to mispredict redirects *)
+      (** cycles by which mispredict redirects hold fetch back past
+          the point in-order dispatch already waits for (each
+          mispredicted branch's own dispatch less the front-end depth) *)
   measured_instrs : int;
       (** instructions inside the measurement window (= [instrs] when no
           [measure_from] was given) *)
@@ -52,12 +54,14 @@ type result = {
 }
 
 type state
-(** The full scheduling state of one simulated core.  The incremental
-    API below ([create] / [feed] / [finish]) is what [run] and
-    [run_events] are built from; it exists so other drivers — notably
-    the multi-tenant arbiter in [Pc_scenario] — can interleave several
-    cores' retired streams and observe each core's commit clock between
-    feed bursts. *)
+(** The full scheduling state of one simulated core.  Between [create]
+    and [finish], {!step} is the model's one per-instruction entry, and
+    every producer of a retired stream calls it directly: functional
+    simulator rows (through {!feed_batch}, which [run] and the
+    multi-tenant arbiter in [Pc_scenario] share), packed replay traces
+    (through [Pc_sample]) and statistical simulation's synthetic walk.
+    The arbiter interleaves several cores' streams and observes each
+    core's commit clock between bursts. *)
 
 val create :
   ?measure_from:int ->
@@ -71,37 +75,7 @@ val create :
     so several cores' L1s drain into shared L2 instances.  The caller
     is responsible for any override matching the config's latencies
     (the scheduling code reads latencies from the hierarchy it is
-    given).  [measure_from] is as in {!run_events}. *)
-
-val feed : state -> Pc_funcsim.Machine.event -> unit
-(** Schedule one retired instruction.  The event record may be reused
-    between calls. *)
-
-val fed_instrs : state -> int
-(** Instructions fed so far. *)
-
-val committed_cycle : state -> int
-(** Commit cycle of the most recently fed instruction (monotone; [0]
-    before any instruction).  Sampled multi-tenant scenarios read this
-    at interval boundaries to price each tenant's windows. *)
-
-val finish : ?instrs:int -> state -> result
-(** Build the {!result} and publish the [uarch.*] metrics (see
-    {!run_events}).  [instrs] defaults to {!fed_instrs}; [run] passes
-    the functional simulator's count explicitly.  Call at most once. *)
-
-val run : ?max_instrs:int -> Config.t -> Pc_isa.Program.t -> result
-(** Execute the program functionally while scheduling every retired
-    instruction through the timing model.  [max_instrs] (default 10
-    million) bounds the simulated stream. *)
-
-val run_events :
-  ?measure_from:int -> Config.t -> ((Pc_funcsim.Machine.event -> unit) -> int) -> result
-(** Schedule an arbitrary retired-instruction stream: [run_events cfg
-    feed] calls [feed on_event]; [feed] must invoke [on_event] once per
-    instruction (the event record may be reused between calls) and return
-    the instruction count.  This is how statistical simulation drives the
-    same timing model with a synthetic stream.
+    given).
 
     [measure_from] (default 0) marks the first instruction of the
     measurement window: everything before it still executes — warming
@@ -109,14 +83,48 @@ val run_events :
     [measured_cycles] report only the window, via the commit-cycle
     boundary at instruction [measure_from].  Whole-run fields
     ([instrs], [cycles], [ipc], cache and branch counters) are
-    unaffected.
+    unaffected. *)
 
-    Both entry points publish lifetime aggregates into the global
-    {!Pc_obs.Metrics} registry at the end of each run: [uarch.instrs],
-    [uarch.cycles], the [uarch.fetch_stall.*] counters, and the
-    [uarch.icache.*], [uarch.dcache.*] and [uarch.bpred.*] families.
-    All of them are registered when this module is, so a report of a
-    process that never ran the model lists them at 0. *)
+val step :
+  state ->
+  pc:int ->
+  cls:Pc_isa.Instr.iclass ->
+  reads:int list ->
+  write:int ->
+  addr:int ->
+  taken:bool ->
+  unit
+(** Schedule one retired instruction: static [pc], class [cls], the
+    shared register ids it [reads] and the one it writes ([write], or
+    [-1]).  [addr] is the effective byte address and is read only when
+    [cls] is a load or store; [taken] is the conditional-branch outcome
+    and is read only when [cls] is [C_branch]. *)
+
+val feed_batch : state -> Pc_funcsim.Machine.statics -> Pc_funcsim.Machine.batch -> unit
+(** {!step} every row of a {!Pc_funcsim.Machine.run_batched} chunk, with
+    class, reads and write taken from the machine's statics. *)
+
+val committed_cycle : state -> int
+(** Commit cycle of the most recently stepped instruction (monotone;
+    [0] before any instruction).  Sampled multi-tenant scenarios read
+    this at interval boundaries to price each tenant's windows. *)
+
+val finish : state -> result
+(** Build the {!result} over every instruction stepped so far.  Call at
+    most once.
+
+    [finish] publishes lifetime aggregates into the global
+    {!Pc_obs.Metrics} registry: [uarch.instrs], [uarch.cycles], the
+    [uarch.fetch_stall.*] counters, and the [uarch.icache.*],
+    [uarch.dcache.*] and [uarch.bpred.*] families.  All of them are
+    registered when this module is, so a report of a process that never
+    ran the model lists them at 0. *)
+
+val run : ?max_instrs:int -> Config.t -> Pc_isa.Program.t -> result
+(** Execute the program functionally, in {!Pc_funcsim.Machine.run_batched}
+    chunks, while scheduling every retired instruction through the
+    timing model.  [max_instrs] (default 10 million) bounds the
+    simulated stream. *)
 
 val mispredict_rate : result -> float
 val l1d_mpi : result -> float

@@ -139,6 +139,43 @@ let qcheck_bpred_rates_match_timing_model =
       Perfclone.Experiments.bpred_rates settings program
       = Bpred_oracle.rates ~max_instrs configs program)
 
+let random_config rng =
+  let module Config = Pc_uarch.Config in
+  let pick l = Rng.pick rng (Array.of_list l) in
+  let width = pick [ 1; 2; 4; 8 ] in
+  let rob = pick [ 4; 8; 16; 32; 64 ] in
+  let lsq = max 1 (rob / pick [ 1; 2; 4 ]) in
+  let l1d = pick [ 1024; 4096; 16384; 65536 ] in
+  let bpred =
+    pick Pc_branch.Predictor.[ Taken; Not_taken; Bimodal 64; base_gap; Perfect ]
+  in
+  let in_order = Rng.int rng 2 = 0 in
+  Config.base |> Config.with_widths width |> Config.with_rob_lsq ~rob ~lsq
+  |> Config.with_l1d_size l1d |> Config.with_bpred bpred
+  |> Config.with_in_order in_order
+
+(* The timing model on random programs and random configurations: the
+   row-fed [Sim.run] equals the event-fed oracle, and no run beats its
+   narrowest pipeline stage. *)
+let qcheck_timing_model_matches_oracle =
+  let max_instrs = 50_000 in
+  QCheck.Test.make
+    ~name:"random programs and configs: Sim.run = event-fed oracle, IPC <= width"
+    ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let program = Compile.compile ~name:"fuzz" (gen_prog rng) in
+      let cfg = random_config rng in
+      let r = Pc_uarch.Sim.run ~max_instrs cfg program in
+      let width =
+        List.fold_left min max_int
+          Pc_uarch.Config.[ cfg.fetch_width; cfg.decode_width; cfg.issue_width; cfg.commit_width ]
+      in
+      r = Sim_ref.run ~max_instrs cfg program
+      && r.Pc_uarch.Sim.ipc <= float_of_int width
+      && r.Pc_uarch.Sim.cycles * width >= r.Pc_uarch.Sim.instrs)
+
 let test_fixed_seeds () =
   (* a deterministic sweep, independent of qcheck's sampling *)
   for seed = 1 to 100 do
@@ -155,5 +192,6 @@ let () =
           Alcotest.test_case "100 fixed seeds" `Slow test_fixed_seeds;
           QCheck_alcotest.to_alcotest qcheck_structured_programs;
           QCheck_alcotest.to_alcotest qcheck_bpred_rates_match_timing_model;
+          QCheck_alcotest.to_alcotest qcheck_timing_model_matches_oracle;
         ] );
     ]

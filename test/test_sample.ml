@@ -74,42 +74,33 @@ let test_plan_invariants () =
     (plan.Sample.coverage > 0.0 && plan.Sample.coverage <= 1.5)
 
 let test_replay_fidelity () =
-  (* A plan whose single window spans the whole run must replay the exact
-     event stream the functional simulator produced. *)
+  (* A plan whose single window spans the whole run must record the exact
+     stream the functional simulator produced: each event's dynamic
+     fields in the packed trace, its static ones in the per-pc tables. *)
   let max_instrs = 30_000 in
   let p = program "qsort" in
   let plan = Sample.plan ~seed:1 ~interval:max_instrs ~max_instrs p in
   Alcotest.(check int) "single interval" 1 plan.Sample.n_intervals;
-  let rep = plan.Sample.reps.(0) in
-  let record on_event =
-    let m = Machine.load p in
-    ignore (Machine.run ~max_instrs m on_event)
+  let trace = plan.Sample.reps.(0).Sample.trace in
+  let statics = plan.Sample.statics in
+  let i = ref 0 in
+  let direct =
+    Machine.run ~max_instrs (Machine.load p) (fun (ev : Machine.event) ->
+        if !i >= Array.length trace then Alcotest.fail "trace shorter than the run";
+        let packed = trace.(!i) and pc = ev.Machine.pc in
+        if
+          Sample.packed_pc packed <> pc
+          || Sample.packed_mem_addr packed <> ev.Machine.mem_addr
+          || Sample.packed_taken packed <> ev.Machine.taken
+        then Alcotest.failf "event %d: dynamic fields differ from the trace" !i;
+        if
+          statics.Machine.s_classes.(pc) <> ev.Machine.iclass
+          || statics.Machine.s_read_lists.(pc) <> ev.Machine.reads
+          || statics.Machine.s_write_ids.(pc) <> ev.Machine.writes
+        then Alcotest.failf "event %d: static fields differ from the tables" !i;
+        incr i)
   in
-  let capture feed =
-    let acc = ref [] in
-    feed (fun (ev : Machine.event) ->
-        acc :=
-          ( ev.Machine.pc,
-            ev.Machine.iclass,
-            ev.Machine.mem_addr,
-            ev.Machine.is_store,
-            ev.Machine.is_branch,
-            ev.Machine.taken,
-            ev.Machine.reads,
-            ev.Machine.writes )
-          :: !acc);
-    List.rev !acc
-  in
-  let direct = capture record in
-  let replayed =
-    capture (fun f ->
-        ignore (Sample.replay_events plan.Sample.statics rep.Sample.trace f))
-  in
-  Alcotest.(check int) "same stream length" (List.length direct)
-    (List.length replayed);
-  List.iter2
-    (fun a b -> if a <> b then Alcotest.fail "replayed event differs from direct")
-    direct replayed
+  Alcotest.(check int) "same stream length" direct (Array.length trace)
 
 let test_full_coverage_projection_matches_detailed () =
   (* With one cluster covering the entire run and no warmup, projection

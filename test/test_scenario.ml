@@ -14,6 +14,7 @@ module Config = Pc_uarch.Config
 module Sim = Pc_uarch.Sim
 module Spec = Pc_scenario.Spec
 module Presets = Pc_scenario.Presets
+module Sample = Pc_sample.Sample
 module Scenario = Pc_scenario.Scenario
 module Runner = Pc_scenario.Runner
 module Report = Pc_scenario.Report
@@ -68,6 +69,69 @@ let test_solo_exact_qcheck =
     (fun (name, budget, quantum) ->
       check_solo_matches_standalone ~quantum name budget;
       true)
+
+(* --- one stream, five drivers ---
+
+   [Sim.step] is the timing model's one per-instruction entry: the
+   batched [Sim.run], the event-fed oracle, a whole-run replay of the
+   packed trace and a lone arbiter tenant fed either way must all drive
+   it to the same result, field for field. *)
+
+let test_one_stream_five_drivers () =
+  let budget = 40_000 in
+  let configs =
+    [
+      Config.base;
+      Config.with_in_order true Config.base;
+      Config.with_widths 2 Config.base;
+      Config.with_bpred Pc_branch.Predictor.Not_taken Config.base;
+    ]
+  in
+  List.iter
+    (fun name ->
+      let p = program name in
+      let plan =
+        Sample.plan ~seed:1 ~warmup:0 ~interval:budget ~max_instrs:budget p
+      in
+      Alcotest.(check int) "single interval" 1 plan.Sample.n_intervals;
+      let trace = plan.Sample.reps.(0).Sample.trace in
+      List.iter
+        (fun (cfg : Config.t) ->
+          let expected = Sim.run ~max_instrs:budget cfg p in
+          let check driver r =
+            if r <> expected then
+              Alcotest.failf "%s on %s: %s differs from Sim.run" name
+                cfg.Config.name driver
+          in
+          let alone source =
+            (Scenario.co_run cfg [| { Scenario.label = name; budget; source } |]).(0)
+              .Scenario.result
+          in
+          check "the event-fed oracle" (Sim_ref.run ~max_instrs:budget cfg p);
+          check "replay_phases" (snd (Sample.replay_phases cfg plan).(0));
+          check "a From_machine tenant"
+            (alone (Scenario.From_machine (Machine.load p)));
+          check "a From_trace tenant"
+            (alone
+               (Scenario.From_trace
+                  { statics = plan.Sample.statics; trace; marks = [||] })))
+        configs)
+    [ "crc32"; "qsort"; "sha"; "fft"; "dijkstra" ]
+
+(* Alone on the machine, a sampled tenant's baseline is its co-run:
+   the same trace on a one-tenant arbiter, priced the same way. *)
+let test_sampled_solo_slowdown_is_one () =
+  let spec = Spec.v ~name:"solo" [ Spec.tenant "crc32" ] in
+  let settings =
+    { Runner.quick_settings with Runner.budget = 150_000; sample = Some 20_000 }
+  in
+  Runner.clear_caches ();
+  let r = Runner.run_spec settings spec in
+  List.iter
+    (fun (t : Runner.tenant_row) ->
+      Alcotest.(check (float 0.0)) "slowdown" 1.0 t.Runner.slowdown)
+    r.Runner.tenants;
+  Alcotest.(check (float 0.0)) "weighted speedup" 1.0 r.Runner.weighted_speedup
 
 (* --- interference --- *)
 
@@ -315,6 +379,10 @@ let () =
           Alcotest.test_case "1 tenant, small quantum" `Quick
             test_solo_exact_small_quantum;
           QCheck_alcotest.to_alcotest test_solo_exact_qcheck;
+          Alcotest.test_case "one stream, five drivers" `Quick
+            test_one_stream_five_drivers;
+          Alcotest.test_case "sampled solo tenant has slowdown 1" `Quick
+            test_sampled_solo_slowdown_is_one;
         ] );
       ( "interference",
         [

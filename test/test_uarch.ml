@@ -328,8 +328,14 @@ let test_known_answer (_, cfg, body, expected) () =
 (* A predictable loop pays for one redirect at most: its only
    misprediction is the exit, so against a perfect predictor the base
    GAp run costs at most one penalty plus a front-end refill (and the
-   cycle the branch resolves in).  Under [Perfect] nothing mispredicts
-   and no fetch cycle is charged to a redirect. *)
+   cycle the branch resolves in).  The fetch cycles charged to that
+   redirect are what it delays in-order dispatch by, however far fetch
+   ran ahead: the same penalty, refill and resolve cycle, plus any wait
+   of the branch for an issue slot or ALU behind the older instructions
+   in the ROB: at most one cycle for every [min issue_width
+   int_alu_units] of them.
+   Under [Perfect] nothing mispredicts and no fetch cycle is charged to
+   a redirect. *)
 let predictable_loop_cases =
   List.map (fun (name, cfg, body, _) -> (name, cfg, body)) known_answer_cases
   @ [ ("one add", Config.base, [ I.Alu (I.Add, 1, 1, 10) ]) ]
@@ -347,7 +353,15 @@ let test_predictable_loop (_, (cfg : Config.t), body) () =
   Alcotest.(check bool)
     (Printf.sprintf "GAp costs %d cycles over Perfect, within [0, %d]" extra bound)
     true
-    (extra >= 0 && extra <= bound)
+    (extra >= 0 && extra <= bound);
+  let stall = gap.Sim.fetch_stall_mispredict_cycles in
+  let rate = Int.min cfg.Config.issue_width cfg.Config.int_alu_units in
+  let stall_bound = bound + ((cfg.Config.rob_size - 1 + rate - 1) / rate) in
+  Alcotest.(check int) "one misprediction under GAp" 1 gap.Sim.mispredictions;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d redirect stall cycles, within [0, %d]" stall stall_bound)
+    true
+    (stall >= 0 && stall <= stall_bound)
 
 (* The timing model's cache and predictor counters are registered with
    the model, not on its first run: a tool that never runs it still
