@@ -122,7 +122,7 @@ let sample_plan settings ~interval program =
         let ckey =
           Pc_sample.Plan_cache.key
             ~profile_id:(digest (program, settings.sim_instrs))
-            ~interval ~seed:settings.seed ()
+            ~interval ~seed:settings.seed
         in
         Pc_sample.Plan_cache.find_or_compute cache ckey compute)
 

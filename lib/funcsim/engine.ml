@@ -93,6 +93,7 @@ type t = {
   mutable pc : int;
   mutable halted : bool;
   mutable icount : int;
+  mutable counted : bool;  (* this machine's run is in [funcsim.runs] *)
   cls_counts : int array;  (* retired instructions per iclass *)
   event : event;
 }
@@ -306,6 +307,7 @@ let load program =
     pc = 0;
     halted = false;
     icount = 0;
+    counted = false;
     cls_counts = Array.make Instr.class_count 0;
     event =
       {
@@ -1084,7 +1086,8 @@ let run_raw ~max_instrs t emit =
 (* Per-run aggregates, published into the global registry when a run
    completes (publishing from the per-step path would put atomics on the
    hottest loop in the system; the per-machine [exec_counts] array is
-   domain-local and free). *)
+   domain-local and free).  A machine resumed by several calls counts as
+   one run. *)
 let c_retired_total = Pc_obs.Metrics.counter "funcsim.retired.total"
 let c_runs = Pc_obs.Metrics.counter "funcsim.runs"
 
@@ -1097,7 +1100,10 @@ let g_pages = Pc_obs.Metrics.gauge "funcsim.mem.pages_touched"
 
 let publish t before =
   let after = retired_by_class t in
-  Pc_obs.Metrics.incr c_runs;
+  if not t.counted then begin
+    t.counted <- true;
+    Pc_obs.Metrics.incr c_runs
+  end;
   let total = ref 0 in
   Array.iteri
     (fun i count ->

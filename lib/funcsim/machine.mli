@@ -50,7 +50,9 @@ val run : ?max_instrs:int -> t -> (event -> unit) -> int
     On completion the run's aggregates are published into the global
     {!Pc_obs.Metrics} registry: [funcsim.runs], [funcsim.retired.total],
     per-class [funcsim.retired.<class>] counters and the
-    [funcsim.mem.pages_touched] high-water gauge. *)
+    [funcsim.mem.pages_touched] high-water gauge.  [funcsim.runs] counts
+    machines, not calls: it grows by one on a machine's first [run] or
+    {!run_batched} call and not when a later call resumes it. *)
 
 type batch = Engine.batch = {
   mutable len : int;  (** valid rows, [0 < len <= batch_capacity] *)

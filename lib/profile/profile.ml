@@ -71,6 +71,20 @@ let node_cdf t =
       !acc)
     t.nodes
 
+let dep_distribution t =
+  let n_buckets = Array.length dep_bounds + 1 in
+  let acc = Array.make n_buckets 0.0 in
+  let total = ref 0.0 in
+  Array.iter
+    (fun n ->
+      let w = float_of_int n.count in
+      Array.iteri
+        (fun i f -> if i < n_buckets then acc.(i) <- acc.(i) +. (w *. f))
+        n.dep_fractions;
+      total := !total +. w)
+    t.nodes;
+  if !total > 0.0 then Array.map (fun v -> v /. !total) acc else acc
+
 let pp_summary ppf t =
   Format.fprintf ppf "profile %s: %d dynamic instrs, %d SFG nodes@." t.name
     t.instr_count (Array.length t.nodes);

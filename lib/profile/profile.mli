@@ -80,6 +80,12 @@ val node_cdf : t -> float array
 (** Cumulative distribution over nodes by execution count, used by the
     clone generator's step 1. *)
 
+val dep_distribution : t -> float array
+(** The program's dependency-distance distribution: every node's
+    [dep_fractions] weighted by its execution count, one entry per
+    bucket of {!dep_bounds} plus the overflow bucket.  All zeros when no
+    node executed. *)
+
 val pp_summary : Format.formatter -> t -> unit
 (** Human-readable one-screen summary. *)
 

@@ -10,5 +10,5 @@ include Pc_exec.Disk_store.Make (struct
   let counters = "plan_cache"
 end)
 
-let key ~profile_id ~interval ~seed ?(dims = 32) ?(max_k = 6) ?(restarts = 3) () =
-  digest (profile_id, interval, seed, dims, max_k, restarts)
+let key ~profile_id ~interval ~seed =
+  digest (profile_id, interval, seed, Sample.bbv_dims, Sample.max_k, Sample.restarts)

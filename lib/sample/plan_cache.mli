@@ -20,17 +20,9 @@
 
 include Pc_exec.Disk_store.S with type value := Sample.plan
 
-val key :
-  profile_id:string ->
-  interval:int ->
-  seed:int ->
-  ?dims:int ->
-  ?max_k:int ->
-  ?restarts:int ->
-  unit ->
-  string
+val key : profile_id:string -> interval:int -> seed:int -> string
 (** Content key for a plan: a hex digest over (format version,
-    [profile_id], [interval], [seed], [dims], [max_k], [restarts]).
-    [profile_id] should identify the profiled program and budget — e.g.
-    a structural digest of (program, max_instrs).  The optional
-    clustering parameters default to {!Sample.plan}'s defaults. *)
+    [profile_id], [interval], [seed], {!Sample.bbv_dims},
+    {!Sample.max_k}, {!Sample.restarts}).  [profile_id] should identify
+    the profiled program and budget — e.g. a structural digest of
+    (program, max_instrs). *)

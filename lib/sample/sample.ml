@@ -258,8 +258,11 @@ let auto_interval ~max_instrs =
 let interval_length ~interval ~total i =
   min interval (total - (i * interval))
 
-let plan ?(dims = 32) ?(max_k = 6) ?(restarts = 3) ?warmup ~seed ~interval
-    ~max_instrs program =
+let bbv_dims = 32
+let max_k = 6
+let restarts = 3
+
+let plan ?warmup ~seed ~interval ~max_instrs program =
   if interval <= 0 then invalid_arg "Pc_sample.plan: interval must be positive";
   (* Default warmup: one full interval.  The replayed representative
      starts with cold caches and predictors that the detailed run has
@@ -267,7 +270,7 @@ let plan ?(dims = 32) ?(max_k = 6) ?(restarts = 3) ?warmup ~seed ~interval
      bias (projected CPI systematically high) once L2 is in play. *)
   let warmup_target = match warmup with Some w -> max 0 w | None -> interval in
   let total_instrs, vectors, statics =
-    collect_bbvs ~dims ~interval ~max_instrs program
+    collect_bbvs ~dims:bbv_dims ~interval ~max_instrs program
   in
   if total_instrs = 0 then invalid_arg "Pc_sample.plan: program retired no instructions";
   let n_intervals = Array.length vectors in
@@ -343,7 +346,7 @@ let plan ?(dims = 32) ?(max_k = 6) ?(restarts = 3) ?warmup ~seed ~interval
       ("k", Pc_obs.Event.Int k);
       ("coverage_bp", Pc_obs.Event.Int (int_of_float (coverage *. 10_000.0)));
     ];
-  { interval; total_instrs; n_intervals; k; dims; coverage; reps; statics }
+  { interval; total_instrs; n_intervals; k; dims = bbv_dims; coverage; reps; statics }
 
 (* --- replay --- *)
 
@@ -508,8 +511,6 @@ let project_of_phases plan phases =
        (fun ((rep : rep), r) -> (rep.weight, Array.length rep.trace, r))
        phases)
 
-let project_sim (cfg : Config.t) plan = project_of_phases plan (replay_phases cfg plan)
-
 (* --- projection: power ---
 
    Power is energy per cycle, so the whole-run average is the
@@ -576,9 +577,6 @@ let project_power_of_phases (cfg : Config.t) plan phases =
     M.incr c_projections;
     if !den > 0.0 then !num /. !den
     else Power.total cfg (project_of_phases plan phases)
-
-let project_power (cfg : Config.t) plan =
-  project_power_of_phases cfg plan (replay_phases cfg plan)
 
 (* --- projection: the 28-cache study --- *)
 

@@ -56,10 +56,18 @@ val auto_interval : max_instrs:int -> int
     [--per-phase] use.  Raises [Invalid_argument] when [max_instrs]
     is not positive. *)
 
+val bbv_dims : int
+(** Dimensions of the per-interval vectors (32). *)
+
+val max_k : int
+(** The largest cluster count tried (6). *)
+
+val restarts : int
+(** Random k-means restarts per cluster count (3).  {!Plan_cache.key}
+    digests these three constants, so a cached plan is never served for
+    other values. *)
+
 val plan :
-  ?dims:int ->
-  ?max_k:int ->
-  ?restarts:int ->
   ?warmup:int ->
   seed:int ->
   interval:int ->
@@ -67,10 +75,10 @@ val plan :
   Pc_isa.Program.t ->
   plan
 (** Build a sampling plan: one functional pass collects per-interval
-    vectors ([dims] dimensions, default 32), k-means over k = 1..[max_k]
-    (default 6) with [restarts] random restarts (default 3) picks the
-    phase clustering, and a second functional pass records each
-    representative's packed replay trace.  [warmup] is the warmup prefix
+    vectors ({!bbv_dims} dimensions), k-means over k = 1..{!max_k} with
+    {!restarts} random restarts each picks the phase clustering, and a
+    second functional pass records each representative's packed replay
+    trace.  [warmup] is the warmup prefix
     length in instructions (default one full [interval], clipped at the
     start of the stream; shorter warmups leave a cold-start bias that
     overestimates CPI).  Raises [Invalid_argument] for a non-positive
@@ -103,15 +111,13 @@ val recombine :
 
 val project_of_phases : plan -> (rep * Pc_uarch.Sim.result) array -> Pc_uarch.Sim.result
 (** {!recombine} over an already-replayed phase array (weights and
-    replay lengths taken from the plan's representatives). *)
-
-val project_sim : Pc_uarch.Config.t -> plan -> Pc_uarch.Sim.result
-(** [replay_phases] followed by [project_of_phases]: whole-program cycles
-    are the sum over clusters of population × the representative's
-    warmup-free CPI.  Event counters (cache misses, branches, class
-    counts — the power model's inputs) are scaled from each
-    representative pro rata; the [ipc]/[cycles]/[instrs] fields estimate
-    the full run. *)
+    replay lengths taken from the plan's representatives).  Over
+    [replay_phases cfg plan] this is the sampled timing projection:
+    whole-program cycles are the sum over clusters of population × the
+    representative's warmup-free CPI.  Event counters (cache misses,
+    branches, class counts — the power model's inputs) are scaled from
+    each representative pro rata; the [ipc]/[cycles]/[instrs] fields
+    estimate the full run. *)
 
 val project_power_of_phases :
   Pc_uarch.Config.t -> plan -> (rep * Pc_uarch.Sim.result) array -> float
@@ -124,15 +130,12 @@ val project_power_of_phases :
     are skipped with a warning; if none are valid the recombined
     {!project_of_phases} result is priced instead. *)
 
-val project_power : Pc_uarch.Config.t -> plan -> float
-(** [replay_phases] followed by {!project_power_of_phases}. *)
-
 val project_mpi : ?onepass:bool -> plan -> float array
 (** Replay every representative's data references through the paper's
     28-configuration cache study ({!Pc_caches.Study.run_trace} with the
     warmup prefix excluded from the counts) and project whole-program
     misses per instruction for each configuration, population-weighted
-    like {!project_sim}.  Each window is measured twice — once from the
+    like {!project_of_phases}.  Each window is measured twice — once from the
     warmup prefix alone (cold bound) and once additionally primed with
     the window's own lines (warm bound) — and the projection is the
     midpoint, cancelling the cold-start overestimate that large
@@ -151,8 +154,9 @@ val project_bpred : Pc_branch.Predictor.config list -> plan -> float array
     and mispredictions are recombined with {!recombine}'s own weighting
     — the empty-window skip, the renormalisation and the rounding of the
     scaled counters.  Each rate therefore equals
-    [Sim.mispredict_rate (project_sim (Config.with_bpred bp base) plan)]
-    bit for bit, and is 0.0 when no window measured anything. *)
+    [Sim.mispredict_rate (project_of_phases plan (replay_phases
+    (Config.with_bpred bp base) plan))] bit for bit, and is 0.0 when no
+    window measured anything. *)
 
 val feed_trace :
   Pc_uarch.Sim.state ->

@@ -6,8 +6,13 @@ module Sample = Pc_sample.Sample
 module Sim = Pc_uarch.Sim
 module Config = Pc_uarch.Config
 
-(* Per-stream walker state for synthetic addresses: mirrors the clone
-   generator's geometry but lives in the trace generator. *)
+(* Per-stream walker state for synthetic addresses.  This is the trace
+   generator's own address model, not the clone's geometry (the clone
+   shards a stream's footprint across its ops and can walk it in 2-D
+   rows): a walker starts at its stream's region, steps |stride| bytes
+   once every four ops it serves, wraps after footprint / |stride| steps
+   (at most 4096), and spreads the ops it serves 8 bytes apart over the
+   stream's active span / 8. *)
 type walker = {
   w_stride : int;
   w_length : int;
@@ -17,7 +22,8 @@ type walker = {
   mutable w_slots : int; (* ops served this round-robin cycle *)
 }
 
-(* Per-static-branch direction state (modulo counter, as in the clone). *)
+(* Per-static-branch direction state: {!Synth.branch_counter}'s counter,
+   period 1 for a fixed direction. *)
 type branch_state = {
   b_period : int;
   b_taken_slots : int;
@@ -40,8 +46,7 @@ type gen = {
   g_streams : Synth.stream_info array;
   g_walkers : walker array;
   g_branch_states : (int, branch_state) Hashtbl.t;
-  g_recent : int array; (* ring of synthetic destination ids *)
-  g_recent_count : int ref;
+  g_recent : Synth.Recent.t; (* synthetic destination ids, 1..25 *)
   g_next_reg : int ref;
 }
 
@@ -49,26 +54,13 @@ let make_gen ~seed (profile : Profile.t) =
   let rng = Rng.create seed in
   let nodes = profile.Profile.nodes in
   if Array.length nodes = 0 then invalid_arg "Statsim: empty profile";
-  let streams = Synth.plan_streams ~max_streams:12 profile in
-  let streams =
-    if Array.length streams = 0 then
-      [|
-        {
-          Synth.stride = 8;
-          length = 2;
-          weight = 0;
-          footprint = 64;
-          active_span = 64;
-          region = Pc_isa.Program.data_base;
-          row_stride = 0;
-        };
-      |]
-    else streams
-  in
+  if Array.for_all (fun (n : Profile.node) -> n.Profile.count <= 0) nodes then
+    invalid_arg "Statsim: no profile node has a positive execution count";
+  let streams = Synth.stream_pool ~max_streams:12 profile in
   let walkers =
     Array.map
       (fun (s : Synth.stream_info) ->
-        let stride = if s.Synth.stride = 0 then 0 else s.Synth.stride in
+        let stride = s.Synth.stride in
         let length =
           if stride = 0 then 1
           else max 2 (min 4096 (s.Synth.footprint / max 8 (abs stride)))
@@ -91,8 +83,7 @@ let make_gen ~seed (profile : Profile.t) =
     g_streams = streams;
     g_walkers = walkers;
     g_branch_states = Hashtbl.create 64;
-    g_recent = Array.make 64 (-1);
-    g_recent_count = ref 0;
+    g_recent = Synth.Recent.create ();
     g_next_reg = ref 1;
   }
 
@@ -100,48 +91,27 @@ let branch_state_of g (node : Profile.node) (b : Profile.branch_behaviour) =
   match Hashtbl.find_opt g.g_branch_states node.Profile.id with
   | Some s -> s
   | None ->
-    let t = b.Profile.transition_rate and tr = b.Profile.taken_rate in
     let s =
-      if t <= 0.02 then
-        { b_period = 1; b_taken_slots = (if tr >= 0.5 then 1 else 0); b_count = 0 }
-      else if t >= 0.9 then { b_period = 2; b_taken_slots = 1; b_count = 0 }
-      else begin
-        let p =
-          let raw = int_of_float (Float.round (2.0 /. t)) in
-          let rec pow2 x = if x >= raw then x else pow2 (2 * x) in
-          max 2 (min 256 (pow2 2))
-        in
-        let taken =
-          max 1 (min (p - 1) (int_of_float (Float.round (tr *. float_of_int p))))
-        in
-        { b_period = p; b_taken_slots = taken; b_count = 0 }
-      end
+      match Synth.branch_counter b with
+      | Synth.Fixed taken ->
+        { b_period = 1; b_taken_slots = (if taken then 1 else 0); b_count = 0 }
+      | Synth.Alternate -> { b_period = 2; b_taken_slots = 1; b_count = 0 }
+      | Synth.Modulo { period; taken_slots } ->
+        { b_period = period; b_taken_slots = taken_slots; b_count = 0 }
     in
     Hashtbl.add g.g_branch_states node.Profile.id s;
     s
-
-let push_dest g d =
-  g.g_recent.(!(g.g_recent_count) land 63) <- d;
-  incr g.g_recent_count
 
 let alloc_reg g =
   let r = !(g.g_next_reg) in
   g.g_next_reg := if !(g.g_next_reg) >= 25 then 1 else !(g.g_next_reg) + 1;
   r
 
+(* The fallback register is drawn only when the ring has none. *)
 let src g fractions =
   let d = Profile.sample_distance g.g_rng fractions in
-  let at k =
-    if k < 1 || k > min !(g.g_recent_count) 63 then -1
-    else g.g_recent.((!(g.g_recent_count) - k) land 63)
-  in
-  let rec scan delta =
-    if delta > 8 then 1 + Rng.int g.g_rng 24
-    else
-      let a = at (d - delta) and b = at (d + delta) in
-      if a >= 1 then a else if b >= 1 then b else scan (delta + 1)
-  in
-  scan 0
+  let r = Synth.Recent.find g.g_recent ~is_fp:false ~distance:d in
+  if r >= 0 then r else 1 + Rng.int g.g_rng 24
 
 (* SFG walking. *)
 let pick_start g = Rng.sample_cdf g.g_rng g.g_node_cdf
@@ -166,10 +136,6 @@ let pick_successor g (node : Profile.node) =
     Some !result
   end
 
-(* Event synthesis. *)
-let comp_classes =
-  [| I.C_int_alu; I.C_int_mul; I.C_int_div; I.C_fp_alu; I.C_fp_mul; I.C_fp_div |]
-
 (* Walk the SFG from [start], stepping [sim] through abstract retired
    instructions until [budget] have been produced.  Node bodies always
    complete, so a few extra instructions past [budget] may come from the
@@ -181,29 +147,6 @@ let synth g ~start ~budget sim =
   let current = ref start in
   while !emitted < budget do
     let node = g.g_nodes.(!current) in
-    let weights =
-      Array.map (fun c -> node.Profile.mix.(I.class_index c)) comp_classes
-    in
-    let wsum = Array.fold_left ( +. ) 0.0 weights in
-    let sample_class () =
-      if wsum <= 0.0 then I.C_int_alu
-      else begin
-        let u = Rng.float g.g_rng wsum in
-        let acc = ref 0.0 in
-        let result = ref I.C_int_alu in
-        (try
-           Array.iteri
-             (fun i w ->
-               acc := !acc +. w;
-               if !acc >= u then begin
-                 result := comp_classes.(i);
-                 raise Exit
-               end)
-             weights
-         with Exit -> ());
-        !result
-      end
-    in
     let mem_ops = node.Profile.mem_ops in
     let n_mem = Array.length mem_ops in
     let body_slots = max 1 (node.Profile.size - 1) in
@@ -231,17 +174,17 @@ let synth g ~start ~budget sim =
             ~write:(-1) ~addr ~taken:false
         else begin
           let d = alloc_reg g in
-          push_dest g d;
+          Synth.Recent.push g.g_recent d;
           Sim.step sim ~pc ~cls:I.C_load ~reads:[] ~write:d ~addr ~taken:false
         end
       end
       else begin
-        let cls = sample_class () in
+        let cls = Synth.draw_class g.g_rng node.Profile.mix in
         let reads =
           [ src g node.Profile.dep_fractions; src g node.Profile.dep_fractions ]
         in
         let d = alloc_reg g in
-        push_dest g d;
+        Synth.Recent.push g.g_recent d;
         let write =
           if I.class_index cls >= 3 && I.class_index cls <= 5 then 32 + (d mod 25) + 1
           else d

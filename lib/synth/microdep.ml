@@ -39,40 +39,25 @@ let measure_targets ?(max_instrs = 10_000_000) (cfg : Config.t) program =
     mispredict_rate = Predictor.misprediction_rate bpred;
   }
 
-(* Register layout mirrors Synth: r1..r13 integer pool, f1..f13 FP pool,
-   r14 missing-stream pointer, r15 hitting-stream pointer, r16 LCG state,
-   r26 iteration counter, r27 bound, r28 scratch. *)
-let int_pool = Array.init 13 (fun i -> i + 1)
-let fp_pool = Array.init 13 (fun i -> i + 1)
+(* Synth's register layout, with r14 the missing-stream pointer, r15
+   the hitting-stream pointer and r16 the LCG state. *)
+let int_pool = Synth.int_pool
+let fp_pool = Synth.fp_pool
 let miss_ptr = 14
 let hit_ptr = 15
 let lcg_reg = 16
-let iter_reg = 26
-let bound_reg = 27
-let scratch = 28
+let iter_reg = Synth.iter_reg
+let bound_reg = Synth.bound_reg
+let scratch = Synth.scratch
 
 (* The missing stream walks this many bytes before resetting: far larger
    than the reference 16 KB L1 with 32 B lines, so every access misses. *)
 let miss_region_iters = 4096
 let miss_stride = 32
 
-(* Aggregate the profile's per-node dependency fractions into one global
-   distribution, weighted by node execution counts. *)
-let global_deps (profile : Profile.t) =
-  let n_buckets = Array.length Profile.dep_bounds + 1 in
-  let acc = Array.make n_buckets 0.0 in
-  let total = ref 0.0 in
-  Array.iter
-    (fun (n : Profile.node) ->
-      let w = float_of_int n.Profile.count in
-      Array.iteri (fun i f -> acc.(i) <- acc.(i) +. (w *. f)) n.Profile.dep_fractions;
-      total := !total +. w)
-    profile.Profile.nodes;
-  if !total > 0.0 then Array.map (fun v -> v /. !total) acc else acc
-
 let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~targets () =
   let rng = Rng.create seed in
-  let deps = global_deps profile in
+  let deps = Profile.dep_distribution profile in
   let mix = profile.Profile.global_mix in
   let frac c = mix.(I.class_index c) in
   let block_size =
@@ -88,12 +73,8 @@ let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~tar
     int_of_float (Float.round (mem_frac *. float_of_int block_size))
   in
   (* Dataflow helpers: round-robin destinations, recent-ring sources. *)
-  let recent = Array.make 64 (-1) in
-  let recent_count = ref 0 in
-  let push_dest d =
-    recent.(!recent_count land 63) <- d;
-    incr recent_count
-  in
+  let recent = Synth.Recent.create () in
+  let push_dest = Synth.Recent.push recent in
   let next_int = ref 0 and next_fp = ref 0 in
   let alloc_int () =
     let r = int_pool.(!next_int) in
@@ -105,31 +86,21 @@ let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~tar
     next_fp := (!next_fp + 1) mod Array.length fp_pool;
     r
   in
+  (* The fallback register is drawn only when the ring has none. *)
   let find_src ~is_fp =
-    let d = Profile.sample_distance rng deps in
-    let matches id = id >= 0 && (if is_fp then id >= 32 else id < 32) in
-    let at k =
-      if k < 1 || k > min !recent_count 63 then -1
-      else recent.((!recent_count - k) land 63)
+    let r =
+      Synth.Recent.find recent ~is_fp ~distance:(Profile.sample_distance rng deps)
     in
-    let rec scan delta =
-      if delta > 8 then
-        if is_fp then fp_pool.(Rng.int rng (Array.length fp_pool))
-        else int_pool.(Rng.int rng (Array.length int_pool))
-      else
-        let a = at (d - delta) and b = at (d + delta) in
-        if matches a then (if a >= 32 then a - 32 else a)
-        else if matches b then (if b >= 32 then b - 32 else b)
-        else scan (delta + 1)
-    in
-    scan 0
+    if r >= 0 then r
+    else
+      let pool = if is_fp then fp_pool else int_pool in
+      pool.(Rng.int rng (Array.length pool))
   in
   let items = ref [] in
   let emit i = items := Asm.Ins i :: !items in
   let emit_label l = items := Asm.Label l :: !items in
   (* preamble *)
-  Array.iteri (fun i r -> emit (I.Li (r, Int64.of_int (i + 3)))) int_pool;
-  Array.iteri (fun i r -> emit (I.Fli (r, 1.0 +. (0.5 *. float_of_int i)))) fp_pool;
+  List.iter emit Synth.pool_preamble;
   let miss_base = Program.data_base in
   let hit_base =
     Program.data_base + (miss_stride * miss_region_iters) + 4096
@@ -158,30 +129,6 @@ let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~tar
      majority direction, so mispredict ~ minority rate). *)
   let p_not_taken = max 0.01 (min 0.5 targets.mispredict_rate) in
   let threshold = max 1 (int_of_float (Float.round (p_not_taken *. 256.0))) in
-  let comp_classes =
-    [| I.C_int_alu; I.C_int_mul; I.C_int_div; I.C_fp_alu; I.C_fp_mul; I.C_fp_div |]
-  in
-  let weights = Array.map frac comp_classes in
-  let wsum = Array.fold_left ( +. ) 0.0 weights in
-  let sample_class () =
-    if wsum <= 0.0 then I.C_int_alu
-    else begin
-      let u = Rng.float rng wsum in
-      let acc = ref 0.0 in
-      let result = ref I.C_int_alu in
-      (try
-         Array.iteri
-           (fun i w ->
-             acc := !acc +. w;
-             if !acc >= u then begin
-               result := comp_classes.(i);
-               raise Exit
-             end)
-           weights
-       with Exit -> ());
-      !result
-    end
-  in
   let int_alu_ops = [| I.Add; I.Sub; I.Xor; I.And; I.Or |] in
   for b = 0 to n_blocks - 1 do
     emit_label (Printf.sprintf "bb_%d" b);
@@ -208,7 +155,7 @@ let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~tar
         end
       end
       else begin
-        match sample_class () with
+        match Synth.draw_class rng mix with
         | I.C_int_alu ->
           let op = int_alu_ops.(Rng.int rng (Array.length int_alu_ops)) in
           let a = find_src ~is_fp:false and b' = find_src ~is_fp:false in
@@ -268,14 +215,6 @@ let generate ?(seed = 1) ?(target_dynamic = 100_000) ~(profile : Profile.t) ~tar
   emit I.Halt;
   body := !body + 7;
   let iterations = max 1 (target_dynamic / max 1 !body) in
-  let items =
-    List.rev_map
-      (fun item ->
-        match item with
-        | Asm.Ins (I.Li (r, 1L)) when r = bound_reg ->
-          Asm.Ins (I.Li (bound_reg, Int64.of_int iterations))
-        | other -> other)
-      !items
-  in
   let data_bytes = hit_base - Program.data_base + 4096 in
-  Asm.assemble ~name:(profile.Profile.name ^ "-microdep") ~data:[] ~data_bytes items
+  Synth.assemble_loop ~name:(profile.Profile.name ^ "-microdep") ~data_bytes ~iterations
+    !items

@@ -74,8 +74,7 @@ let gen_stmt gs (node : Profile.node) cls streams geoms mem_queue =
   | I.C_load | I.C_store -> (
     match Queue.take_opt mem_queue with
     | Some (m : Profile.mem_op) ->
-      let k, elems = Synth.assign_stream streams m, 0 in
-      ignore elems;
+      let k = Synth.assign_stream streams m in
       let slot = gs.stream_slots.(k) in
       gs.stream_slots.(k) <- slot + 1;
       let _, size_words, spread_words = geoms.(k) in
@@ -98,21 +97,12 @@ let gen_stmt gs (node : Profile.node) cls streams geoms mem_queue =
 let gen_branch (node : Profile.node) =
   match node.Profile.branch with
   | None -> []
-  | Some b ->
-    let t = b.Profile.transition_rate and tr = b.Profile.taken_rate in
-    if t <= 0.02 then
-      (* fixed direction *)
-      [ if_ (i (if tr >= 0.5 then 1 else 0)) [] [] ]
-    else if t >= 0.9 then [ if_ ((v "it" &: i 1) =: i 0) [] [] ]
-    else begin
-      let p =
-        let raw = int_of_float (Float.round (2.0 /. t)) in
-        let rec pow2 x = if x >= raw then x else pow2 (2 * x) in
-        max 2 (min 256 (pow2 2))
-      in
-      let taken = max 1 (min (p - 1) (int_of_float (Float.round (tr *. float_of_int p)))) in
-      [ if_ ((v "it" &: i (p - 1)) <: i taken) [] [] ]
-    end
+  | Some b -> (
+    match Synth.branch_counter b with
+    | Synth.Fixed taken -> [ if_ (i (if taken then 1 else 0)) [] [] ]
+    | Synth.Alternate -> [ if_ ((v "it" &: i 1) =: i 0) [] [] ]
+    | Synth.Modulo { period; taken_slots } ->
+      [ if_ ((v "it" &: i (period - 1)) <: i taken_slots) [] [] ])
 
 let generate ?(seed = 1) ?(target_blocks = 0) ?(target_dynamic = 100_000)
     (profile : Profile.t) =
@@ -122,22 +112,7 @@ let generate ?(seed = 1) ?(target_blocks = 0) ?(target_dynamic = 100_000)
   let target_blocks =
     if target_blocks > 0 then target_blocks else min 400 (max 40 (2 * n_nodes))
   in
-  let streams = Synth.plan_streams ~max_streams:8 profile in
-  let streams =
-    if Array.length streams = 0 then
-      [|
-        {
-          Synth.stride = 8;
-          length = 2;
-          weight = 0;
-          footprint = 64;
-          active_span = 64;
-          region = Pc_isa.Program.data_base;
-          row_stride = 0;
-        };
-      |]
-    else streams
-  in
+  let streams = Synth.stream_pool ~max_streams:8 profile in
   let block_ids = Synth.walk_sfg rng profile target_blocks in
   (* stream geometry in ELEMENTS (8-byte words): (stride, size, spread) *)
   let op_counts = Array.make (Array.length streams) 0 in
@@ -174,36 +149,12 @@ let generate ?(seed = 1) ?(target_blocks = 0) ?(target_dynamic = 100_000)
       Array.iter (fun m -> Queue.add m mem_queue) node.Profile.mem_ops;
       let n_mem = Array.length node.Profile.mem_ops in
       let body_slots = max 1 (node.Profile.size - 1) in
-      let comp_classes =
-        [| I.C_int_alu; I.C_int_mul; I.C_int_div; I.C_fp_alu; I.C_fp_mul; I.C_fp_div |]
-      in
-      let weights = Array.map (fun c -> node.Profile.mix.(I.class_index c)) comp_classes in
-      let wsum = Array.fold_left ( +. ) 0.0 weights in
-      let sample_class () =
-        if wsum <= 0.0 then I.C_int_alu
-        else begin
-          let u = Rng.float st.rng wsum in
-          let acc = ref 0.0 in
-          let result = ref I.C_int_alu in
-          (try
-             Array.iteri
-               (fun i w ->
-                 acc := !acc +. w;
-                 if !acc >= u then begin
-                   result := comp_classes.(i);
-                   raise Exit
-                 end)
-               weights
-           with Exit -> ());
-          !result
-        end
-      in
       let mem_every = max 1 (body_slots / max 1 n_mem) in
       for slot = 0 to body_slots - 1 do
         let cls =
           if n_mem > 0 && slot mod mem_every = 0 && not (Queue.is_empty mem_queue) then
             I.C_load
-          else sample_class ()
+          else Synth.draw_class st.rng node.Profile.mix
         in
         emit (gen_stmt st node cls streams geoms mem_queue)
       done;

@@ -47,6 +47,25 @@ let iter_reg = 26
 let bound_reg = 27
 let scratch = 28
 
+let pool_preamble =
+  Array.to_list (Array.mapi (fun i r -> I.Li (r, Int64.of_int (i + 3))) int_pool)
+  @ Array.to_list
+      (Array.mapi (fun i r -> I.Fli (r, 1.0 +. (0.5 *. float_of_int i))) fp_pool)
+
+(* [items] are in reverse emission order, with the loop bound emitted as
+   the placeholder [Li (bound_reg, 1L)] before the body size was known. *)
+let assemble_loop ~name ~data_bytes ~iterations items =
+  let items =
+    List.rev_map
+      (fun item ->
+        match item with
+        | Asm.Ins (I.Li (r, 1L)) when r = bound_reg ->
+          Asm.Ins (I.Li (bound_reg, Int64.of_int iterations))
+        | other -> other)
+      items
+  in
+  Asm.assemble ~name ~data:[] ~data_bytes items
+
 type stream_info = {
   stride : int;
   length : int;
@@ -157,6 +176,24 @@ let plan_streams ?(stride_bias = 0.0) ~max_streams (profile : Profile.t) =
          { s with length })
        chosen)
 
+(* A profile without memory ops still gets one stream, so every
+   generator can index the pool. *)
+let stream_pool ?stride_bias ~max_streams profile =
+  match plan_streams ?stride_bias ~max_streams profile with
+  | [||] ->
+    [|
+      {
+        stride = 8;
+        length = 2;
+        weight = 0;
+        footprint = 64;
+        active_span = 64;
+        region = Program.data_base;
+        row_stride = 0;
+      };
+    |]
+  | streams -> streams
+
 (* Index of the stream best matching an op's (stride, footprint):
    stride distance dominates, footprint ratio breaks ties. *)
 let assign_stream streams (m : Profile.mem_op) =
@@ -261,11 +298,34 @@ let walk_sfg rng (profile : Profile.t) target_blocks =
     Array.of_list (List.rev !blocks)
   end
 
+(* --- class draw: step 2 --- *)
+
+let comp_classes =
+  [| I.C_int_alu; I.C_int_mul; I.C_int_div; I.C_fp_alu; I.C_fp_mul; I.C_fp_div |]
+
+(* A linear scan, not [Rng.sample_cdf]'s binary search: a parsed mix may
+   hold negative or NaN entries, and there the two pick different
+   classes.  Written with loops over refs, so a draw allocates
+   nothing. *)
+let draw_class rng mix =
+  let total = ref 0.0 in
+  for i = 0 to Array.length comp_classes - 1 do
+    total := !total +. mix.(I.class_index comp_classes.(i))
+  done;
+  if !total <= 0.0 then I.C_int_alu
+  else begin
+    let u = Rng.float rng !total in
+    let acc = ref 0.0 and found = ref (-1) and i = ref 0 in
+    while !found < 0 && !i < Array.length comp_classes do
+      acc := !acc +. mix.(I.class_index comp_classes.(!i));
+      if !acc >= u then found := !i;
+      incr i
+    done;
+    if !found < 0 then I.C_int_alu else comp_classes.(!found)
+  end
+
 (* --- dependency-distance register assignment: steps 3 and 10 --- *)
 
-(* Ring of recent destination registers; slot i land mask holds the
-   destination of the i-th generated instruction (reg id in the shared
-   int/fp space, or -1 when the instruction has no pool destination). *)
 module Recent = struct
   let size = 64
 
@@ -277,24 +337,45 @@ module Recent = struct
     t.dests.(t.count land (size - 1)) <- dest;
     t.count <- t.count + 1
 
-  (* Find a source register of the wanted kind at (approximately) the
-     requested dependency distance, scanning outwards a few slots. *)
-  let find t ~is_fp ~distance ~fallback =
-    let matches id = id >= 0 && (if is_fp then id >= 32 else id < 32) in
-    let at d =
-      if d < 1 || d > min t.count (size - 1) then -1
-      else t.dests.((t.count - d) land (size - 1))
-    in
-    let rec scan delta =
-      if delta > 8 then fallback
-      else
-        let a = at (distance - delta) and b = at (distance + delta) in
-        if matches a then (if a >= 32 then a - 32 else a)
-        else if matches b then (if b >= 32 then b - 32 else b)
-        else scan (delta + 1)
-    in
-    scan 0
+  let at t d =
+    if d < 1 || d > Int.min t.count (size - 1) then -1
+    else t.dests.((t.count - d) land (size - 1))
+
+  let matches ~is_fp id = id >= 0 && if is_fp then id >= 32 else id < 32
+
+  let find t ~is_fp ~distance =
+    let found = ref (-1) and delta = ref 0 in
+    while !found < 0 && !delta <= 8 do
+      let a = at t (distance - !delta) and b = at t (distance + !delta) in
+      if matches ~is_fp a then found := a
+      else if matches ~is_fp b then found := b;
+      incr delta
+    done;
+    if !found >= 32 then !found - 32 else !found
 end
+
+(* --- the modulo branch counter of Portable and Statsim: step 5 --- *)
+
+type counter =
+  | Fixed of bool
+  | Alternate
+  | Modulo of { period : int; taken_slots : int }
+
+let branch_counter (b : Profile.branch_behaviour) =
+  let t = b.Profile.transition_rate and tr = b.Profile.taken_rate in
+  if t <= 0.02 then Fixed (tr >= 0.5)
+  else if t >= 0.9 then Alternate
+  else begin
+    let period =
+      let raw = int_of_float (Float.round (2.0 /. t)) in
+      let rec pow2 x = if x >= raw then x else pow2 (2 * x) in
+      max 2 (min 256 (pow2 2))
+    in
+    let taken_slots =
+      max 1 (min (period - 1) (int_of_float (Float.round (tr *. float_of_int period))))
+    in
+    Modulo { period; taken_slots }
+  end
 
 (* --- the generator --- *)
 
@@ -339,15 +420,17 @@ let alloc_fp st =
   st.next_fp <- (st.next_fp + 1) mod Array.length fp_pool;
   r
 
-let int_src st node_deps =
+(* The fallback register is drawn for every source, found or not, after
+   the distance and its jitter. *)
+let src st node_deps ~is_fp =
   let d = jitter_distance st (Profile.sample_distance st.rng node_deps) in
-  Recent.find st.recent ~is_fp:false ~distance:d
-    ~fallback:int_pool.(Rng.int st.rng (Array.length int_pool))
+  let pool = if is_fp then fp_pool else int_pool in
+  let fallback = pool.(Rng.int st.rng (Array.length pool)) in
+  let r = Recent.find st.recent ~is_fp ~distance:d in
+  if r >= 0 then r else fallback
 
-let fp_src st node_deps =
-  let d = jitter_distance st (Profile.sample_distance st.rng node_deps) in
-  Recent.find st.recent ~is_fp:true ~distance:d
-    ~fallback:fp_pool.(Rng.int st.rng (Array.length fp_pool))
+let int_src st node_deps = src st node_deps ~is_fp:false
+let fp_src st node_deps = src st node_deps ~is_fp:true
 
 let int_alu_ops = [| I.Add; I.Sub; I.Xor; I.And; I.Or |]
 
@@ -499,23 +582,8 @@ let generate ?(options = default_options) (profile : Profile.t) =
       max 4 (int_of_float (Float.round (options.block_scale *. float_of_int base)))
   in
   let streams =
-    plan_streams ~stride_bias:options.stride_bias
+    stream_pool ~stride_bias:options.stride_bias
       ~max_streams:options.max_streams profile
-  in
-  let streams =
-    if Array.length streams = 0 then
-      [|
-        {
-          stride = 8;
-          length = 2;
-          weight = 0;
-          footprint = 64;
-          active_span = 64;
-          region = Program.data_base;
-          row_stride = 0;
-        };
-      |]
-    else streams
   in
   let block_ids = walk_sfg rng profile target_blocks in
   let st =
@@ -528,17 +596,9 @@ let generate ?(options = default_options) (profile : Profile.t) =
       stream_op_counts = Array.make (Array.length streams) 0;
     }
   in
-  (* Estimate the loop iteration count, then realise each stream's
-     geometry: per-op shards partition the profiled footprint so the
-     clone covers it within the available iterations. *)
-  let body_est =
-    Array.fold_left
-      (fun acc id -> acc + profile.Profile.nodes.(id).Profile.size)
-      0 block_ids
-    + (4 * Array.length streams) + 3
-  in
-  let iterations_est = max 2 (options.target_dynamic / max 1 body_est) in
-  ignore iterations_est;
+  (* Realise each stream's geometry: per-op shards partition the
+     profiled footprint so the clone covers it within the loop's
+     iterations. *)
   let op_counts = Array.make (Array.length streams) 0 in
   Array.iter
     (fun id ->
@@ -646,13 +706,10 @@ let generate ?(options = default_options) (profile : Profile.t) =
   let emit instr = items := Asm.Ins instr :: !items in
   let emit_label l = items := Asm.Label l :: !items in
   (* preamble: pools, stream pointers, loop counter *)
-  Array.iteri (fun i r -> emit (I.Li (r, Int64.of_int (i + 3)))) int_pool;
-  Array.iteri (fun i r -> emit (I.Fli (r, 1.0 +. (0.5 *. float_of_int i)))) fp_pool;
+  List.iter emit pool_preamble;
   Array.iteri (fun k _ -> emit (I.Li (stream_reg k, Int64.of_int geoms.(k).g_init))) streams;
   emit (I.Li (iter_reg, 0L));
-  emit (I.Li (bound_reg, 1L)) (* patched below once the body size is known *);
-  let bound_patch_index = List.length !items - 1 in
-  ignore bound_patch_index;
+  emit (I.Li (bound_reg, 1L)) (* set by [assemble_loop] once the body size is known *);
   emit_label "loop_top";
   (* synthetic basic blocks *)
   let body_instrs = ref 0 in
@@ -668,37 +725,10 @@ let generate ?(options = default_options) (profile : Profile.t) =
       Array.iter (fun m -> Queue.add m mem_queue) node.Profile.mem_ops;
       let n_mem = Array.length node.Profile.mem_ops in
       let body_slots = max 0 (node.Profile.size - 1) in
-      let n_other = max 0 (body_slots - n_mem) in
-      (* Renormalised CDF over computational classes (step 2). *)
-      let comp_classes =
-        [| I.C_int_alu; I.C_int_mul; I.C_int_div; I.C_fp_alu; I.C_fp_mul; I.C_fp_div |]
-      in
-      let weights =
-        Array.map (fun c -> node.Profile.mix.(I.class_index c)) comp_classes
-      in
-      let wsum = Array.fold_left ( +. ) 0.0 weights in
-      let sample_class () =
-        if wsum <= 0.0 then I.C_int_alu
-        else begin
-          let u = Rng.float st.rng wsum in
-          let acc = ref 0.0 in
-          let result = ref I.C_int_alu in
-          (try
-             Array.iteri
-               (fun i w ->
-                 acc := !acc +. w;
-                 if !acc >= u then begin
-                   result := comp_classes.(i);
-                   raise Exit
-                 end)
-               weights
-           with Exit -> ());
-          !result
-        end
-      in
-      (* Interleave memory ops evenly among the other instructions. *)
+      (* Interleave memory ops evenly among the other instructions.  A
+         block with no body slot places none of them. *)
       let mem_positions = Array.make body_slots false in
-      if n_mem > 0 then begin
+      if n_mem > 0 && body_slots > 0 then begin
         let step = float_of_int body_slots /. float_of_int n_mem in
         for j = 0 to n_mem - 1 do
           let pos = min (body_slots - 1) (int_of_float (float_of_int j *. step)) in
@@ -711,9 +741,10 @@ let generate ?(options = default_options) (profile : Profile.t) =
           place pos
         done
       end;
-      ignore n_other;
       for slot = 0 to body_slots - 1 do
-        let cls = if mem_positions.(slot) then I.C_load else sample_class () in
+        let cls =
+          if mem_positions.(slot) then I.C_load else draw_class st.rng node.Profile.mix
+        in
         emit (gen_instr st node cls streams geoms mem_queue)
       done;
       (* any leftover memory ops (when size under-counts) are dropped *)
@@ -790,15 +821,4 @@ let generate ?(options = default_options) (profile : Profile.t) =
   let iterations =
     max (max 1 (options.target_dynamic / max 1 !body_instrs)) longest_walk
   in
-  let items =
-    List.rev_map
-      (fun item ->
-        match item with
-        | Asm.Ins (I.Li (r, 1L)) when r = bound_reg ->
-          Asm.Ins (I.Li (bound_reg, Int64.of_int iterations))
-        | other -> other)
-      !items
-  in
-  Asm.assemble
-    ~name:(profile.Profile.name ^ "-clone")
-    ~data:[] ~data_bytes items
+  assemble_loop ~name:(profile.Profile.name ^ "-clone") ~data_bytes ~iterations !items

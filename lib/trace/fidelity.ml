@@ -55,22 +55,6 @@ let l1 a b =
   done;
   !s
 
-(* Dynamic-instruction-weighted dependency-distance distribution: each
-   SFG node's bucket fractions weighted by its execution count. *)
-let dep_distribution (p : Profile.t) =
-  let n_buckets = Array.length Profile.dep_bounds + 1 in
-  let acc = Array.make n_buckets 0.0 in
-  let total = ref 0.0 in
-  Array.iter
-    (fun (node : Profile.node) ->
-      let w = float_of_int node.Profile.count in
-      Array.iteri
-        (fun i f -> if i < n_buckets then acc.(i) <- acc.(i) +. (w *. f))
-        node.Profile.dep_fractions;
-      total := !total +. w)
-    p.Profile.nodes;
-  if !total > 0.0 then Array.map (fun v -> v /. !total) acc else acc
-
 (* Reference-weighted distribution over dominant strides. *)
 let stride_distribution (p : Profile.t) =
   let tbl = Hashtbl.create 64 in
@@ -127,7 +111,7 @@ let compare_profiles ~(original : Profile.t) ~(clone : Profile.t) =
   let c_taken, c_trans = branch_rates clone in
   {
     instr_mix_l1 = l1 original.Profile.global_mix clone.Profile.global_mix;
-    dep_dist_l1 = l1 (dep_distribution original) (dep_distribution clone);
+    dep_dist_l1 = l1 (Profile.dep_distribution original) (Profile.dep_distribution clone);
     stride_agreement = stride_agreement original clone;
     single_stride_err =
       Float.abs

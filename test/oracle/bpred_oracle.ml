@@ -18,5 +18,7 @@ let projected_rates configs plan =
   Array.of_list
     (List.map
        (fun bp ->
-         Sim.mispredict_rate (Pc_sample.Sample.project_sim (config bp) plan))
+         let module Sample = Pc_sample.Sample in
+         Sim.mispredict_rate
+           (Sample.project_of_phases plan (Sample.replay_phases (config bp) plan)))
        configs)

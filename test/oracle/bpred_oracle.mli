@@ -10,5 +10,6 @@ val rates :
 
 val projected_rates :
   Pc_branch.Predictor.config list -> Pc_sample.Sample.plan -> float array
-(** [Sim.mispredict_rate (Sample.project_sim (Config.with_bpred bp
-    Config.base) plan)] for each [bp], in order. *)
+(** [Sim.mispredict_rate (Sample.project_of_phases plan
+    (Sample.replay_phases (Config.with_bpred bp Config.base) plan))] for
+    each [bp], in order. *)

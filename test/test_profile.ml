@@ -354,6 +354,14 @@ let test_damaged_profiles_never_raise () =
   (* The undamaged text is among the accepted inputs. *)
   Alcotest.(check bool) "some damage still parses" true (!accepted > 1)
 
+(* [~start] skips ahead with a first call on the machine and profiles
+   with a second; [funcsim.runs] counts the machine once. *)
+let test_profile_start_is_one_run () =
+  let runs = Pc_obs.Metrics.counter "funcsim.runs" in
+  let before = Pc_obs.Metrics.value runs in
+  ignore (Collector.profile ~start:1000 (loop ~iters:1000 [ I.Alu (I.Add, 1, 2, 3) ]));
+  Alcotest.(check int) "funcsim.runs grew by one" 1 (Pc_obs.Metrics.value runs - before)
+
 let test_node_cdf () =
   let p = loop ~iters:50 [ I.Alu (I.Add, 1, 2, 3) ] in
   let prof = Collector.profile p in
@@ -374,6 +382,8 @@ let () =
             test_sfg_nodes_and_successors;
           Alcotest.test_case "node counts" `Quick test_node_counts_sum_to_blocks;
           Alcotest.test_case "node cdf" `Quick test_node_cdf;
+          Alcotest.test_case "a skipped-ahead profile is one funcsim run" `Quick
+            test_profile_start_is_one_run;
         ] );
       ( "dependencies",
         [

@@ -110,7 +110,7 @@ let test_full_coverage_projection_matches_detailed () =
   let plan = Sample.plan ~seed:1 ~interval:max_instrs ~max_instrs p in
   let cfg = Config.base in
   let detailed = Sim.run ~max_instrs cfg p in
-  let projected = Sample.project_sim cfg plan in
+  let projected = Sample.project_of_phases plan (Sample.replay_phases cfg plan) in
   Alcotest.(check int) "cycles" detailed.Sim.cycles projected.Sim.cycles;
   Alcotest.(check int) "instrs" detailed.Sim.instrs projected.Sim.instrs;
   Alcotest.(check int) "l1d misses" detailed.Sim.l1d_misses projected.Sim.l1d_misses;
@@ -127,7 +127,7 @@ let test_projection_accuracy () =
       let p = program name in
       let detailed = Sim.run ~max_instrs cfg p in
       let plan = Sample.plan ~seed:1 ~interval ~max_instrs p in
-      let projected = Sample.project_sim cfg plan in
+      let projected = Sample.project_of_phases plan (Sample.replay_phases cfg plan) in
       let err =
         abs_float (projected.Sim.ipc -. detailed.Sim.ipc) /. detailed.Sim.ipc
       in
@@ -149,7 +149,9 @@ let test_power_projection_accuracy () =
       let p = program name in
       let detailed = Power.total cfg (Sim.run ~max_instrs cfg p) in
       let plan = Sample.plan ~seed:1 ~interval ~max_instrs p in
-      let sampled = Sample.project_power cfg plan in
+      let sampled =
+        Sample.project_power_of_phases cfg plan (Sample.replay_phases cfg plan)
+      in
       let err = abs_float (sampled -. detailed) /. detailed in
       if err > 0.05 then
         Alcotest.failf "%s: sampled power %.3f vs detailed %.3f (%.1f%% error)"
@@ -250,7 +252,7 @@ let test_project_mpi_onepass_identical () =
    model's projection under each predictor: equal floats, also when a
    representative's window is emptied (skip and renormalise) and when
    every window is (rate 0). *)
-let test_project_bpred_matches_project_sim () =
+let test_project_bpred_matches_timing_model () =
   let configs = E.bpred_configs in
   let plan = Sample.plan ~seed:1 ~interval:10_000 ~max_instrs:300_000 (program "crc32") in
   Alcotest.(check bool) "several representatives" true (Array.length plan.Sample.reps >= 2);
@@ -328,7 +330,7 @@ let qcheck_plan_cache_roundtrip =
       let key =
         Plan_cache.key
           ~profile_id:(Printf.sprintf "roundtrip-%d-%d" seed interval)
-          ~interval ~seed ()
+          ~interval ~seed
       in
       Plan_cache.store cache key plan;
       match Plan_cache.find cache key with
@@ -342,7 +344,7 @@ let test_plan_cache_corruption_recovery () =
   let plan = Sample.plan ~seed:3 ~interval:20_000 ~max_instrs:60_000 p in
   let dir = fresh_cache_dir () in
   let cache = Plan_cache.create dir in
-  let key = Plan_cache.key ~profile_id:"bit-flip" ~interval:20_000 ~seed:3 () in
+  let key = Plan_cache.key ~profile_id:"bit-flip" ~interval:20_000 ~seed:3 in
   Plan_cache.store cache key plan;
   let file = Filename.concat dir (key ^ ".plan") in
   Flip.float_bit file plan.Sample.coverage;
@@ -369,7 +371,7 @@ let test_plan_cache_metrics () =
   let p = program "crc32" in
   let plan = Sample.plan ~seed:5 ~interval:20_000 ~max_instrs:60_000 p in
   let cache = Plan_cache.create (fresh_cache_dir ()) in
-  let key = Plan_cache.key ~profile_id:"metrics" ~interval:20_000 ~seed:5 () in
+  let key = Plan_cache.key ~profile_id:"metrics" ~interval:20_000 ~seed:5 in
   let hits0 = counter_value "plan_cache.hits"
   and misses0 = counter_value "plan_cache.misses" in
   Alcotest.(check bool) "cold lookup misses" true (Plan_cache.find cache key = None);
@@ -386,7 +388,7 @@ let test_plan_cache_eviction () =
   let plan = Sample.plan ~seed:1 ~interval:20_000 ~max_instrs:60_000 (program "crc32") in
   let dir = fresh_cache_dir () in
   let cache = Plan_cache.create ~max_entries:2 dir in
-  let key i = Plan_cache.key ~profile_id:(string_of_int i) ~interval:20_000 ~seed:1 () in
+  let key i = Plan_cache.key ~profile_id:(string_of_int i) ~interval:20_000 ~seed:1 in
   List.iter (fun i -> Plan_cache.store cache (key i) plan) [ 0; 1; 2 ];
   let on_disk = List.filter (fun f -> Filename.check_suffix f ".plan") (Array.to_list (Sys.readdir dir)) in
   Alcotest.(check int) "eviction keeps max_entries plans" 2 (List.length on_disk)
@@ -475,7 +477,7 @@ let () =
           Alcotest.test_case "zero-cycle phases skipped" `Quick
             test_recombine_zero_cycle_guard;
           Alcotest.test_case "predictor projection equals the timing model's" `Quick
-            test_project_bpred_matches_project_sim;
+            test_project_bpred_matches_timing_model;
           Alcotest.test_case "sampled predictor study equals sim_run" `Quick
             test_sampled_bpred_rates_match_sim_run;
         ] );

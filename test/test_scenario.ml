@@ -202,6 +202,14 @@ let test_priority_weights () =
         t.Scenario.fed)
     pri
 
+(* The arbiter resumes a tenant's machine once per quantum (twenty times
+   here); [funcsim.runs] still counts it as one run. *)
+let test_co_run_counts_one_run () =
+  let runs = Pc_obs.Metrics.counter "funcsim.runs" in
+  let before = Pc_obs.Metrics.value runs in
+  ignore (Scenario.co_run ~quantum:1_000 Config.base [| solo_input "crc32" 20_000 |]);
+  Alcotest.(check int) "funcsim.runs grew by one" 1 (Pc_obs.Metrics.value runs - before)
+
 let test_co_run_validation () =
   let cfg = Config.base in
   Alcotest.check_raises "no tenants"
@@ -398,6 +406,8 @@ let () =
         [
           Alcotest.test_case "priority weights" `Quick test_priority_weights;
           Alcotest.test_case "co_run validation" `Quick test_co_run_validation;
+          Alcotest.test_case "a resumed tenant is one funcsim run" `Quick
+            test_co_run_counts_one_run;
         ] );
       ( "spec",
         [

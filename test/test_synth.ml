@@ -335,6 +335,203 @@ let qcheck_clones_always_halt =
       let m, _ = run_clone ~max_instrs:3_000_000 clone in
       Machine.halted m)
 
+(* --- degenerate profiles ---
+
+   Hand-built profiles at the edges of what [Profile.parse] accepts or
+   the collector writes (a block cut by the profiling budget one memory
+   op in has size 1 and a memory op).  Each generator must return, or
+   raise an [Invalid_argument] that names it; every program returned
+   must halt. *)
+
+let mix_of classes =
+  let m = Array.make I.class_count 0.0 in
+  List.iter (fun (c, f) -> m.(I.class_index c) <- f) classes;
+  m
+
+let plain_mix = mix_of [ (I.C_int_alu, 0.4); (I.C_fp_mul, 0.2); (I.C_load, 0.2); (I.C_branch, 0.2) ]
+
+let mem_op pc =
+  {
+    Profile.static_pc = pc;
+    is_store = pc mod 2 = 1;
+    stride = 8;
+    stream_length = 4;
+    footprint = 256;
+    window_span = 64;
+    region = Program.data_base;
+    row_stride = 0;
+    refs = 10;
+    single_stride_refs = 10;
+  }
+
+let branch taken_rate transition_rate =
+  Some { Profile.execs = 10; taken_rate; transition_rate }
+
+let node ?(count = 10) ?(size = 5) ?(mix = plain_mix) ?(mem_ops = [| mem_op 1 |])
+    ?(branch = branch 0.5 0.3) ?successors id =
+  {
+    Profile.id;
+    pred_start = -1;
+    start = 10 * id;
+    count;
+    size;
+    mix;
+    dep_fractions = [| 0.3; 0.2; 0.1; 0.1; 0.1; 0.1; 0.05; 0.05 |];
+    mem_ops;
+    branch;
+    successors =
+      (match successors with Some s -> s | None -> [| ((id + 1) mod 2, 1.0) |]);
+  }
+
+let degenerate name ?(global_mix = plain_mix) nodes =
+  {
+    Profile.name;
+    instr_count = 1_000;
+    nodes;
+    global_mix;
+    avg_block_size = 4.0;
+    single_stride_fraction = 1.0;
+    unique_streams = 1;
+  }
+
+let degenerate_profiles =
+  let two f = [| f 0; f 1 |] in
+  let mixed m = degenerate ~global_mix:m "mix" (two (node ~mix:m)) in
+  [
+    ("terminator only", degenerate "t" (two (node ~size:1 ~mem_ops:[||])));
+    ("every count 0", degenerate "c0" (two (node ~count:0)));
+    ( "sizes 0 and 1 with memory ops",
+      degenerate "s01"
+        [| node ~size:0 0; node ~size:1 ~mem_ops:[| mem_op 1; mem_op 2 |] 1 |] );
+    ("all branches", mixed (mix_of [ (I.C_branch, 1.0) ]));
+    ("zero mix", mixed (Array.make I.class_count 0.0));
+    ("NaN mix", mixed (Array.make I.class_count Float.nan));
+    ("negative mix", mixed (mix_of [ (I.C_int_mul, -0.5); (I.C_fp_div, 0.25) ]));
+    ("NaN branch rates", degenerate "nan" (two (node ~branch:(branch Float.nan Float.nan))));
+    ( "zero-probability successors",
+      degenerate "p0" (two (node ~successors:[| (0, 0.0); (1, 0.0) |])) );
+    ( "no memory ops",
+      degenerate "nomem" ~global_mix:(mix_of [ (I.C_int_alu, 1.0) ])
+        (two (node ~mix:(mix_of [ (I.C_int_alu, 1.0) ]) ~mem_ops:[||] ~branch:None)) );
+  ]
+
+let test_degenerate_profiles () =
+  let failures = ref [] in
+  let attempt case generator f =
+    let fail fmt =
+      Printf.ksprintf (fun m -> failures := Printf.sprintf "%s, %s: %s" case generator m :: !failures) fmt
+    in
+    match f () with
+    | None -> ()
+    | Some program ->
+      let m, _ = run_clone ~max_instrs:1_000_000 program in
+      if not (Machine.halted m) then fail "no halt within 1M instructions"
+    | exception Invalid_argument msg when contains msg generator -> ()
+    | exception e -> fail "raised %s" (Printexc.to_string e)
+  in
+  let targets = { Microdep.l1d_miss_rate = 0.1; mispredict_rate = 0.05 } in
+  List.iter
+    (fun (case, p) ->
+      attempt case "Synth" (fun () ->
+          let options = { Synth.default_options with Synth.target_dynamic = 20_000 } in
+          Some (Synth.generate ~options p));
+      attempt case "Portable" (fun () ->
+          Some (Pc_synth.Portable.generate_compiled ~target_dynamic:20_000 p));
+      attempt case "Microdep" (fun () ->
+          Some (Microdep.generate ~target_dynamic:20_000 ~profile:p ~targets ()));
+      attempt case "Statsim" (fun () ->
+          ignore (Pc_statsim.Statsim.estimate ~instrs:5_000 Pc_uarch.Config.base p);
+          None))
+    degenerate_profiles;
+  if !failures <> [] then Alcotest.fail (String.concat "\n" (List.rev !failures))
+
+(* --- pinned outputs ---
+
+   Synth, Portable, Microdep and Statsim share their generation rules
+   (class draw, dependency ring, stream pool, branch counter).  These
+   digests and estimates were recorded before the rules were shared, so
+   a shared rule that moves one RNG draw or one emitted instruction in
+   any of the four generators fails here. *)
+
+let pinned_profile_store : (string, Profile.t) Pc_exec.Store.t =
+  Pc_exec.Store.create ()
+
+let pinned_profile name =
+  Pc_exec.Store.find_or_compute pinned_profile_store name (fun () ->
+      Collector.profile ~max_instrs:100_000
+        Pc_workloads.Registry.(compile (find name)))
+
+let digest prog = Digest.to_hex (Digest.bytes (Pc_isa.Encoding.to_bytes prog))
+
+let tuned_options =
+  { Synth.default_options with Synth.dep_jitter = 0.2; period_min = 4; period_max = 16 }
+
+type pinned = {
+  synth : string;
+  synth_tuned : string;
+  portable : string;
+  microdep : string;
+  statsim : int * int * int;  (** cycles, L1-D misses, mispredictions *)
+}
+
+let pinned =
+  [
+    ( "crc32", 1,
+      { synth = "cd59d9188f9eda4961ae160f56dcf967";
+        synth_tuned = "713f20cca5d14065a8b09c9e495c6e72";
+        portable = "21bedecc357d5b14dd8928c8373ebd31";
+        microdep = "048103c656389ac1f1ff38d446184b40";
+        statsim = (55365, 203, 1) } );
+    ( "crc32", 2,
+      { synth = "bd163339dbc0e88d059ca2577ed1cbc9";
+        synth_tuned = "ce6591059fe731aaed4edbee1d18d278";
+        portable = "4669cc8d3ae19829141e2eabf0dfed4d";
+        microdep = "4e616e2d7b862ba63b5ac81b2355a78f";
+        statsim = (57479, 127, 668) } );
+    ( "qsort", 1,
+      { synth = "694eee1cac1c896cf99f31e78ca7d665";
+        synth_tuned = "022db0b8f2cd20f588b80d0cb9b85aab";
+        portable = "1d2fd4bbc62da4664198bb48ada6c492";
+        microdep = "c7447390597ca9767ae7fc5d1371e64c";
+        statsim = (54822, 304, 198) } );
+    ( "qsort", 2,
+      { synth = "345867f9cdc8a2073d2f6d388313d367";
+        synth_tuned = "562aed8caff303537e330832319bde80";
+        portable = "7e0ef83596fbb7c88928dd8ecfac768d";
+        microdep = "8de85a7b4059954a7df4f497e93c3d5e";
+        statsim = (55212, 307, 183) } );
+    ( "sha", 1,
+      { synth = "aa37a34af7bd6e23ad15646bcb5b39d8";
+        synth_tuned = "3e7627768cd0a986bdaa453ae950b9b7";
+        portable = "0ac96e9fa81aabda9da307b090c8dbc1";
+        microdep = "f19b0ed834d9e8cf928dc9e9f7649edb";
+        statsim = (54538, 37, 448) } );
+    ( "sha", 2,
+      { synth = "6ac4bec0c5b795f263f820ce9358194f";
+        synth_tuned = "edc87ee150e12d0212c1fc70a21b6b22";
+        portable = "e26f40a9bd0e3eb5e81b2b54ee092903";
+        microdep = "baa5a3f2ef6f01f05a591e5fe180017f";
+        statsim = (53213, 29, 320) } );
+  ]
+
+let test_pinned_outputs () =
+  let targets = { Microdep.l1d_miss_rate = 0.1; mispredict_rate = 0.05 } in
+  List.iter
+    (fun (name, seed, want) ->
+      let p = pinned_profile name in
+      let what s = Printf.sprintf "%s seed %d: %s" name seed s in
+      let synth options = digest (Synth.generate ~options:{ options with Synth.seed } p) in
+      Alcotest.(check string) (what "Synth") want.synth (synth Synth.default_options);
+      Alcotest.(check string) (what "Synth, tuned") want.synth_tuned (synth tuned_options);
+      Alcotest.(check string) (what "Portable") want.portable
+        (digest (Pc_synth.Portable.generate_compiled ~seed p));
+      Alcotest.(check string) (what "Microdep") want.microdep
+        (digest (Microdep.generate ~seed ~profile:p ~targets ()));
+      let r = Pc_statsim.Statsim.estimate ~seed ~instrs:50_000 Pc_uarch.Config.base p in
+      Alcotest.(check (triple int int int)) (what "Statsim") want.statsim
+        (r.Pc_uarch.Sim.cycles, r.Pc_uarch.Sim.l1d_misses, r.Pc_uarch.Sim.mispredictions))
+    pinned
+
 let () =
   Alcotest.run "pc_synth"
     [
@@ -377,4 +574,8 @@ let () =
             test_microdep_targets_match_timing_model;
         ] );
       ("render", [ Alcotest.test_case "C output" `Quick test_render_c ]);
+      ( "degenerate",
+        [ Alcotest.test_case "four generators return or reject" `Quick test_degenerate_profiles ] );
+      ( "pinned outputs",
+        [ Alcotest.test_case "four generators" `Quick test_pinned_outputs ] );
     ]
