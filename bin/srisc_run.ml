@@ -28,7 +28,7 @@ let load path =
 let cmd_run path max_instrs =
   let program = load path in
   let m = Pc_funcsim.Machine.load program in
-  let n = Pc_funcsim.Machine.run ~max_instrs m (fun _ -> ()) in
+  let n = Pc_funcsim.Machine.run_batched ~max_instrs m ignore in
   Printf.printf "%s: %d instructions, %s\n" program.Pc_isa.Program.name n
     (if Pc_funcsim.Machine.halted m then "halted" else "budget exhausted");
   Printf.printf "r1 (result register) = %Ld\n"

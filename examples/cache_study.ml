@@ -9,10 +9,8 @@ module Study = Pc_caches.Study
 module Machine = Pc_funcsim.Machine
 
 let mpi_of program =
-  Study.run_trace (fun emit ->
-      let m = Machine.load program in
-      Machine.run ~max_instrs:2_000_000 m (fun ev ->
-          if ev.Machine.mem_addr >= 0 then emit ev.Machine.mem_addr))
+  Study.run_trace
+    (Machine.run_data_refs ~max_instrs:2_000_000 (Machine.load program))
 
 let bar width frac =
   let n = int_of_float (frac *. float_of_int width) in

@@ -46,10 +46,8 @@ let pointer_chase_prog =
   }
 
 let mpi program budget =
-  Study.run_trace (fun emit ->
-      let m = Machine.load program in
-      Machine.run ~max_instrs:budget m (fun ev ->
-          if ev.Machine.mem_addr >= 0 then emit ev.Machine.mem_addr))
+  Study.run_trace
+    (Machine.run_data_refs ~max_instrs:budget (Machine.load program))
   |> Array.map (fun (r : Study.result) -> r.Study.mpi)
 
 let () =
@@ -62,12 +60,8 @@ let () =
   (* cache-study correlation *)
   let orig = mpi original 600_000 in
   let clone = mpi pipeline.Perfclone.Pipeline.clone 1_200_000 in
-  let rel v =
-    let r = v.(0) in
-    Array.map (fun x -> if r = 0.0 then x else x /. r) (Array.sub v 1 27)
-  in
   Format.printf "cache-study correlation: %.3f@."
-    (Pc_stats.Stats.pearson (rel clone) (rel orig));
+    (Pc_stats.Stats.pearson (Study.relative_mpi clone) (Study.relative_mpi orig));
 
   (* IPC: the serialised load-load chain is the bigger casualty *)
   let cfg = Pc_uarch.Config.with_rob_lsq ~rob:64 ~lsq:32

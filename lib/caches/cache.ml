@@ -1,15 +1,8 @@
-type replacement = Lru | Fifo | Random of int
-
-type config = {
-  size_bytes : int;
-  assoc : int;
-  line_bytes : int;
-  replacement : replacement;
-}
+type config = { size_bytes : int; assoc : int; line_bytes : int }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let config ?(replacement = Lru) ~size_bytes ~assoc ~line_bytes () =
+let config ~size_bytes ~assoc ~line_bytes =
   if not (is_pow2 size_bytes) then
     invalid_arg "Cache.config: size must be a positive power of two";
   if not (is_pow2 line_bytes) then
@@ -20,7 +13,7 @@ let config ?(replacement = Lru) ~size_bytes ~assoc ~line_bytes () =
   if assoc < 0 then invalid_arg "Cache.config: negative associativity";
   if assoc > 0 && lines mod assoc <> 0 then
     invalid_arg "Cache.config: way count must divide line count";
-  { size_bytes; assoc; line_bytes; replacement }
+  { size_bytes; assoc; line_bytes }
 
 let ways c = if c.assoc = 0 then c.size_bytes / c.line_bytes else c.assoc
 
@@ -35,13 +28,9 @@ let config_name c =
     else if c.assoc = 1 then "direct"
     else Printf.sprintf "%d-way" c.assoc
   in
-  let policy =
-    match c.replacement with Lru -> "" | Fifo -> "/fifo" | Random _ -> "/rand"
-  in
-  Printf.sprintf "%s/%s/%dB%s" size assoc c.line_bytes policy
+  Printf.sprintf "%s/%s/%dB" size assoc c.line_bytes
 
 type t = {
-  cfg : config;
   sets : int;
   nways : int;
   line_shift : int;
@@ -50,13 +39,7 @@ type t = {
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
-  mutable rand_state : int64;  (* SplitMix-style victim stream for Random *)
 }
-
-let initial_rand_state cfg =
-  match cfg.replacement with
-  | Random seed -> Int64.of_int ((seed * 2654435761) lor 1)
-  | Lru | Fifo -> 1L
 
 let create cfg =
   let nways = ways cfg in
@@ -66,7 +49,6 @@ let create cfg =
     log2 cfg.line_bytes 0
   in
   {
-    cfg;
     sets;
     nways;
     line_shift;
@@ -75,91 +57,41 @@ let create cfg =
     clock = 0;
     accesses = 0;
     misses = 0;
-    rand_state = initial_rand_state cfg;
   }
 
 let access t addr =
   let line = addr lsr t.line_shift in
   let set = line mod t.sets in
   let base = set * t.nways in
+  let tags = t.tags and ages = t.ages in
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  (* Look for the tag; remember the LRU way for replacement. *)
+  (* One pass over the set: the way holding the line, if any, and the
+     least recently used way, the first one on a tie.  Every index lies
+     in [base, base + nways), inside the [sets * nways] arrays. *)
   let hit_way = ref (-1) in
-  let lru_way = ref 0 in
+  let lru_way = ref base in
   let lru_age = ref max_int in
-  for w = 0 to t.nways - 1 do
-    let idx = base + w in
-    if t.tags.(idx) = line then hit_way := w
-    else if t.ages.(idx) < !lru_age then begin
-      lru_age := t.ages.(idx);
-      lru_way := w
+  for w = base to base + t.nways - 1 do
+    if Array.unsafe_get tags w = line then hit_way := w
+    else begin
+      let age = Array.unsafe_get ages w in
+      if age < !lru_age then begin
+        lru_age := age;
+        lru_way := w
+      end
     end
   done;
   if !hit_way >= 0 then begin
-    (* FIFO does not refresh on hit; LRU does. *)
-    (match t.cfg.replacement with
-    | Lru | Random _ -> t.ages.(base + !hit_way) <- t.clock
-    | Fifo -> ());
+    ages.(!hit_way) <- t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    let victim =
-      match t.cfg.replacement with
-      | Lru | Fifo -> !lru_way
-      | Random _ ->
-        (* prefer an invalid way; otherwise draw from the stream *)
-        let invalid = ref (-1) in
-        for w = 0 to t.nways - 1 do
-          if t.tags.(base + w) = -1 && !invalid < 0 then invalid := w
-        done;
-        if !invalid >= 0 then !invalid
-        else begin
-          (* Unbiased victim draw.  [mod nways] of a 31-bit draw skews
-             low ways whenever 2^31 is not a multiple of [nways]; mask
-             when [nways] is a power of two (always, given power-of-two
-             geometry), and otherwise reject draws from the final
-             partial multiple of [nways] — same scheme as [Rng.int]. *)
-          let draw () =
-            t.rand_state <-
-              Int64.add
-                (Int64.mul t.rand_state 6364136223846793005L)
-                1442695040888963407L;
-            Int64.to_int (Int64.shift_right_logical t.rand_state 33)
-          in
-          if t.nways land (t.nways - 1) = 0 then draw () land (t.nways - 1)
-          else begin
-            let bound = 1 lsl 31 in
-            let limit = bound - (bound mod t.nways) in
-            let v = ref (draw ()) in
-            while !v >= limit do
-              v := draw ()
-            done;
-            !v mod t.nways
-          end
-        end
-    in
-    let idx = base + victim in
-    t.tags.(idx) <- line;
-    t.ages.(idx) <- t.clock;
+    tags.(!lru_way) <- line;
+    ages.(!lru_way) <- t.clock;
     false
   end
 
 let accesses t = t.accesses
 let misses t = t.misses
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.ages 0 (Array.length t.ages) 0;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.misses <- 0;
-  t.rand_state <- initial_rand_state t.cfg
-
-let miss_rate t =
-  if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.misses <- 0

@@ -1,34 +1,22 @@
-(** Set-associative cache model with configurable replacement.
+(** Set-associative LRU cache model.
 
     Models tag state only (no data), which is all that miss-per-
     instruction and latency studies need.  Writes are write-allocate and
     update recency exactly like reads; write-back traffic is not modelled
     (the paper's metrics — misses/instruction, IPC, relative power — do
-    not depend on it).
-
-    The paper's experiments use true LRU throughout; FIFO and random
-    replacement are provided for replacement-policy studies beyond the
-    paper. *)
-
-type replacement =
-  | Lru  (** evict the least recently used way (the paper's policy) *)
-  | Fifo  (** evict the oldest-inserted way; hits do not refresh *)
-  | Random of int  (** evict a deterministically pseudo-random way (seed) *)
+    not depend on it).  Replacement is true LRU, the paper's policy
+    throughout. *)
 
 type config = {
   size_bytes : int;
   assoc : int;  (** ways; [0] means fully associative *)
   line_bytes : int;  (** must be a power of two *)
-  replacement : replacement;
 }
 
-val config :
-  ?replacement:replacement -> size_bytes:int -> assoc:int -> line_bytes:int -> unit ->
-  config
-(** Validating constructor (default replacement [Lru]): sizes must be
-    positive powers of two, the line must divide the size, and the way
-    count must divide the number of lines.  Raises [Invalid_argument]
-    otherwise. *)
+val config : size_bytes:int -> assoc:int -> line_bytes:int -> config
+(** Validating constructor: sizes must be positive powers of two, the
+    line must divide the size, and the way count must divide the number
+    of lines.  Raises [Invalid_argument] otherwise. *)
 
 val config_name : config -> string
 (** e.g. ["4KB/2-way/32B"] or ["256B/full/32B"]. *)
@@ -46,17 +34,3 @@ val access : t -> int -> bool
 
 val accesses : t -> int
 val misses : t -> int
-
-val miss_rate : t -> float
-(** Misses per access; [0] when no accesses have happened. *)
-
-val reset_stats : t -> unit
-(** Zero the counters but keep tag state (for warm-up discard). *)
-
-val reset : t -> unit
-(** Full reset back to the freshly-created state: invalidate every
-    line, zero the recency clock and counters, and rewind the random-
-    replacement stream to its seed.  After [reset] the cache behaves
-    bit-identically to [create (config)] — this is what lets a shared
-    (e.g. multi-tenant L2) instance be reused across independent runs
-    without state leaking between them. *)

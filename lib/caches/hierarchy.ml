@@ -10,7 +10,6 @@ type t = {
   cfg : config;
   l1 : Cache.t;
   l2 : Cache.t option;
-  owns_l2 : bool;  (* false when the L2 instance is shared with other hierarchies *)
   tag : int;  (* OR-ed into every address; disambiguates tenants in a shared L2 *)
   mutable l2_access_count : int;
   mutable l2_miss_count : int;
@@ -22,7 +21,6 @@ let create cfg =
     cfg;
     l1 = Cache.create cfg.l1;
     l2 = Option.map Cache.create cfg.l2;
-    owns_l2 = true;
     tag = 0;
     l2_access_count = 0;
     l2_miss_count = 0;
@@ -40,7 +38,6 @@ let create_shared ?(tag = 0) ~l2 (cfg : config) =
     cfg;
     l1 = Cache.create cfg.l1;
     l2;
-    owns_l2 = false;
     tag;
     l2_access_count = 0;
     l2_miss_count = 0;
@@ -69,13 +66,3 @@ let l1_misses t = Cache.misses t.l1
 let l2_accesses t = t.l2_access_count
 let l2_misses t = t.l2_miss_count
 let mem_accesses t = t.mem_accesses
-
-let reset t =
-  Cache.reset t.l1;
-  if t.owns_l2 then Option.iter Cache.reset t.l2;
-  t.l2_access_count <- 0;
-  t.l2_miss_count <- 0;
-  t.mem_accesses <- 0
-
-let l1_mpi t ~instrs =
-  if instrs = 0 then 0.0 else float_of_int (Cache.misses t.l1) /. float_of_int instrs

@@ -54,13 +54,3 @@ val l2_misses : t -> int
 
 val mem_accesses : t -> int
 (** Accesses that reached main memory. *)
-
-val reset : t -> unit
-(** Reset the private L1 ({!Cache.reset}) and this hierarchy's own
-    counters; a privately-owned L2 (from {!create}) is reset too, but a
-    shared L2 (from {!create_shared}) is left alone — reset the shared
-    instance itself exactly once, then every hierarchy that drains into
-    it, and the whole ensemble is back to its freshly-created state. *)
-
-val l1_mpi : t -> instrs:int -> float
-(** L1 misses per instruction. *)

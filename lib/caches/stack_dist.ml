@@ -74,12 +74,6 @@ let make_fa ~line_shift ~cap =
 let create configs =
   if Array.length configs = 0 then
     invalid_arg "Stack_dist.create: empty configuration grid";
-  Array.iter
-    (fun (c : Cache.config) ->
-      if c.Cache.replacement <> Cache.Lru then
-        invalid_arg
-          "Stack_dist.create: stack-distance profiling is exact for LRU only")
-    configs;
   (* Group by (line_shift, sets); remember each config's group + ways. *)
   let caps = Hashtbl.create 16 in
   let shapes =

@@ -27,10 +27,8 @@
     Counts match a tag-array simulation ({!Cache.access} per
     configuration) bit-for-bit, including compulsory (cold) misses;
     {!Study.run_trace_onepass} cross-checks this against the simulated
-    {!Study.run_trace} oracle in the test suite.
-
-    Only true-LRU grids obey the inclusion property; {!create} rejects
-    FIFO and Random configurations. *)
+    {!Study.run_trace} oracle in the test suite.  {!Cache} models LRU
+    only, the one policy that obeys the inclusion property. *)
 
 type t
 
@@ -38,7 +36,7 @@ val create : Cache.config array -> t
 (** Build a profiler for a grid of LRU configurations (any mix of line
     sizes, set counts and associativities; set counts follow from the
     power-of-two sizes {!Cache.config} enforces).  Raises
-    [Invalid_argument] on an empty grid or a non-LRU configuration. *)
+    [Invalid_argument] on an empty grid. *)
 
 val access : t -> int -> unit
 (** Feed one address (byte address, as {!Cache.access} takes). *)

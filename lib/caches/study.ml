@@ -8,7 +8,7 @@ let configs =
        (Array.map
           (fun size ->
             Array.map
-              (fun assoc -> Cache.config ~size_bytes:size ~assoc ~line_bytes ())
+              (fun assoc -> Cache.config ~size_bytes:size ~assoc ~line_bytes)
               assocs)
           sizes))
 
@@ -80,11 +80,11 @@ let run_trace_onepass ?warmup feed =
            else float_of_int misses /. float_of_int instrs);
       })
 
-let relative_mpi results =
-  let reference = results.(reference_index).mpi in
+let relative_mpi mpis =
+  let reference = mpis.(reference_index) in
   let rest =
     Array.of_list
-      (List.filteri (fun i _ -> i <> reference_index) (Array.to_list results))
+      (List.filteri (fun i _ -> i <> reference_index) (Array.to_list mpis))
   in
   (* A zero-MPI reference makes the ratios undefined; returning absolute
      MPIs here (as this once did) silently switches the series' units
@@ -92,4 +92,4 @@ let relative_mpi results =
      render non-finite values as null (PR 4 audit), so a degenerate
      series can never be mistaken for ratios downstream. *)
   if reference = 0.0 then Array.map (fun _ -> Float.nan) rest
-  else Array.map (fun r -> r.mpi /. reference) rest
+  else Array.map (fun mpi -> mpi /. reference) rest

@@ -43,10 +43,11 @@ val run_trace_onepass :
     experiment drivers through; the simulated {!run_trace} remains the
     oracle it is differentially tested against. *)
 
-val relative_mpi : result array -> float array
-(** The paper's Figure-4 series: misses-per-instruction of each of the 27
+val relative_mpi : float array -> float array
+(** The paper's Figure-4 series: given the 28 configurations'
+    misses-per-instruction in {!configs} order, the MPI of each of the 27
     non-reference configurations divided by the reference configuration's
-    misses-per-instruction.  When the reference MPI is zero the ratios
+    MPI.  When the reference MPI is zero the ratios
     are undefined and every element is [Float.nan] — an explicit
     sentinel (rendered as null by the pc JSON writers) rather than a
     silent switch to absolute MPIs, so downstream consumers can never

@@ -212,11 +212,7 @@ let mpi_trace settings program =
     | None ->
       let key = digest (program, max_instrs, settings.cache_onepass) in
       Store.find_or_compute trace_store key (fun () ->
-          let feed emit =
-            let m = Machine.load program in
-            Machine.run ~max_instrs m (fun ev ->
-                if ev.Machine.mem_addr >= 0 then emit ev.Machine.mem_addr)
-          in
+          let feed = Machine.run_data_refs ~max_instrs (Machine.load program) in
           let results =
             if settings.cache_onepass then Study.run_trace_onepass feed
             else Study.run_trace feed
@@ -263,15 +259,10 @@ let power_total settings config program (r : Sim.result) =
       (sampled_phases settings ~interval config program)
 
 let study_of_mpis bench orig_mpi clone_mpi =
-  let rel mpis =
-    let reference = mpis.(Study.reference_index) in
-    let rest =
-      Array.of_list
-        (List.filteri (fun i _ -> i <> Study.reference_index) (Array.to_list mpis))
-    in
-    if reference = 0.0 then rest else Array.map (fun v -> v /. reference) rest
+  let correlation =
+    Stats.pearson (Study.relative_mpi clone_mpi) (Study.relative_mpi orig_mpi)
   in
-  { bench; correlation = Stats.pearson (rel clone_mpi) (rel orig_mpi); orig_mpi; clone_mpi }
+  { bench; correlation; orig_mpi; clone_mpi }
 
 let cache_studies ?(pool = Pool.serial) settings pipelines =
   Span.with_ "cache_studies" @@ fun () ->

@@ -137,7 +137,14 @@ val pp_fig3 : Format.formatter -> (string * float) list -> unit
 
 type cache_study = {
   bench : string;
-  correlation : float;  (** Pearson's R between relative MPI series *)
+  correlation : float;
+      (** Pearson's R between the clone's and the original's
+          {!Pc_caches.Study.relative_mpi} series.  NaN when either
+          program's reference configuration has no miss (a program
+          with no data reference): its relative series is undefined,
+          not flat.  Every cache-study R below (seeds, portable,
+          ablation) follows the same rule, and a NaN R makes
+          {!average_correlation} NaN. *)
   orig_mpi : float array;  (** 28 values, study-config order *)
   clone_mpi : float array;
 }

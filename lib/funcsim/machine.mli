@@ -2,23 +2,29 @@
 
     Plays the role SimpleScalar's [sim-safe] plays in the paper: it
     executes a program instruction by instruction and exposes the retired
-    instruction stream to consumers (the workload profiler, the standalone
-    cache study, the trace-driven timing model).
+    instruction stream to consumers (the workload profiler, the cache
+    study, the sampler, the trace-driven timing model).
 
-    Since the pre-decoded rewrite this module is a thin shim over
-    {!Engine}, which decodes the program once at {!load} into flat
-    per-static-pc tables driving a threaded-dispatch loop, then retires
-    instructions in chunks — [step]/[run]/[statics] behave exactly as
-    they always did (checked instruction by instruction against the
-    retained reference interpreter [Machine_ref], under [test/oracle],
-    in [test/test_funcsim_diff.ml]), and {!run_batched} exposes the
-    chunked delivery directly.
+    At {!load} the program is decoded exactly once into flat per-static-pc
+    tables: an int-coded opcode column (ALU sub-operations, branch
+    conditions, resolved-vs-label control transfers and r0-destination
+    no-ops all flattened into distinct codes), a packed operand word,
+    immediate columns and class / read-list / write-id columns.  The hot
+    loop is one dense integer match over the opcode column, so stepping
+    never inspects an instruction variant, calls a function, allocates,
+    or raises except to halt or fault.
 
-    For performance the event record passed to [on_event] is a single
-    mutable buffer reused on every step — consumers must copy any field
-    they retain past the callback. *)
+    The retired stream has one delivery form: {!run_batched} hands the
+    consumer chunks of at most {!batch_capacity} rows holding the dynamic
+    [(pc, address, taken)] columns, and {!statics} holds everything that
+    is constant per static pc.  {!run_data_refs} is the same pass reduced
+    to the data-reference addresses.  {!run} rebuilds per-instruction
+    {!event} records from the rows; it remains for the benchmark's layer
+    probes and for the differential test, which holds it, the rows and
+    the retained reference interpreter ([Machine_ref], under
+    [test/oracle]) equal instruction by instruction. *)
 
-type event = Engine.event = {
+type event = {
   mutable pc : int;  (** static instruction index *)
   mutable iclass : Pc_isa.Instr.iclass;
   mutable mem_addr : int;  (** effective byte address, or [-1] *)
@@ -29,32 +35,32 @@ type event = Engine.event = {
   mutable reads : int list;  (** shared register ids read *)
   mutable writes : int;  (** shared register id written, or [-1] *)
 }
+(** One retired instruction as {!run} delivers it.  The record is a
+    single mutable buffer reused on every instruction: consumers must
+    copy any field they retain past the callback. *)
 
-type t = Engine.t
+type t
 
 val load : Pc_isa.Program.t -> t
 (** Fresh machine with the program's data segment loaded, [pc = 0],
     [sp = stack_base] and all registers zero.  Decoding happens here,
     once: the per-step path never inspects an {!Pc_isa.Instr.t} again. *)
 
-val step : t -> (event -> unit) -> bool
-(** Execute one instruction; invoke the callback with the retired event.
-    Returns [false] once the machine has halted (no event is emitted for
-    steps after halt). *)
-
 val run : ?max_instrs:int -> t -> (event -> unit) -> int
-(** [run ?max_instrs t f] steps until [Halt] or the instruction budget is
-    exhausted; returns the number of retired instructions.  The default
-    budget is 50 million (a runaway-program backstop).
+(** [run ?max_instrs t f] runs until [Halt] or the instruction budget is
+    exhausted, calling [f] on every retired instruction; returns the
+    number of retired instructions.  The default budget is 50 million (a
+    runaway-program backstop).  Machines resume across calls.
 
     On completion the run's aggregates are published into the global
     {!Pc_obs.Metrics} registry: [funcsim.runs], [funcsim.retired.total],
     per-class [funcsim.retired.<class>] counters and the
     [funcsim.mem.pages_touched] high-water gauge.  [funcsim.runs] counts
-    machines, not calls: it grows by one on a machine's first [run] or
-    {!run_batched} call and not when a later call resumes it. *)
+    machines, not calls: it grows by one on a machine's first [run],
+    {!run_batched} or {!run_data_refs} call and not when a later call
+    resumes it. *)
 
-type batch = Engine.batch = {
+type batch = {
   mutable len : int;  (** valid rows, [0 < len <= batch_capacity] *)
   b_pc : int array;  (** static pc per retired instruction *)
   b_addr : int array;
@@ -70,7 +76,7 @@ type batch = Engine.batch = {
           a fault flush this is the faulting instruction's pc) *)
 }
 (** One chunk of retired instructions: the dynamic [(pc, mem_addr,
-    taken)] columns; everything else about a retired event is a
+    taken)] columns; everything else about a retired instruction is a
     per-static-pc constant available from {!statics}, and next-pc values
     are derived from [b_pc]/[b_end_pc] rather than stored.  The hot loop
     stores only what each instruction actually produces, so rows whose
@@ -83,16 +89,20 @@ val batch_capacity : int
 (** Chunk size of {!run_batched} (4096 retired instructions). *)
 
 val run_batched : ?max_instrs:int -> t -> (batch -> unit) -> int
-(** Like {!run} but delivers the retired stream in fixed-size chunks of
-    at most {!batch_capacity} rows, amortising the consumer callback
-    over ~4096 retirements — profilers and cache studies that only need
-    the dynamic columns should prefer this entry.  The final chunk is
-    partial when the program halts or the budget runs out mid-chunk; on
-    a fault, rows retired before the faulting instruction are flushed
-    before the exception propagates.  Publishes the same per-run
-    metrics as {!run}. *)
+(** Like {!run} but delivers the retired stream in chunks of at most
+    {!batch_capacity} rows, amortising the consumer callback over ~4096
+    retirements.  The final chunk is partial when the program halts or
+    the budget runs out mid-chunk; on a fault, rows retired before the
+    faulting instruction are flushed before the exception propagates.
+    Publishes the same per-run metrics as {!run}. *)
 
-type statics = Engine.statics = {
+val run_data_refs : ?max_instrs:int -> t -> (int -> unit) -> int
+(** [run_data_refs ?max_instrs t emit] is {!run_batched} reduced to the
+    data references: [emit addr] for every retired load and store, in
+    retire order.  Returns the number of retired instructions, which is
+    the shape {!Pc_caches.Study.run_trace}'s feed takes. *)
+
+type statics = {
   s_classes : Pc_isa.Instr.iclass array;  (** class per static pc *)
   s_read_lists : int list array;  (** register ids read per static pc *)
   s_write_ids : int array;  (** register id written per static pc, or [-1] *)
@@ -100,10 +110,10 @@ type statics = Engine.statics = {
 
 val statics : t -> statics
 (** Per-static-instruction metadata (fresh copies, indexed by [pc]).
-    Together with the dynamic [(pc, taken, mem_addr)] triple this is
-    enough to reconstruct the full retired-event stream, which is what
-    lets sampled simulation record compact replay traces instead of
-    whole event records. *)
+    With a {!batch} row it rebuilds the retired instruction: a row's
+    static is a memory operation when its class is [C_load] or
+    [C_store], and a branch when it is [C_branch].  This is also what
+    lets sampled simulation record compact replay traces. *)
 
 val halted : t -> bool
 val instruction_count : t -> int
@@ -120,5 +130,5 @@ val freg : t -> Pc_isa.Reg.t -> float
 val memory : t -> Memory.t
 
 exception Fault of string
-(** Raised on execution faults: pc out of range or a misaligned or
-    negative memory access. *)
+(** Raised on execution faults: pc out of range, an unresolved label, or
+    a misaligned or negative memory access. *)

@@ -10,8 +10,8 @@
     one-entry cache of the last page accessed, so word traffic with page
     locality costs a compare and an unboxed array access instead of two
     hashtable probes.  The representation is exposed (read-only, as a
-    [private] record) so the pre-decoded engine ({!Engine}) can inline
-    the cache-hit fast path inside its dispatch closures; everything
+    [private] record) so the pre-decoded simulator ({!Machine}) can
+    inline the cache-hit fast path inside its dispatch loop; everything
     else must go through {!read}/{!write}. *)
 
 type page =

@@ -66,9 +66,14 @@ type building = {
 let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
   let machine = Machine.load program in
   (* Skip the pre-window prefix functionally: machines resume across
-     [run] calls, so the profiling pass below observes exactly the
-     dynamic slice [start, start + max_instrs). *)
-  if start > 0 then ignore (Machine.run ~max_instrs:start machine ignore);
+     [run_batched] calls, so the profiling pass below observes exactly
+     the dynamic slice [start, start + max_instrs). *)
+  if start > 0 then
+    ignore (Machine.run_batched ~max_instrs:start machine ignore);
+  let statics = Machine.statics machine in
+  let classes = statics.Machine.s_classes
+  and read_lists = statics.Machine.s_read_lists
+  and write_ids = statics.Machine.s_write_ids in
   let mem_tbl : (int, mem_acc) Hashtbl.t = Hashtbl.create 256 in
   let branch_tbl : (int, branch_acc) Hashtbl.t = Hashtbl.create 256 in
   let node_tbl : (int * int, node_acc) Hashtbl.t = Hashtbl.create 1024 in
@@ -137,14 +142,17 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
     block_sizes_total := !block_sizes_total + node.n_size;
     incr block_count
   in
-  let on_event (ev : Machine.event) =
+  (* One retired row.  [addr] is read only for loads and stores and
+     [taken] only for branches: the batch contract leaves them stale on
+     every other row. *)
+  let retire pc addr taken =
     let b =
       match !current with
       | Some b -> b
       | None ->
         let b =
           {
-            bb_start = ev.Machine.pc;
+            bb_start = pc;
             bb_instrs = [];
             bb_mem_pcs = [];
             bb_deps = [];
@@ -154,8 +162,8 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
         current := Some b;
         b
     in
-    let cls = ev.Machine.iclass in
-    b.bb_instrs <- (ev.Machine.pc, cls) :: b.bb_instrs;
+    let cls = classes.(pc) in
+    b.bb_instrs <- (pc, cls) :: b.bb_instrs;
     global_mix.(I.class_index cls) <- global_mix.(I.class_index cls) + 1;
     (* Register dependency distances. *)
     List.iter
@@ -164,14 +172,13 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
           let w = last_writer.(id) in
           if w >= 0 then b.bb_deps <- dep_bucket (!instr_index - w) :: b.bb_deps
         end)
-      ev.Machine.reads;
-    (match ev.Machine.writes with
+      read_lists.(pc);
+    (match write_ids.(pc) with
     | -1 | 0 -> ()
     | id -> last_writer.(id) <- !instr_index);
     incr instr_index;
     (* Memory behaviour. *)
-    if ev.Machine.mem_addr >= 0 then begin
-      let pc = ev.Machine.pc in
+    if cls = I.C_load || cls = I.C_store then begin
       b.bb_mem_pcs <- pc :: b.bb_mem_pcs;
       let acc =
         match Hashtbl.find_opt mem_tbl pc with
@@ -180,7 +187,7 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
           let a =
             {
               m_pc = pc;
-              m_store = ev.Machine.is_store;
+              m_store = cls = I.C_store;
               m_refs = 0;
               m_last_addr = min_int;
               m_min_addr = max_int;
@@ -201,7 +208,6 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
           Hashtbl.add mem_tbl pc a;
           a
       in
-      let addr = ev.Machine.mem_addr in
       if acc.m_last_addr <> min_int then begin
         let stride = addr - acc.m_last_addr in
         let cell = try Hashtbl.find acc.m_strides stride with Not_found -> 0 in
@@ -247,8 +253,7 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
       end
     end;
     (* Branch behaviour. *)
-    if ev.Machine.is_branch then begin
-      let pc = ev.Machine.pc in
+    if cls = I.C_branch then begin
       b.bb_branch_pc <- pc;
       let acc =
         match Hashtbl.find_opt branch_tbl pc with
@@ -268,19 +273,25 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
           a
       in
       acc.b_execs <- acc.b_execs + 1;
-      if ev.Machine.taken then acc.b_takens <- acc.b_takens + 1;
-      if acc.b_seen && acc.b_last <> ev.Machine.taken then
+      if taken then acc.b_takens <- acc.b_takens + 1;
+      if acc.b_seen && acc.b_last <> taken then
         acc.b_transitions <- acc.b_transitions + 1;
-      acc.b_last <- ev.Machine.taken;
+      acc.b_last <- taken;
       acc.b_seen <- true
     end;
     (* Block boundary. *)
-    if I.is_control program.Pc_isa.Program.code.(ev.Machine.pc) then begin
+    if I.is_control program.Pc_isa.Program.code.(pc) then begin
       finish_block b;
       current := None
     end
   in
-  let instrs = Machine.run ~max_instrs machine on_event in
+  let instrs =
+    Machine.run_batched ~max_instrs machine (fun batch ->
+        for j = 0 to batch.Machine.len - 1 do
+          retire batch.Machine.b_pc.(j) batch.Machine.b_addr.(j)
+            batch.Machine.b_taken.(j)
+        done)
+  in
   (match !current with Some b -> finish_block b | None -> ());
   (* --- summarise static memory instructions --- *)
   let mem_summary pc =
@@ -421,6 +432,3 @@ let profile ?(start = 0) ?(max_instrs = 10_000_000) program =
        else float_of_int !covered_refs /. float_of_int !total_refs);
     unique_streams = Hashtbl.length stream_classes;
   }
-
-let single_stride_fraction ?max_instrs program =
-  (profile ?max_instrs program).Profile.single_stride_fraction

@@ -15,9 +15,3 @@ val profile : ?start:int -> ?max_instrs:int -> Pc_isa.Program.t -> Profile.t
     before profiling begins, so the profile covers the slice
     [start, start + max_instrs) — per-phase fidelity scoring profiles
     each sampling interval this way. *)
-
-val single_stride_fraction : ?max_instrs:int -> Pc_isa.Program.t -> float
-(** Just Figure 3's metric: the fraction of dynamic memory references
-    covered by approximating each static memory instruction with its
-    single most frequent stride.  Equivalent to
-    [(profile p).single_stride_fraction]. *)

@@ -94,11 +94,13 @@ let collect_bbvs ~dims ~interval ~max_instrs program =
     end
   in
   let total =
-    Machine.run ~max_instrs m (fun ev ->
-        let d = dim_of_pc dims ev.Machine.pc in
-        counts.(d) <- counts.(d) + 1;
-        incr filled;
-        if !filled = interval then flush ())
+    Machine.run_batched ~max_instrs m (fun batch ->
+        for j = 0 to batch.Machine.len - 1 do
+          let d = dim_of_pc dims batch.Machine.b_pc.(j) in
+          counts.(d) <- counts.(d) + 1;
+          incr filled;
+          if !filled = interval then flush ()
+        done)
   in
   flush ();
   (total, Array.of_list (List.rev !vectors), Machine.statics m)
@@ -300,26 +302,38 @@ let plan ?warmup ~seed ~interval ~max_instrs program =
         (c, start, window, warmup, !weight))
   in
   (* Second functional pass: record the packed replay trace of every
-     representative (warmup prefix + measurement window) in one sweep. *)
+     representative (warmup prefix + measurement window) in one sweep.
+     A chunk holds the dynamic indices [first, first + len); every
+     trace copies the rows its [lo, hi) range shares with them, taking
+     the address only from loads and stores and the outcome only from
+     branches (the batch contract leaves them stale on other rows). *)
   let traces =
     Array.map (fun (_, start, window, warmup, _) ->
         (start - warmup, start + window, Array.make (warmup + window) 0, ref 0))
       rep_specs
   in
+  let classes = statics.Machine.s_classes in
   let m = Machine.load program in
-  let index = ref 0 in
+  let base = ref 0 in
   ignore
-    (Machine.run ~max_instrs m (fun ev ->
-         let i = !index in
-         incr index;
+    (Machine.run_batched ~max_instrs m (fun batch ->
+         let first = !base in
+         base := first + batch.Machine.len;
          Array.iter
            (fun (lo, hi, buf, cursor) ->
-             if i >= lo && i < hi then begin
+             for i = max lo first to min hi !base - 1 do
+               let j = i - first in
+               let pc = batch.Machine.b_pc.(j) in
+               let cls = classes.(pc) in
                buf.(!cursor) <-
-                 pack ~pc:ev.Machine.pc ~taken:ev.Machine.taken
-                   ~mem_addr:ev.Machine.mem_addr;
+                 pack ~pc
+                   ~taken:(cls = I.C_branch && batch.Machine.b_taken.(j))
+                   ~mem_addr:
+                     (if cls = I.C_load || cls = I.C_store then
+                        batch.Machine.b_addr.(j)
+                      else -1);
                incr cursor
-             end)
+             done)
            traces));
   let reps =
     Array.mapi

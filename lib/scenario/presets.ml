@@ -6,8 +6,8 @@ module Cache = Pc_caches.Cache
    that two tenants' resident sets visibly evict each other.  The
    standalone baselines use the same geometry, so the slowdown it
    produces is pure co-run interference. *)
-let tight_l1d = Cache.config ~size_bytes:512 ~assoc:2 ~line_bytes:32 ()
-let tight_l2 = Cache.config ~size_bytes:(2 * 1024) ~assoc:4 ~line_bytes:64 ()
+let tight_l1d = Cache.config ~size_bytes:512 ~assoc:2 ~line_bytes:32
+let tight_l2 = Cache.config ~size_bytes:(2 * 1024) ~assoc:4 ~line_bytes:64
 
 let all =
   [

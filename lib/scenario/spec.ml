@@ -167,7 +167,7 @@ let cache_of_json row =
   let* assoc = Result.bind (field "assoc" row) (as_int "assoc") in
   let* line = Result.bind (field "line_bytes" row) (as_int "line_bytes") in
   match
-    Cache.config ~size_bytes:size ~assoc ~line_bytes:line ()
+    Cache.config ~size_bytes:size ~assoc ~line_bytes:line
   with
   | cfg -> Ok cfg
   | exception Invalid_argument msg -> Error msg

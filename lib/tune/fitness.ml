@@ -141,12 +141,10 @@ let measure_stress ?(max_instrs = 200_000) env program =
           env.e_power;
         Option.map
           (fun t ->
-            let feed emit =
-              let m = Machine.load program in
-              Machine.run ~max_instrs m (fun ev ->
-                  if ev.Machine.mem_addr >= 0 then emit ev.Machine.mem_addr)
+            let results =
+              Study.run_trace_onepass
+                (Machine.run_data_refs ~max_instrs (Machine.load program))
             in
-            let results = Study.run_trace_onepass feed in
             let r = results.(Study.reference_index) in
             ("mpki", 1000.0 *. r.Study.mpi, t))
           env.e_mpki;

@@ -42,9 +42,9 @@ let default_latencies =
   set I.C_other 1;
   a
 
-let l2_config = Cache.config ~size_bytes:(64 * 1024) ~assoc:4 ~line_bytes:64 ()
+let l2_config = Cache.config ~size_bytes:(64 * 1024) ~assoc:4 ~line_bytes:64
 
-let l1_16k = Cache.config ~size_bytes:(16 * 1024) ~assoc:2 ~line_bytes:32 ()
+let l1_16k = Cache.config ~size_bytes:(16 * 1024) ~assoc:2 ~line_bytes:32
 
 let hierarchy l1 =
   {
@@ -94,7 +94,7 @@ let with_l1d_size size t =
   let l1 = t.dcache.Hierarchy.l1 in
   with_l1d_config
     (Cache.config ~size_bytes:size ~assoc:l1.Cache.assoc
-       ~line_bytes:l1.Cache.line_bytes ())
+       ~line_bytes:l1.Cache.line_bytes)
     t
 
 let with_widths w t =

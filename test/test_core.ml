@@ -113,6 +113,37 @@ let test_fig4_onepass_identical () =
         (a.E.correlation = b.E.correlation))
     baseline j1
 
+(* A program with no data reference has a zero reference MPI, so its
+   relative-MPI series is undefined ([Study.relative_mpi] gives NaN) and
+   so is its Figure-4 correlation; it must not read as a perfect 0.0. *)
+let test_fig4_no_data_refs () =
+  let module I = Pc_isa.Instr in
+  let module Asm = Pc_isa.Asm in
+  let program =
+    Asm.assemble ~name:"alu_only"
+      [
+        Asm.Ins (I.Li (20, 1000L));
+        Asm.Label "top";
+        Asm.Ins (I.Alu (I.Add, 1, 1, 2));
+        Asm.Ins (I.Alui (I.Add, 20, 20, -1));
+        Asm.Ins (I.Br (I.Gt_z, 20, I.Label "top"));
+        Asm.Ins I.Halt;
+      ]
+  in
+  let p =
+    {
+      Pipeline.name = "alu_only";
+      original = program;
+      profile = Pc_profile.Collector.profile program;
+      clone = program;
+    }
+  in
+  match E.cache_studies settings [ p ] with
+  | [ s ] ->
+    Alcotest.(check bool) "no misses" true (Array.for_all (( = ) 0.0) s.E.orig_mpi);
+    Alcotest.(check bool) "correlation is NaN" true (Float.is_nan s.E.correlation)
+  | _ -> Alcotest.fail "one study per pipeline"
+
 let test_fig5_rankings () =
   let studies = E.cache_studies ~pool settings (Lazy.force pipelines) in
   let scatter = E.rankings_scatter studies in
@@ -236,5 +267,7 @@ let () =
           Alcotest.test_case "ablation" `Slow test_ablation_indep_beats_dep;
           Alcotest.test_case "predictor rates equal the timing model's" `Slow
             test_bpred_rates_match_timing_model;
+          Alcotest.test_case "figure 4 without data references" `Quick
+            test_fig4_no_data_refs;
         ] );
     ]

@@ -304,7 +304,12 @@ let test_workloads () =
         (engine_batched prog ~budget))
     Registry.all
 
-(* --- step API, including fault steps --- *)
+(* --- one instruction per call, including fault steps ---
+
+   [Ref.step] against a one-instruction [Machine.run] resumed on the
+   same machine: each call must deliver the same event (or none, once
+   halted), fault with the same message, and leave the same halted
+   state. *)
 
 let test_step_equality () =
   let rng = Rng.create 42 in
@@ -321,7 +326,10 @@ let test_step_equality () =
         with Machine.Fault m -> Error m
       in
       let r2 =
-        try Ok (Machine.step me (fun e -> ee := Some (snap_of_event e)))
+        try
+          ignore
+            (Machine.run ~max_instrs:1 me (fun e -> ee := Some (snap_of_event e)));
+          Ok (not (Machine.halted me))
         with Machine.Fault m -> Error m
       in
       (match (r1, r2) with

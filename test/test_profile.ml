@@ -372,6 +372,42 @@ let test_node_cdf () =
     (fun i v -> if i > 0 && v < cdf.(i - 1) then Alcotest.fail "cdf not monotone")
     cdf
 
+(* --- pinned md5s ---
+
+   MD5s of [Profile.save] for the quick set at the quick profiling budget,
+   plus one slice that starts past the program's first instructions.
+   They were recorded before the collector moved from per-event records
+   to batched rows, so a collector that changes one byte of any profile
+   fails here. *)
+
+let saved_md5 prof =
+  let path = Filename.temp_file "perfclone" ".profile" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  Profile.save oc prof;
+  close_out oc;
+  Digest.to_hex (Digest.file path)
+
+let pinned_profiles =
+  [
+    ("crc32", 0, 300_000, "4beb9d58b3d1c24d1994a847192b937b");
+    ("qsort", 0, 300_000, "6691ab98e5ae892a44c3cda26746855d");
+    ("sha", 0, 300_000, "cd650e67ba5c6c0a6d0ad85f354a9ae0");
+    ("fft", 0, 300_000, "4d95272afcdc6104bff2e48dabf63680");
+    ("dijkstra", 0, 300_000, "506be65c16ec7d0064b832b85ee9aebb");
+    ("qsort", 100_000, 200_000, "c08f79e3943226a29927057b0d04a76e");
+  ]
+
+let test_pinned_profiles () =
+  List.iter
+    (fun (name, start, max_instrs, want) ->
+      let program = Pc_workloads.Registry.(compile (find name)) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s from %d, %d instructions" name start max_instrs)
+        want
+        (saved_md5 (Collector.profile ~start ~max_instrs program)))
+    pinned_profiles
+
 let () =
   Alcotest.run "pc_profile"
     [
@@ -415,4 +451,6 @@ let () =
           Alcotest.test_case "damaged profiles never raise" `Quick
             test_damaged_profiles_never_raise;
         ] );
+      ( "pinned md5s",
+        [ Alcotest.test_case "saved profiles" `Quick test_pinned_profiles ] );
     ]

@@ -458,6 +458,33 @@ let test_sampling_off_matches_seed_behaviour () =
   Alcotest.(check bool) "quick settings sample off" true
     (E.quick_settings.E.sample = None)
 
+(* --- pinned md5s ---
+
+   The MD5 of each plan's marshalled representatives (window, warmup,
+   weight and packed trace), with the plan's shape, recorded before both
+   functional passes of [Sample.plan] moved from per-event records to
+   batched rows.  A plan that moves one packed instruction fails here;
+   so would a parent-built plan cache that the new build misreads. *)
+
+let pinned_plans =
+  [
+    ("crc32", "b686316a4b093d1fa86345607c4e20bf", 2, 10, 500_000);
+    ("qsort", "b6b03c0d8aa659e3730497b799bb323c", 1, 10, 500_000);
+  ]
+
+let test_pinned_plans () =
+  List.iter
+    (fun (name, want_md5, want_k, want_intervals, want_total) ->
+      let plan = Sample.plan ~seed:1 ~interval:50_000 ~max_instrs:500_000 (program name) in
+      let what s = name ^ ": " ^ s in
+      Alcotest.(check string) (what "reps")
+        want_md5
+        (Digest.to_hex (Digest.string (Marshal.to_string plan.Sample.reps [])));
+      Alcotest.(check int) (what "k") want_k plan.Sample.k;
+      Alcotest.(check int) (what "intervals") want_intervals plan.Sample.n_intervals;
+      Alcotest.(check int) (what "instructions") want_total plan.Sample.total_instrs)
+    pinned_plans
+
 let () =
   Alcotest.run "pc_sample"
     [
@@ -509,4 +536,6 @@ let () =
           Alcotest.test_case "sampling off by default" `Quick
             test_sampling_off_matches_seed_behaviour;
         ] );
+      ( "pinned md5s",
+        [ Alcotest.test_case "plans" `Quick test_pinned_plans ] );
     ]

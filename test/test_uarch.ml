@@ -262,7 +262,7 @@ let test_icache_misses_slow_fetch () =
         {
           c.Config.icache with
           Pc_caches.Hierarchy.l1 =
-            Pc_caches.Cache.config ~size_bytes:256 ~assoc:1 ~line_bytes:32 ();
+            Pc_caches.Cache.config ~size_bytes:256 ~assoc:1 ~line_bytes:32;
           l2 = None;
         };
       name = "tiny-icache";
