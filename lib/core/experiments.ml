@@ -84,10 +84,8 @@ let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 let trace_store : (string, float array) Store.t = Store.create ~name:"trace" ()
 let sim_store : (string, Sim.result) Store.t = Store.create ~name:"sim" ()
 
-let plan_store : (string, Pc_sample.Sample.plan) Store.t =
-  Store.create ~name:"sample.plan" ()
-
-let phase_store : (string, (Pc_sample.Sample.rep * Sim.result) array) Store.t =
+let phase_store :
+    (string, (Pc_sample.Sample.rep * Pc_sample.Sample.window * Sim.result) array) Store.t =
   Store.create ~name:"sample.phases" ()
 
 let fidelity_store : (string, Pc_trace.Fidelity.report) Store.t =
@@ -96,7 +94,7 @@ let fidelity_store : (string, Pc_trace.Fidelity.report) Store.t =
 let clear_caches () =
   Store.clear trace_store;
   Store.clear sim_store;
-  Store.clear plan_store;
+  Pc_sample.Plan_cache.clear_memo ();
   Store.clear phase_store;
   Store.clear fidelity_store;
   Store.clear Pipeline.profile_store
@@ -106,25 +104,11 @@ let clear_caches () =
    model reuses the plan across all configurations (the BBV phases are
    microarchitecture-independent), and the cache study replays the same
    representative traces.  With [settings.plan_cache] set, plans also
-   persist on disk across invocations ({!Pc_sample.Plan_cache}): the
-   in-memory store stays the first line, the disk cache backs it. *)
+   persist on disk across invocations: {!Pc_sample.Plan_cache.plan}'s
+   in-process memo stays the first line, the disk cache backs it. *)
 let sample_plan settings ~interval program =
-  let key = digest (program, settings.sim_instrs, interval, settings.seed) in
-  Store.find_or_compute plan_store key (fun () ->
-      let compute () =
-        Pc_sample.Sample.plan ~seed:settings.seed ~interval
-          ~max_instrs:settings.sim_instrs program
-      in
-      match settings.plan_cache with
-      | None -> compute ()
-      | Some dir ->
-        let cache = Pc_sample.Plan_cache.create dir in
-        let ckey =
-          Pc_sample.Plan_cache.key
-            ~profile_id:(digest (program, settings.sim_instrs))
-            ~interval ~seed:settings.seed
-        in
-        Pc_sample.Plan_cache.find_or_compute cache ckey compute)
+  Pc_sample.Plan_cache.plan ?dir:settings.plan_cache ~seed:settings.seed ~interval
+    ~max_instrs:settings.sim_instrs program
 
 (* Replayed phase results are microarchitecture-dependent (one array per
    configuration) and feed both the timing and the power projections, so
@@ -583,7 +567,7 @@ type seed_robustness = {
   sr_max : float;
 }
 
-let seed_robustness ?(pool = Pool.serial) ?(seeds = [ 1; 2; 3; 4; 5 ]) settings pipelines =
+let seed_robustness ?(pool = Pool.serial) settings pipelines =
   Span.with_ "seeds" @@ fun () ->
   Pool.map pool
     (fun (p : Pipeline.t) ->
@@ -602,7 +586,7 @@ let seed_robustness ?(pool = Pool.serial) ?(seeds = [ 1; 2; 3; 4; 5 ]) settings 
                let clone = Pc_synth.Synth.generate ~options p.Pipeline.profile in
                let clone_mpi = mpi_trace settings clone in
                (study_of_mpis p.Pipeline.name orig_mpi clone_mpi).correlation)
-             seeds)
+             [ 1; 2; 3; 4; 5 ])
       in
       {
         sr_bench = p.Pipeline.name;

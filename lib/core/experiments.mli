@@ -46,8 +46,9 @@ val prepare : ?pool:Pc_exec.Pool.t -> settings -> Pipeline.t list
 
 val sample_plan :
   settings -> interval:int -> Pc_isa.Program.t -> Pc_sample.Sample.plan
-(** The memoized sampling plan for a program under these settings
-    (computed on first use, then shared).  The CLI uses this to report
+(** The sampling plan for a program under these settings, from
+    {!Pc_sample.Plan_cache.plan} (memoized in process, and on disk when
+    [settings.plan_cache] is set).  The CLI uses this to report
     per-program plan statistics without recomputing. *)
 
 val sim_run :
@@ -67,31 +68,11 @@ val prepare_sample : ?pool:Pc_exec.Pool.t -> settings -> Pipeline.t list -> unit
     level, never from inside a pool task. *)
 
 val clear_caches : unit -> unit
-(** Empty the memo stores ({!trace_store}, {!sim_store}, {!plan_store},
-    {!fidelity_store} and {!Pipeline.profile_store}) and reset their
-    counters.  Tests use this to compare truly cold serial and parallel
-    runs. *)
-
-val trace_store : (string, float array) Pc_exec.Store.t
-(** 28-cache-study MPI series, keyed by a digest of (program, budget)
-    — plus interval and seed for sampled projections. *)
-
-val sim_store : (string, Pc_uarch.Sim.result) Pc_exec.Store.t
-(** Timing-model results, keyed by a digest of (config, program, budget)
-    — plus interval and seed for sampled projections. *)
-
-val plan_store : (string, Pc_sample.Sample.plan) Pc_exec.Store.t
-(** Sampling plans, keyed by a digest of (program, budget, interval,
-    seed); shared across every configuration that simulates the same
-    program (phases are microarchitecture-independent).  When
-    [settings.plan_cache] is set, misses fall through to the on-disk
-    {!Pc_sample.Plan_cache} before computing. *)
-
-val phase_store :
-  (string, (Pc_sample.Sample.rep * Pc_uarch.Sim.result) array) Pc_exec.Store.t
-(** Replayed representative results, keyed by a digest of ("sampled-phases",
-    config, program, budget, interval, seed): one replay pass per
-    configuration serves both the timing and the power projections. *)
+(** Empty every memo this module reads — the cache-study MPI series,
+    timing-model results, replayed sampling phases, clone-fidelity
+    reports, the sampling-plan memo ({!Pc_sample.Plan_cache.clear_memo})
+    and {!Pipeline.profile_store} — and reset their counters.  Tests
+    use this to compare truly cold serial and parallel runs. *)
 
 val power_total :
   settings -> Pc_uarch.Config.t -> Pc_isa.Program.t -> Pc_uarch.Sim.result -> float
@@ -109,10 +90,6 @@ val statsim_ipc : settings -> Pipeline.t -> float
     phase ({!Pc_statsim.Statsim.estimate_sampled} over the original
     program's plan). *)
 
-val fidelity_store : (string, Pc_trace.Fidelity.report) Pc_exec.Store.t
-(** Clone-fidelity reports, keyed by a digest of (clone program,
-    original profile, budget). *)
-
 (** {1 Clone fidelity — pc-fidelity/1} *)
 
 val fidelity_reports :
@@ -122,8 +99,8 @@ val fidelity_reports :
   Pc_trace.Fidelity.report list
 (** Re-profile every pipeline's clone ({!Pc_trace.Fidelity.measure} with
     [settings.profile_instrs] as the budget) and compare it with the
-    original's profile.  Results are memoized in {!fidelity_store} and
-    deterministic at every pool width. *)
+    original's profile.  Results are memoized per (clone program,
+    original profile, budget) and deterministic at every pool width. *)
 
 (** {1 Figure 3 — single-stride coverage} *)
 
@@ -227,11 +204,10 @@ type seed_robustness = {
 
 val seed_robustness :
   ?pool:Pc_exec.Pool.t ->
-  ?seeds:int list ->
   settings ->
   Pipeline.t list ->
   seed_robustness list
-(** Regenerate each clone under several seeds (default [1; 2; 3; 4; 5])
+(** Regenerate each clone under seeds 1 to 5
     and measure the spread of the cache-study correlation: the sampling
     in the generator must not make clone quality a lottery. *)
 

@@ -7,8 +7,8 @@
     flow and (possibly recursive) functions.
 
     Programs must type-check ({!Check}); the compiler and the reference
-    interpreter ({!Interp}) agree on the semantics, which the test suite
-    verifies differentially. *)
+    interpreter the test suite keeps as an oracle agree on the
+    semantics, which the tests verify differentially. *)
 
 type ty = I  (** 64-bit integer *) | F  (** IEEE double *)
 

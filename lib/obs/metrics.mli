@@ -58,10 +58,6 @@ val gauge_value : gauge -> int
 
 type histogram
 
-val default_buckets : float array
-(** Duration-oriented bucket upper bounds in seconds, from 100 µs to
-    30 s. *)
-
 val histogram : ?buckets:float array -> string -> histogram
 (** [buckets] are strictly increasing upper bounds; an implicit
     overflow bucket catches everything above the last bound.  The

@@ -264,13 +264,8 @@ let bbv_dims = 32
 let max_k = 6
 let restarts = 3
 
-let plan ?warmup ~seed ~interval ~max_instrs program =
+let plan ~seed ~interval ~max_instrs program =
   if interval <= 0 then invalid_arg "Pc_sample.plan: interval must be positive";
-  (* Default warmup: one full interval.  The replayed representative
-     starts with cold caches and predictors that the detailed run has
-     long since warmed; anything shorter leaves a visible cold-start
-     bias (projected CPI systematically high) once L2 is in play. *)
-  let warmup_target = match warmup with Some w -> max 0 w | None -> interval in
   let total_instrs, vectors, statics =
     collect_bbvs ~dims:bbv_dims ~interval ~max_instrs program
   in
@@ -298,7 +293,12 @@ let plan ?warmup ~seed ~interval ~max_instrs program =
         let idx = !best in
         let start = idx * interval in
         let window = interval_length ~interval ~total:total_instrs idx in
-        let warmup = min warmup_target start in
+        (* Warmup: one full interval.  The replayed representative
+           starts with cold caches and predictors that the detailed run
+           has long since warmed; anything shorter leaves a visible
+           cold-start bias (projected CPI systematically high) once L2
+           is in play. *)
+        let warmup = min interval start in
         (c, start, window, warmup, !weight))
   in
   (* Second functional pass: record the packed replay trace of every
@@ -379,28 +379,39 @@ let feed_trace sim statics trace ~pos ~len =
 
 (* --- projection: timing --- *)
 
+type window = { instrs : int; cycles : int }
+
+(* The model is causal, so the cycles past the warmup are the final
+   commit cycle less the one at the boundary; a window with any
+   instruction costs at least one. *)
+let window ~warmup ~boundary (r : Sim.result) =
+  let instrs = max 0 (r.Sim.instrs - warmup) in
+  { instrs; cycles = (if instrs > 0 then max (r.Sim.cycles - boundary) 1 else 0) }
+
 let replay_phases (cfg : Config.t) plan =
   Array.map
     (fun rep ->
       let len = Array.length rep.trace in
+      let warmup = min rep.warmup len in
       M.add c_replayed len;
-      let sim = Sim.create ~measure_from:rep.warmup cfg in
-      feed_trace sim plan.statics rep.trace ~pos:0 ~len;
-      (rep, Sim.finish sim))
+      let sim = Sim.create cfg in
+      feed_trace sim plan.statics rep.trace ~pos:0 ~len:warmup;
+      let boundary = Sim.committed_cycle sim in
+      feed_trace sim plan.statics rep.trace ~pos:warmup ~len:(len - warmup);
+      let r = Sim.finish sim in
+      (rep, window ~warmup ~boundary r, r))
     plan.reps
 
-(* A representative whose measurement window retired nothing (or whose
-   window cost no commit cycles) carries no CPI signal: dividing by its
-   measured counts would inject NaN/inf into every projection that sums
-   over phases.  Such phases are skipped with a warning and their
-   population is re-attributed pro rata to the surviving phases. *)
-let phase_valid (r : Sim.result) =
-  r.Sim.measured_instrs > 0 && r.Sim.measured_cycles > 0
+(* A window that retired nothing (or cost no commit cycles) carries no
+   CPI signal: dividing by it would inject NaN/inf into every projection
+   that sums over phases.  Such phases are skipped with a warning and
+   their population is re-attributed pro rata to the surviving phases. *)
+let phase_valid w = w.instrs > 0 && w.cycles > 0
 
-let warn_skipped ~what ~config_name ~weight (r : Sim.result) =
+let warn_skipped ~what ~config_name ~weight w =
   Log.warn (fun m ->
       m "%s(%s): skipping empty representative (weight %d, measured %d instrs / %d cycles)"
-        what config_name weight r.Sim.measured_instrs r.Sim.measured_cycles)
+        what config_name weight w.instrs w.cycles)
 
 (* The weighting of every counter projection.  [phases] are
    (population, replayed length, payload) triples; [skip] is called on
@@ -440,9 +451,10 @@ let scaled runs field =
 
 let recombine ~config_name ~total_instrs phases =
   let runs =
-    reweigh ~valid:phase_valid
-      ~skip:(fun weight r -> warn_skipped ~what:"recombine" ~config_name ~weight r)
-      phases
+    reweigh
+      ~valid:(fun (w, _) -> phase_valid w)
+      ~skip:(fun weight (w, _) -> warn_skipped ~what:"recombine" ~config_name ~weight w)
+      (Array.map (fun (weight, w, (r : Sim.result)) -> (weight, r.Sim.instrs, (w, r))) phases)
   in
   if Array.length runs = 0 then begin
     (* Degenerate: nothing measured anywhere.  Project IPC 1.0 with
@@ -469,8 +481,6 @@ let recombine ~config_name ~total_instrs phases =
       mem_accesses = 0;
       fetch_stall_icache_cycles = 0;
       fetch_stall_mispredict_cycles = 0;
-      measured_instrs = total_instrs;
-      measured_cycles = cycles;
     }
   end
   else begin
@@ -478,17 +488,13 @@ let recombine ~config_name ~total_instrs phases =
        instruction count at its representative's warmup-free CPI. *)
     let cycles_f =
       Array.fold_left
-        (fun acc (wf, _, (r : Sim.result)) ->
-          let cpi =
-            float_of_int r.Sim.measured_cycles
-            /. float_of_int (max 1 r.Sim.measured_instrs)
-          in
-          acc +. (wf *. cpi))
+        (fun acc (wf, _, (w, _)) ->
+          acc +. (wf *. (float_of_int w.cycles /. float_of_int (max 1 w.instrs))))
         0.0 runs
     in
     let cycles = max 1 (int_of_float (Float.round cycles_f)) in
     let total = total_instrs in
-    let scaled = scaled runs in
+    let scaled field = scaled runs (fun (_, r) -> field r) in
     let class_counts =
       Array.init I.class_count (fun i -> scaled (fun r -> r.Sim.class_counts.(i)))
     in
@@ -511,19 +517,15 @@ let recombine ~config_name ~total_instrs phases =
       fetch_stall_icache_cycles = scaled (fun r -> r.Sim.fetch_stall_icache_cycles);
       fetch_stall_mispredict_cycles =
         scaled (fun r -> r.Sim.fetch_stall_mispredict_cycles);
-      measured_instrs = total;
-      measured_cycles = cycles;
     }
   end
 
 let project_of_phases plan phases =
   if Array.length phases = 0 then
     invalid_arg "Pc_sample.Sample.project_of_phases: empty phase array";
-  let config_name = (snd phases.(0)).Sim.config_name in
-  recombine ~config_name ~total_instrs:plan.total_instrs
-    (Array.map
-       (fun ((rep : rep), r) -> (rep.weight, Array.length rep.trace, r))
-       phases)
+  let _, _, (r : Sim.result) = phases.(0) in
+  recombine ~config_name:r.Sim.config_name ~total_instrs:plan.total_instrs
+    (Array.map (fun ((rep : rep), w, r) -> (rep.weight, w, r)) phases)
 
 (* --- projection: power ---
 
@@ -531,15 +533,15 @@ let project_of_phases plan phases =
    cycle-weighted mean of the per-phase averages: each phase contributes
    its projected cycle share (population × representative CPI) at the
    power of its representative's measurement window.  The window view
-   restricts [instrs]/[cycles] to the measured counts and pro-rata
-   scales the whole-run event counters into the window — never the
-   full-run counters, which would double-count the warmup prefix. *)
+   restricts [instrs]/[cycles] to the window's and pro-rata scales the
+   whole-run event counters into it — never the full-run counters,
+   which would double-count the warmup prefix. *)
 
-let window_result (r : Sim.result) =
-  let mi = r.Sim.measured_instrs in
+let window_result w (r : Sim.result) =
+  let mi = w.instrs in
   let f = float_of_int mi /. float_of_int (max 1 r.Sim.instrs) in
   let scale c = int_of_float (Float.round (float_of_int c *. f)) in
-  let cycles = max 1 r.Sim.measured_cycles in
+  let cycles = max 1 w.cycles in
   {
     r with
     Sim.instrs = mi;
@@ -557,18 +559,16 @@ let window_result (r : Sim.result) =
     mem_accesses = scale r.Sim.mem_accesses;
     fetch_stall_icache_cycles = scale r.Sim.fetch_stall_icache_cycles;
     fetch_stall_mispredict_cycles = scale r.Sim.fetch_stall_mispredict_cycles;
-    measured_instrs = mi;
-    measured_cycles = cycles;
   }
 
 let project_power_of_phases (cfg : Config.t) plan phases =
   let valid, skipped =
-    List.partition (fun (_, r) -> phase_valid r) (Array.to_list phases)
+    List.partition (fun (_, w, _) -> phase_valid w) (Array.to_list phases)
   in
   List.iter
-    (fun ((rep : rep), r) ->
+    (fun ((rep : rep), w, _) ->
       warn_skipped ~what:"project_power" ~config_name:cfg.Config.name
-        ~weight:rep.weight r)
+        ~weight:rep.weight w)
     skipped;
   match valid with
   | [] ->
@@ -579,12 +579,10 @@ let project_power_of_phases (cfg : Config.t) plan phases =
   | _ ->
     let num = ref 0.0 and den = ref 0.0 in
     List.iter
-      (fun ((rep : rep), (r : Sim.result)) ->
-        let cpi =
-          float_of_int r.Sim.measured_cycles /. float_of_int r.Sim.measured_instrs
-        in
+      (fun ((rep : rep), w, r) ->
+        let cpi = float_of_int w.cycles /. float_of_int w.instrs in
         let cyc = float_of_int rep.weight *. cpi in
-        let p = Power.total cfg (window_result r) in
+        let p = Power.total cfg (window_result w r) in
         num := !num +. (cyc *. p);
         den := !den +. cyc)
       valid;
@@ -646,9 +644,9 @@ let project_mpi ?(onepass = false) plan =
    A predictor sees only the (pc, taken) stream of conditional branches
    in retire order, so one replay of a representative prices every
    predictor without the timing model.  The replayed window is empty
-   exactly when the timing model's would be ([measured_instrs] is the
-   trace length past the warmup, and a non-empty window always costs at
-   least one cycle), so [reweigh] and [scaled] give each predictor the
+   exactly when the timing model's would be (its instructions are the
+   trace past the warmup, and a non-empty window always costs at least
+   one cycle), so [reweigh] and [scaled] give each predictor the
    lookups and mispredictions [recombine] projects. *)
 let project_bpred configs plan =
   let classes = plan.statics.Machine.s_classes in

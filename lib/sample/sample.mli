@@ -68,7 +68,6 @@ val restarts : int
     other values. *)
 
 val plan :
-  ?warmup:int ->
   seed:int ->
   interval:int ->
   max_instrs:int ->
@@ -78,57 +77,75 @@ val plan :
     vectors ({!bbv_dims} dimensions), k-means over k = 1..{!max_k} with
     {!restarts} random restarts each picks the phase clustering, and a
     second functional pass records each representative's packed replay
-    trace.  [warmup] is the warmup prefix
-    length in instructions (default one full [interval], clipped at the
-    start of the stream; shorter warmups leave a cold-start bias that
-    overestimates CPI).  Raises [Invalid_argument] for a non-positive
-    [interval] or a program that retires no instructions. *)
+    trace.  Each representative's warmup is one full [interval],
+    clipped at the start of the stream (a shorter warmup leaves a
+    cold-start bias that overestimates CPI).  Raises [Invalid_argument]
+    for a non-positive [interval] or a program that retires no
+    instructions. *)
+
+type window = {
+  instrs : int;  (** instructions past the warmup *)
+  cycles : int;  (** commit cycles they cost; 0 when [instrs] is 0 *)
+}
+(** The measurement window of one phase: the part of its run a
+    projection prices.  The timing model keeps no window; sampling
+    times it off the model's commit clock
+    ({!Pc_uarch.Sim.committed_cycle}). *)
+
+val window : warmup:int -> boundary:int -> Pc_uarch.Sim.result -> window
+(** [window ~warmup ~boundary r] is the window of a run [r] whose first
+    [warmup] instructions were warmup and whose commit clock read
+    [boundary] when they were done: [r.instrs - warmup] instructions
+    (at least 0) at [max (r.cycles - boundary) 1] cycles, or 0 cycles
+    when it holds no instruction.  [~warmup:0 ~boundary:0] makes the
+    whole run the window, as statistical simulation's phases are. *)
 
 val replay_phases :
-  Pc_uarch.Config.t -> plan -> (rep * Pc_uarch.Sim.result) array
-(** Replay every representative through the detailed timing model
-    ({!feed_trace} into a {!Pc_uarch.Sim.create} state with
-    [measure_from] at the warmup boundary) and return the per-phase
-    results, one per representative in plan order.  The phase array is
-    the shared input of every projection below, so one replay pass
-    serves the IPC and the power estimates. *)
+  Pc_uarch.Config.t -> plan -> (rep * window * Pc_uarch.Sim.result) array
+(** Replay every representative through the detailed timing model: step
+    its warmup ({!feed_trace} into a fresh {!Pc_uarch.Sim.create}
+    state), read the commit clock as the window's boundary, step the
+    rest, and return its {!window} beside the whole-run result, one
+    triple per representative in plan order.  With warmup 0 the window
+    is the whole run.  The phase array is the shared input of every
+    projection below, so one replay pass serves the IPC and the power
+    estimates. *)
 
 val recombine :
   config_name:string ->
   total_instrs:int ->
-  (int * int * Pc_uarch.Sim.result) array ->
+  (int * window * Pc_uarch.Sim.result) array ->
   Pc_uarch.Sim.result
 (** [recombine ~config_name ~total_instrs phases] folds per-phase
-    [(weight, replayed_len, result)] triples into a whole-program
-    estimate: cycles are the sum over phases of population × the
-    representative's warmup-free CPI; event counters are scaled from each
-    representative pro rata.  Phases whose measurement window retired no
+    [(weight, window, result)] triples into a whole-program estimate:
+    cycles are the sum over phases of population × the window's CPI;
+    event counters are scaled from each result pro rata (population
+    over the result's [instrs]).  Phases whose window retired no
     instructions or cost no cycles are skipped with a warning and their
     population re-attributed to the survivors (division-by-zero guard);
     if every phase is empty the projection degrades to IPC 1.0 with
     zeroed counters.  With no skipped phase the result is bit-identical
     to the unguarded fold. *)
 
-val project_of_phases : plan -> (rep * Pc_uarch.Sim.result) array -> Pc_uarch.Sim.result
-(** {!recombine} over an already-replayed phase array (weights and
-    replay lengths taken from the plan's representatives).  Over
-    [replay_phases cfg plan] this is the sampled timing projection:
-    whole-program cycles are the sum over clusters of population × the
-    representative's warmup-free CPI.  Event counters (cache misses,
-    branches, class counts — the power model's inputs) are scaled from
-    each representative pro rata; the [ipc]/[cycles]/[instrs] fields
-    estimate the full run. *)
+val project_of_phases :
+  plan -> (rep * window * Pc_uarch.Sim.result) array -> Pc_uarch.Sim.result
+(** {!recombine} over an already-replayed phase array (weights taken
+    from the plan's representatives).  Over [replay_phases cfg plan]
+    this is the sampled timing projection: whole-program cycles are the
+    sum over clusters of population × the representative's window CPI.
+    Event counters (cache misses, branches, class counts — the power
+    model's inputs) are scaled from each representative pro rata; the
+    [ipc]/[cycles]/[instrs] fields estimate the full run. *)
 
 val project_power_of_phases :
-  Pc_uarch.Config.t -> plan -> (rep * Pc_uarch.Sim.result) array -> float
+  Pc_uarch.Config.t -> plan -> (rep * window * Pc_uarch.Sim.result) array -> float
 (** Population-weighted power projection from replayed phases: each
     valid phase contributes its projected cycle share (population ×
-    representative CPI) at the {!Pc_power.Power.total} of its
-    measurement window — [measured_instrs]/[measured_cycles] with the
-    whole-run event counters pro-rata restricted to the window, never
-    the raw full-run counters.  Phases with an empty measurement window
-    are skipped with a warning; if none are valid the recombined
-    {!project_of_phases} result is priced instead. *)
+    window CPI) at the {!Pc_power.Power.total} of its window — the
+    window's instructions and cycles, with the whole-run event counters
+    pro-rata restricted to it, never the raw full-run counters.  Phases
+    with an empty window are skipped with a warning; if none are valid
+    the recombined {!project_of_phases} result is priced instead. *)
 
 val project_mpi : ?onepass:bool -> plan -> float array
 (** Replay every representative's data references through the paper's
@@ -168,10 +185,10 @@ val feed_trace :
 (** [feed_trace sim statics trace ~pos ~len] steps the timing model
     through the sub-range [\[pos, pos+len)] of a packed trace, with
     class, reads and write taken from the per-pc static tables.
-    {!replay_phases} feeds each representative whole; multi-tenant
-    sampled scenarios feed one arbiter quantum at a time from a tenant's
-    concatenated representative traces.  Raises [Invalid_argument] on an
-    out-of-bounds range. *)
+    {!replay_phases} feeds each representative's warmup, then the
+    rest; multi-tenant sampled scenarios feed one arbiter quantum at a
+    time from a tenant's concatenated representative traces.  Raises
+    [Invalid_argument] on an out-of-bounds range. *)
 
 val packed_pc : int -> int
 val packed_mem_addr : int -> int

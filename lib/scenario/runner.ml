@@ -62,13 +62,10 @@ let program_store : (string, Pc_isa.Program.t) Store.t =
 let baseline_store : (string, float) Store.t =
   Store.create ~name:"scenario-baseline" ()
 
-let plan_store : (string, Sample.plan) Store.t =
-  Store.create ~name:"scenario-plan" ()
-
 let clear_caches () =
   Store.clear program_store;
   Store.clear baseline_store;
-  Store.clear plan_store
+  Pc_sample.Plan_cache.clear_memo ()
 
 let resolve_program settings workload kind =
   match Registry.find_opt workload with
@@ -88,13 +85,6 @@ let resolve_program settings workload kind =
              ~profile_instrs:settings.profile_instrs
              ~target_dynamic:settings.clone_dynamic workload)
             .Pipeline.clone))
-
-let plan_of settings program =
-  let interval = Option.get settings.sample in
-  let key = digest (program, settings.budget, interval, settings.seed) in
-  Store.find_or_compute plan_store key (fun () ->
-      Sample.plan ~seed:settings.seed ~interval ~max_instrs:settings.budget
-        program)
 
 (* The standalone baseline: the tenant's own input alone on the same
    effective config, priced by [ipc] exactly like its co-run row (with
@@ -204,8 +194,13 @@ let run_spec settings (spec : Spec.t) =
   let sampled_srcs =
     match settings.sample with
     | None -> [||]
-    | Some _ ->
-      Array.map (fun program -> concat_plan (plan_of settings program)) programs
+    | Some interval ->
+      Array.map
+        (fun program ->
+          concat_plan
+            (Pc_sample.Plan_cache.plan ~seed:settings.seed ~interval
+               ~max_instrs:settings.budget program))
+        programs
   in
   (* A fresh input per co-run: a live machine is consumed by its run. *)
   let input i () =

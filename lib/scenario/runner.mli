@@ -71,5 +71,6 @@ val run : ?pool:Pc_exec.Pool.t -> settings -> Spec.t list -> result list
     scenarios, so a mix and its clone twin share baseline work. *)
 
 val clear_caches : unit -> unit
-(** Empty the runner's memo stores (tests use this to compare cold
-    serial and parallel runs). *)
+(** Empty the runner's memo stores and the sampling-plan memo
+    ({!Pc_sample.Plan_cache.clear_memo}); tests use this to compare cold
+    serial and parallel runs. *)

@@ -41,10 +41,6 @@ type t = {
           Applied to the baselines too, like [shared_l2]. *)
 }
 
-val default_quantum : int
-(** {!Pc_funcsim.Machine.batch_capacity} (4096): one funcsim chunk per
-    arbiter turn keeps the hot loop batched. *)
-
 val tenant : ?kind:kind -> ?count:int -> string -> tenant
 (** [kind] defaults to [Original]; [count] (default 1) must be
     positive. *)

@@ -224,9 +224,10 @@ let estimate ?(seed = 1) ?(instrs = 100_000) cfg (profile : Profile.t) =
    one long stationary walk, generate one short trace per phase, seeded
    at the profile node that dominates the phase's measurement window,
    and recombine the per-phase results population-weighted exactly like
-   the detailed sampled projection.  The generator state (RNG stream,
-   walkers, branch counters, dependency ring) carries across phases so
-   the whole estimate stays deterministic in [seed]. *)
+   the detailed sampled projection (a phase's whole walk is its window:
+   there is no warmup).  The generator state (RNG stream, walkers,
+   branch counters, dependency ring) carries across phases so the whole
+   estimate stays deterministic in [seed]. *)
 
 (* Most-executed measurement-window pc of a representative (warmup
    excluded); ties break towards the smaller pc so the choice is
@@ -294,7 +295,7 @@ let estimate_sampled ?(seed = 1) ?(instrs = 100_000) ~(plan : Sample.plan) cfg
         let sim = Sim.create cfg in
         synth g ~start ~budget sim;
         let r = Sim.finish sim in
-        (rep.Sample.weight, r.Sim.instrs, r))
+        (rep.Sample.weight, Sample.window ~warmup:0 ~boundary:0 r, r))
       plan.Sample.reps
   in
   Sample.recombine ~config_name:cfg.Config.name

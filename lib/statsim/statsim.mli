@@ -39,7 +39,8 @@ val estimate_sampled :
     dominates the phase's measurement window, with the [instrs] budget
     (default 100 000) split across phases by cluster population — and
     recombine the per-phase results population-weighted via
-    {!Pc_sample.Sample.recombine}.  One RNG stream drives all phases, so
+    {!Pc_sample.Sample.recombine}, each phase's whole synthetic run its
+    window (it has no warmup).  One RNG stream drives all phases, so
     the result is deterministic in [seed] (and independent of pool
     width).  The projected [instrs]/[cycles] speak for the plan's full
     run, like the detailed sampled projection. *)

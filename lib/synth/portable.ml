@@ -104,14 +104,11 @@ let gen_branch (node : Profile.node) =
     | Synth.Modulo { period; taken_slots } ->
       [ if_ ((v "it" &: i (period - 1)) <: i taken_slots) [] [] ])
 
-let generate ?(seed = 1) ?(target_blocks = 0) ?(target_dynamic = 100_000)
-    (profile : Profile.t) =
+let generate ?(seed = 1) ?(target_dynamic = 100_000) (profile : Profile.t) =
   let rng = Rng.create seed in
   let n_nodes = Array.length profile.Profile.nodes in
   if n_nodes = 0 then invalid_arg "Portable.generate: empty profile";
-  let target_blocks =
-    if target_blocks > 0 then target_blocks else min 400 (max 40 (2 * n_nodes))
-  in
+  let target_blocks = min 400 (max 40 (2 * n_nodes)) in
   let streams = Synth.stream_pool ~max_streams:8 profile in
   let block_ids = Synth.walk_sfg rng profile target_blocks in
   (* stream geometry in ELEMENTS (8-byte words): (stride, size, spread) *)
@@ -209,6 +206,6 @@ let generate ?(seed = 1) ?(target_blocks = 0) ?(target_dynamic = 100_000)
       ];
   }
 
-let generate_compiled ?seed ?target_blocks ?target_dynamic profile =
-  let prog = generate ?seed ?target_blocks ?target_dynamic profile in
+let generate_compiled ?seed ?target_dynamic profile =
+  let prog = generate ?seed ?target_dynamic profile in
   Pc_kc.Compile.compile ~name:(profile.Profile.name ^ "-portable-clone") prog

@@ -27,12 +27,10 @@
       caveat). *)
 
 val generate :
-  ?seed:int -> ?target_blocks:int -> ?target_dynamic:int -> Pc_profile.Profile.t ->
-  Pc_kc.Ast.prog
+  ?seed:int -> ?target_dynamic:int -> Pc_profile.Profile.t -> Pc_kc.Ast.prog
 (** Build the portable clone.  Defaults mirror {!Synth.default_options}. *)
 
 val generate_compiled :
-  ?seed:int -> ?target_blocks:int -> ?target_dynamic:int -> Pc_profile.Profile.t ->
-  Pc_isa.Program.t
+  ?seed:int -> ?target_dynamic:int -> Pc_profile.Profile.t -> Pc_isa.Program.t
 (** [generate] followed by the Kc compiler — the "one back end"
     instantiation of the virtual-ISA route. *)

@@ -30,9 +30,6 @@
 
 type t
 
-val default_period_s : float
-(** 0.05 s — the default counter-sampling period. *)
-
 val start : ?period_s:float -> string -> t
 (** [start path] begins tracing into [path] (written at {!stop}).
     Forces {!Pc_obs.Metrics.enabled} and event collection on for the

@@ -78,8 +78,6 @@ let base =
     latencies = default_latencies;
   }
 
-let with_name name t = { t with name }
-
 let with_rob_lsq ~rob ~lsq t =
   { t with rob_size = rob; lsq_size = lsq; name = Printf.sprintf "%s+rob%d" t.name rob }
 

@@ -32,8 +32,6 @@ val base : t
     1-wide out-of-order; 8-entry fetch queue (frontend depth); 2-level
     GAp predictor; 40-cycle memory. *)
 
-val with_name : string -> t -> t
-
 val with_rob_lsq : rob:int -> lsq:int -> t -> t
 (** Design change 1 doubles both: [with_rob_lsq ~rob:32 ~lsq:16 base]. *)
 
@@ -49,6 +47,3 @@ val with_bpred : Pc_branch.Predictor.config -> t -> t
 
 val with_in_order : bool -> t -> t
 (** Design change 5: [with_in_order true base]. *)
-
-val with_l1d_config : Pc_caches.Cache.config -> t -> t
-(** Replace the L1 D-cache configuration entirely (cache study). *)

@@ -23,8 +23,6 @@ type result = {
   mem_accesses : int;
   fetch_stall_icache_cycles : int;
   fetch_stall_mispredict_cycles : int;
-  measured_instrs : int;
-  measured_cycles : int;
 }
 
 (* In-order bandwidth tracker: at most [width] events per cycle, cycles
@@ -124,7 +122,6 @@ let c_bpred_mispredicts = Pc_obs.Metrics.counter "uarch.bpred.mispredicts"
    over one batched functional run + [finish]. *)
 type state = {
   st_cfg : Config.t;
-  measure_from : int;
   icache : Hierarchy.t;
   dcache : Hierarchy.t;
   bpred : Predictor.t;
@@ -152,18 +149,11 @@ type state = {
   mutable last_commit : int;
   mutable stall_icache : int;
   mutable stall_mispredict : int;
-  (* Commit cycle at the measurement-window boundary.  [last_commit] is
-     monotone, so cycles spent strictly inside the window are the final
-     commit cycle minus its value just before instruction [measure_from]
-     is scheduled; the prefix acts as warmup (caches and predictor
-     already primed) without polluting the measured CPI. *)
-  mutable measure_start : int;
 }
 
-let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
+let create ?icache ?dcache (cfg : Config.t) =
   {
     st_cfg = cfg;
-    measure_from = Int.max 0 measure_from;
     icache =
       (match icache with Some h -> h | None -> Hierarchy.create cfg.icache);
     dcache =
@@ -190,7 +180,6 @@ let create ?(measure_from = 0) ?icache ?dcache (cfg : Config.t) =
     last_commit = 0;
     stall_icache = 0;
     stall_mispredict = 0;
-    measure_start = 0;
   }
 
 (* The latest ready cycle of the registers in [reads], at least [acc].
@@ -204,7 +193,6 @@ let step st ~pc ~cls ~reads ~write ~addr ~taken =
   let cfg = st.st_cfg in
   let i = st.index in
   st.index <- i + 1;
-  if i = st.measure_from then st.measure_start <- st.last_commit;
   let ci = I.class_index cls in
   st.st_class_counts.(ci) <- st.st_class_counts.(ci) + 1;
   (* --- fetch --- *)
@@ -302,12 +290,6 @@ let finish st =
   let cfg = st.st_cfg in
   let instrs = st.index in
   let cycles = Int.max st.last_commit 1 in
-  let measured_instrs = Int.max 0 (instrs - st.measure_from) in
-  let measured_cycles =
-    if st.measure_from = 0 then cycles
-    else if measured_instrs = 0 then 0
-    else Int.max (st.last_commit - st.measure_start) 1
-  in
   Pc_obs.Metrics.add c_instrs instrs;
   Pc_obs.Metrics.add c_cycles cycles;
   Pc_obs.Metrics.add c_stall_icache st.stall_icache;
@@ -333,8 +315,6 @@ let finish st =
     mem_accesses = Hierarchy.mem_accesses st.icache + Hierarchy.mem_accesses st.dcache;
     fetch_stall_icache_cycles = st.stall_icache;
     fetch_stall_mispredict_cycles = st.stall_mispredict;
-    measured_instrs;
-    measured_cycles;
   }
 
 let run ?(max_instrs = 10_000_000) cfg program =

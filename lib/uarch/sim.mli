@@ -44,13 +44,6 @@ type result = {
       (** cycles by which mispredict redirects hold fetch back past
           the point in-order dispatch already waits for (each
           mispredicted branch's own dispatch less the front-end depth) *)
-  measured_instrs : int;
-      (** instructions inside the measurement window (= [instrs] when no
-          [measure_from] was given) *)
-  measured_cycles : int;
-      (** commit cycles attributable to the measurement window (= [cycles]
-          when no [measure_from] was given); sampled simulation divides
-          these two for warmup-free CPI *)
 }
 
 type state
@@ -64,7 +57,6 @@ type state
     core's commit clock between bursts. *)
 
 val create :
-  ?measure_from:int ->
   ?icache:Pc_caches.Hierarchy.t ->
   ?dcache:Pc_caches.Hierarchy.t ->
   Config.t ->
@@ -75,15 +67,7 @@ val create :
     so several cores' L1s drain into shared L2 instances.  The caller
     is responsible for any override matching the config's latencies
     (the scheduling code reads latencies from the hierarchy it is
-    given).
-
-    [measure_from] (default 0) marks the first instruction of the
-    measurement window: everything before it still executes — warming
-    caches, predictor and in-flight state — but [measured_instrs] /
-    [measured_cycles] report only the window, via the commit-cycle
-    boundary at instruction [measure_from].  Whole-run fields
-    ([instrs], [cycles], [ipc], cache and branch counters) are
-    unaffected. *)
+    given). *)
 
 val step :
   state ->
@@ -106,8 +90,12 @@ val feed_batch : state -> Pc_funcsim.Machine.statics -> Pc_funcsim.Machine.batch
 
 val committed_cycle : state -> int
 (** Commit cycle of the most recently stepped instruction (monotone;
-    [0] before any instruction).  Sampled multi-tenant scenarios read
-    this at interval boundaries to price each tenant's windows. *)
+    [0] before any instruction).  It is the one way a caller times part
+    of a run: the model is causal, so the cycles a stretch of
+    instructions costs are this clock after the stretch minus this
+    clock before it.  [Pc_sample]'s replay reads it at each
+    representative's warmup boundary, and the multi-tenant arbiter in
+    [Pc_scenario] at each sampled window's edges. *)
 
 val finish : state -> result
 (** Build the {!result} over every instruction stepped so far.  Call at

@@ -1,0 +1,90 @@
+(* Allocation budgets: minor-heap words per unit of work for the hot
+   layers, on fixed programs, single-domain, after one warm-up call.
+   Unlike time, [Gc.minor_words] reads the same to the word on repeated
+   runs, so a ceiling is a deterministic performance gate: a closure or
+   a boxed value that creeps back into a per-instruction path adds at
+   least two words per instruction (the smallest heap block) and fails
+   here.
+
+   Each ceiling is its layer's reading on that program plus about a
+   quarter word of headroom, far below those two words, and both are
+   listed once, in the tables below (OCaml 5.1, readings identical over
+   repeated runs).  A change that lowers a reading should lower its
+   ceiling with it. *)
+
+module Config = Pc_uarch.Config
+module Sim = Pc_uarch.Sim
+module Sample = Pc_sample.Sample
+
+let budget = 500_000
+let program name = Pc_workloads.Registry.(compile (find name))
+
+(* Minor words [f] allocates, read after one warm-up call. *)
+let minor_words f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+let check_ceiling what ~reading ~ceiling words_per_unit =
+  if words_per_unit > ceiling then
+    Alcotest.failf "%s: %.4f words per unit, ceiling %.2f (read %.4f when set)"
+      what words_per_unit ceiling reading
+
+(* (program, words per instruction read, ceiling): [Sim.run
+   ~max_instrs:500_000 Config.base], functional simulator included. *)
+let sim_run_budgets =
+  [
+    ("crc32", 0.502, 0.75);
+    ("qsort", 0.315, 0.55);
+    ("sha", 0.042, 0.30);
+    ("fft", 0.138, 0.40);
+    ("dijkstra", 0.234, 0.50);
+  ]
+
+let test_sim_run () =
+  List.iter
+    (fun (name, reading, ceiling) ->
+      let p = program name in
+      let words, r = minor_words (fun () -> Sim.run ~max_instrs:budget Config.base p) in
+      check_ceiling ("Sim.run " ^ name) ~reading ~ceiling
+        (words /. float_of_int r.Sim.instrs))
+    sim_run_budgets
+
+(* (program, words per replayed instruction read, ceiling):
+   [Sample.replay_phases Config.base] over the program's
+   [~seed:1 ~interval:50_000 ~max_instrs:500_000] plan. *)
+let replay_budgets =
+  [
+    ("crc32", 0.0037, 0.25);
+    ("qsort", 0.0028, 0.25);
+    ("sha", 0.0028, 0.25);
+    ("fft", 0.0028, 0.25);
+    ("dijkstra", 0.0028, 0.25);
+  ]
+
+let test_replay () =
+  List.iter
+    (fun (name, reading, ceiling) ->
+      let plan =
+        Sample.plan ~seed:1 ~interval:50_000 ~max_instrs:budget (program name)
+      in
+      let replayed =
+        Array.fold_left
+          (fun acc (r : Sample.rep) -> acc + Array.length r.Sample.trace)
+          0 plan.Sample.reps
+      in
+      let words, _ = minor_words (fun () -> Sample.replay_phases Config.base plan) in
+      check_ceiling ("replay_phases " ^ name) ~reading ~ceiling
+        (words /. float_of_int replayed))
+    replay_budgets
+
+let () =
+  Alcotest.run "pc_alloc"
+    [
+      ( "words per unit",
+        [
+          Alcotest.test_case "Sim.run" `Quick test_sim_run;
+          Alcotest.test_case "Sample.replay_phases" `Quick test_replay;
+        ] );
+    ]

@@ -38,8 +38,8 @@ let test_portable_interp_runs () =
   (* The Kc clone is a real Kc program: the reference interpreter can run
      it (bounds-checked!), proving the generated indices stay legal. *)
   let prog = Portable.generate ~target_dynamic:5_000 (profile "crc32") in
-  let r = Pc_kc.Interp.run ~max_steps:5_000_000 prog in
-  Alcotest.(check bool) "steps executed" true (r.Pc_kc.Interp.steps > 100)
+  let r = Kc_interp.run ~max_steps:5_000_000 prog in
+  Alcotest.(check bool) "steps executed" true (r.Kc_interp.steps > 100)
 
 let test_portable_compiles_and_halts () =
   List.iter

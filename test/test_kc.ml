@@ -3,7 +3,7 @@
 
 open Pc_kc.Ast
 module Check = Pc_kc.Check
-module Interp = Pc_kc.Interp
+module Interp = Kc_interp
 module Compile = Pc_kc.Compile
 module Machine = Pc_funcsim.Machine
 module Memory = Pc_funcsim.Memory

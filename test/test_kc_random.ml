@@ -4,7 +4,7 @@
    SRISC binary, including final global-array contents. *)
 
 open Pc_kc.Ast
-module Interp = Pc_kc.Interp
+module Interp = Kc_interp
 module Compile = Pc_kc.Compile
 module Machine = Pc_funcsim.Machine
 module Memory = Pc_funcsim.Memory

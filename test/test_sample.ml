@@ -13,6 +13,10 @@ module E = Perfclone.Experiments
 
 let program name = Pc_workloads.Registry.(compile (find name))
 
+(* The base configuration and the paper's five design changes. *)
+let six_configs () =
+  Config.base :: List.map (fun (d : E.design_change) -> d.E.config) (E.design_changes ())
+
 (* A fresh, empty directory for a plan cache under test. *)
 let fresh_cache_dir () =
   let path = Filename.temp_file "pc_plan_cache_test" "" in
@@ -140,7 +144,7 @@ let test_power_projection_accuracy () =
   (* The PR-5 acceptance bar: sampled average power within 5% of the
      detailed estimate at interval 100k on the default simulation
      budget.  The projection prices each phase's measurement window
-     (measured_instrs/measured_cycles with pro-rata counters), never the
+     (its instructions and cycles with pro-rata counters), never the
      representative's whole-run counters. *)
   let max_instrs = 2_000_000 and interval = 100_000 in
   let cfg = Config.base in
@@ -167,40 +171,88 @@ let test_recombine_zero_cycle_guard () =
   let p = program "crc32" in
   let plan = Sample.plan ~seed:1 ~interval:max_instrs ~max_instrs p in
   let phases = Sample.replay_phases Config.base plan in
-  let rep, live = phases.(0) in
-  let dead = { live with Sim.measured_cycles = 0 } in
+  let rep, live_window, live = phases.(0) in
+  let dead = { live_window with Sample.cycles = 0 } in
   let total_instrs = plan.Sample.total_instrs in
   let recombine = Sample.recombine ~config_name:"base" ~total_instrs in
   (* Mixed: the dead phase's population hands over to the survivor, so
      the result equals the survivor carrying the whole population. *)
-  let mixed =
-    recombine [| (60, live.Sim.instrs, live); (40, live.Sim.instrs, dead) |]
-  in
-  let alone = recombine [| (100, live.Sim.instrs, live) |] in
+  let mixed = recombine [| (60, live_window, live); (40, dead, live) |] in
+  let alone = recombine [| (100, live_window, live) |] in
   Alcotest.(check int) "re-attributed cycles" alone.Sim.cycles mixed.Sim.cycles;
   Alcotest.(check (float 1e-12)) "re-attributed ipc" alone.Sim.ipc mixed.Sim.ipc;
   Alcotest.(check int) "re-attributed l1d misses" alone.Sim.l1d_misses
     mixed.Sim.l1d_misses;
   Alcotest.(check bool) "mixed ipc finite" true (Float.is_finite mixed.Sim.ipc);
   (* All dead: IPC 1.0, zeroed counters, nothing non-finite. *)
-  let degenerate = recombine [| (100, live.Sim.instrs, dead) |] in
+  let degenerate = recombine [| (100, dead, live) |] in
   Alcotest.(check (float 1e-12)) "degenerate ipc" 1.0 degenerate.Sim.ipc;
   Alcotest.(check int) "degenerate cycles" total_instrs degenerate.Sim.cycles;
   Alcotest.(check int) "degenerate misses zeroed" 0 degenerate.Sim.l1d_misses;
   (* Zero measured instructions is the same class of failure. *)
-  let empty = { live with Sim.measured_instrs = 0 } in
-  let mixed' =
-    recombine [| (60, live.Sim.instrs, live); (40, live.Sim.instrs, empty) |]
-  in
+  let empty = { live_window with Sample.instrs = 0 } in
+  let mixed' = recombine [| (60, live_window, live); (40, empty, live) |] in
   Alcotest.(check int) "zero-instr window skipped" alone.Sim.cycles
     mixed'.Sim.cycles;
   (* The power projection survives dead phases too. *)
-  let pw = Sample.project_power_of_phases Config.base plan [| (rep, dead) |] in
+  let pw = Sample.project_power_of_phases Config.base plan [| (rep, dead, live) |] in
   Alcotest.(check bool) "all-dead power finite and positive" true
     (Float.is_finite pw && pw > 0.0);
   let pw' = Sample.project_power_of_phases Config.base plan phases in
   Alcotest.(check bool) "live power finite and positive" true
     (Float.is_finite pw' && pw' > 0.0)
+
+(* The window's boundary rule against an independent reading.  The
+   model is causal (an instruction's schedule depends only on earlier
+   ones), so the commit cycle at the warmup boundary is the finishing
+   cycle of a fresh state fed the warmup alone.  A window therefore
+   costs [max (full - prefix) 1] cycles, where [full] and [prefix] are
+   the [Sim.finish] cycles of the whole trace and of its warmup (0 when
+   there is none), and it is empty, at 0 cycles, exactly when the trace
+   is all warmup. *)
+let test_window_boundary () =
+  let finish_cycles cfg plan (rep : Sample.rep) len =
+    if len = 0 then 0
+    else begin
+      let sim = Sim.create cfg in
+      Sample.feed_trace sim plan.Sample.statics rep.Sample.trace ~pos:0 ~len;
+      (Sim.finish sim).Sim.cycles
+    end
+  in
+  List.iter
+    (fun name ->
+      let plan = Sample.plan ~seed:1 ~interval:50_000 ~max_instrs:500_000 (program name) in
+      let all_warmup =
+        Array.map
+          (fun (r : Sample.rep) -> { r with Sample.warmup = Array.length r.Sample.trace })
+          plan.Sample.reps
+      in
+      List.iter
+        (fun (cfg : Config.t) ->
+          Array.iter
+            (fun ((rep : Sample.rep), (w : Sample.window), _) ->
+              let what s =
+                Printf.sprintf "%s rep %d under %s: %s" name rep.Sample.cluster
+                  cfg.Config.name s
+              in
+              let len = Array.length rep.Sample.trace in
+              let empty = len <= rep.Sample.warmup in
+              Alcotest.(check bool) (what "empty exactly when all warmup") empty
+                (w.Sample.instrs = 0);
+              let want =
+                if empty then 0
+                else
+                  max
+                    (finish_cycles cfg plan rep len
+                    - finish_cycles cfg plan rep rep.Sample.warmup)
+                    1
+              in
+              Alcotest.(check int) (what "window cycles") want w.Sample.cycles)
+            (Array.append
+               (Sample.replay_phases cfg plan)
+               (Sample.replay_phases cfg { plan with Sample.reps = all_warmup })))
+        (six_configs ()))
+    [ "crc32"; "qsort" ]
 
 let test_mpi_projection_accuracy () =
   (* The cache study consumes the *series* of 28 MPIs (figures 4/5
@@ -485,6 +537,51 @@ let test_pinned_plans () =
       Alcotest.(check int) (what "instructions") want_total plan.Sample.total_instrs)
     pinned_plans
 
+(* Every sampled projection of those plans, under the base config and
+   the five design changes, recorded before the timing model stopped
+   tracking the measurement window: the recombined timing result, the
+   power projection, and the sampled statistical-simulation estimate
+   from the program's 300k-instruction profile.  Floats print as [%h],
+   so one moved bit fails. *)
+
+let render (r : Sim.result) =
+  Printf.sprintf "%s %d %d %h [%s] %d %d %d %d %d %d %d %d %d %d %d\n"
+    r.Sim.config_name r.Sim.instrs r.Sim.cycles r.Sim.ipc
+    (String.concat "," (Array.to_list (Array.map string_of_int r.Sim.class_counts)))
+    r.Sim.branches r.Sim.mispredictions r.Sim.l1i_accesses r.Sim.l1i_misses
+    r.Sim.l1d_accesses r.Sim.l1d_misses r.Sim.l2_accesses r.Sim.l2_misses
+    r.Sim.mem_accesses r.Sim.fetch_stall_icache_cycles
+    r.Sim.fetch_stall_mispredict_cycles
+
+let pinned_projections =
+  [
+    ("crc32", "91473ede6552d63df9c4fedd413c2298");
+    ("qsort", "a63e536886efe662edfa0f09bb00674c");
+  ]
+
+let test_pinned_projections () =
+  let configs = six_configs () in
+  List.iter
+    (fun (name, want_md5) ->
+      let p = program name in
+      let plan = Sample.plan ~seed:1 ~interval:50_000 ~max_instrs:500_000 p in
+      let profile = Pc_profile.Collector.profile ~max_instrs:300_000 p in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun cfg ->
+          let phases = Sample.replay_phases cfg plan in
+          Buffer.add_string buf (render (Sample.project_of_phases plan phases));
+          Buffer.add_string buf
+            (Printf.sprintf "%h\n" (Sample.project_power_of_phases cfg plan phases));
+          Buffer.add_string buf
+            (render
+               (Pc_statsim.Statsim.estimate_sampled ~seed:1 ~instrs:20_000 ~plan cfg
+                  profile)))
+        configs;
+      let got = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+      Alcotest.(check string) (name ^ ": projections") want_md5 got)
+    pinned_projections
+
 let () =
   Alcotest.run "pc_sample"
     [
@@ -507,6 +604,7 @@ let () =
             test_project_bpred_matches_timing_model;
           Alcotest.test_case "sampled predictor study equals sim_run" `Quick
             test_sampled_bpred_rates_match_sim_run;
+          Alcotest.test_case "window boundary is causal" `Quick test_window_boundary;
         ] );
       ( "accuracy",
         [
@@ -537,5 +635,8 @@ let () =
             test_sampling_off_matches_seed_behaviour;
         ] );
       ( "pinned md5s",
-        [ Alcotest.test_case "plans" `Quick test_pinned_plans ] );
+        [
+          Alcotest.test_case "plans" `Quick test_pinned_plans;
+          Alcotest.test_case "projections" `Quick test_pinned_projections;
+        ] );
     ]

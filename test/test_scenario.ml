@@ -90,10 +90,9 @@ let test_one_stream_five_drivers () =
   List.iter
     (fun name ->
       let p = program name in
-      let plan =
-        Sample.plan ~seed:1 ~warmup:0 ~interval:budget ~max_instrs:budget p
-      in
+      let plan = Sample.plan ~seed:1 ~interval:budget ~max_instrs:budget p in
       Alcotest.(check int) "single interval" 1 plan.Sample.n_intervals;
+      Alcotest.(check int) "no warmup" 0 plan.Sample.reps.(0).Sample.warmup;
       let trace = plan.Sample.reps.(0).Sample.trace in
       List.iter
         (fun (cfg : Config.t) ->
@@ -108,7 +107,14 @@ let test_one_stream_five_drivers () =
               .Scenario.result
           in
           check "the event-fed oracle" (Sim_ref.run ~max_instrs:budget cfg p);
-          check "replay_phases" (snd (Sample.replay_phases cfg plan).(0));
+          let _, window, replayed = (Sample.replay_phases cfg plan).(0) in
+          check "replay_phases" replayed;
+          if
+            window
+            <> { Sample.instrs = expected.Sim.instrs; cycles = expected.Sim.cycles }
+          then
+            Alcotest.failf "%s on %s: the replay's window is not the whole run" name
+              cfg.Config.name;
           check "a From_machine tenant"
             (alone (Scenario.From_machine (Machine.load p)));
           check "a From_trace tenant"

@@ -4,7 +4,7 @@
    the range the experiments assume. *)
 
 module Registry = Pc_workloads.Registry
-module Interp = Pc_kc.Interp
+module Interp = Kc_interp
 module Machine = Pc_funcsim.Machine
 
 let interp_cache : (string, int64) Hashtbl.t = Hashtbl.create 32
