@@ -703,9 +703,11 @@ let exec_chunk t limit =
              raise (mem_fault addr)
            end;
            let v =
-             if addr lsr Memory.page_bits = mem.Memory.cache_key then
-               A1.unsafe_get mem.Memory.cache_page ((addr lsr 3) land word_mask)
-             else Memory.read mem addr
+             let key = addr lsr Memory.page_bits in
+             A1.unsafe_get
+               (if key = mem.Memory.cache_key then mem.Memory.cache_page
+                else Memory.read_page mem key)
+               ((addr lsr 3) land word_mask)
            in
            let d = w land 255 in
            if d <> 0 then A1.unsafe_set iregs d v;
@@ -723,9 +725,11 @@ let exec_chunk t limit =
              raise (mem_fault addr)
            end;
            let v = A1.unsafe_get iregs ((w lsr 8) land 255) in
-           if addr lsr Memory.page_bits = mem.Memory.cache_key then
-             A1.unsafe_set mem.Memory.cache_page ((addr lsr 3) land word_mask) v
-           else Memory.write mem addr v;
+           let key = addr lsr Memory.page_bits in
+           A1.unsafe_set
+             (if key = mem.Memory.cache_key then mem.Memory.cache_page
+              else Memory.write_page mem key)
+             ((addr lsr 3) land word_mask) v;
            Array.unsafe_set counts ci_store
              (Array.unsafe_get counts ci_store + 1);
            pc + 1
@@ -740,9 +744,11 @@ let exec_chunk t limit =
              raise (mem_fault addr)
            end;
            let v =
-             if addr lsr Memory.page_bits = mem.Memory.cache_key then
-               A1.unsafe_get mem.Memory.cache_page ((addr lsr 3) land word_mask)
-             else Memory.read mem addr
+             let key = addr lsr Memory.page_bits in
+             A1.unsafe_get
+               (if key = mem.Memory.cache_key then mem.Memory.cache_page
+                else Memory.read_page mem key)
+               ((addr lsr 3) land word_mask)
            in
            Array.unsafe_set fregs (w land 255)
              (Int64.float_of_bits v);
@@ -763,9 +769,11 @@ let exec_chunk t limit =
              Int64.bits_of_float
                (Array.unsafe_get fregs ((w lsr 8) land 255))
            in
-           if addr lsr Memory.page_bits = mem.Memory.cache_key then
-             A1.unsafe_set mem.Memory.cache_page ((addr lsr 3) land word_mask) v
-           else Memory.write mem addr v;
+           let key = addr lsr Memory.page_bits in
+           A1.unsafe_set
+             (if key = mem.Memory.cache_key then mem.Memory.cache_page
+              else Memory.write_page mem key)
+             ((addr lsr 3) land word_mask) v;
            Array.unsafe_set counts ci_store
              (Array.unsafe_get counts ci_store + 1);
            pc + 1

@@ -5,9 +5,11 @@
    straight-line loads and stores to the same page skip both hashtable
    probes (the page lookup and the touch-set membership test).  The
    cache only ever holds pages present in [pages] — a read of an
-   absent page returns zero without caching anything — and a page is
-   recorded in [touched] before it can enter the cache, so cache hits
-   can skip the touch. *)
+   absent page gets the shared zero page without caching anything —
+   and a page is recorded in [touched] before it can enter the cache,
+   so cache hits can skip the touch.  A miss goes through [read_page]
+   or [write_page], which return the page rather than the word, so
+   the caller indexes it inline and neither path allocates. *)
 
 type page =
   (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -29,12 +31,17 @@ let fresh_page () =
   Bigarray.Array1.fill p 0L;
   p
 
+(* What an unwritten page reads as.  Never written: [write_page]
+   returns only pages in [pages], and [create] parks it under key -1,
+   which no address hits. *)
+let zero_page = fresh_page ()
+
 let create () =
   {
     pages = Hashtbl.create 64;
     touched = Hashtbl.create 64;
     cache_key = -1;  (* valid page keys are >= 0, so -1 never hits *)
-    cache_page = fresh_page ();
+    cache_page = zero_page;
   }
 
 let check addr =
@@ -46,38 +53,40 @@ let touch t key = if not (Hashtbl.mem t.touched key) then Hashtbl.add t.touched 
 
 let word_of addr = (addr lsr 3) land (words_per_page - 1)
 
+let read_page t key =
+  touch t key;
+  match Hashtbl.find t.pages key with
+  | page ->
+    t.cache_key <- key;
+    t.cache_page <- page;
+    page
+  | exception Not_found -> zero_page
+
+let write_page t key =
+  touch t key;
+  let page =
+    match Hashtbl.find t.pages key with
+    | page -> page
+    | exception Not_found ->
+      let page = fresh_page () in
+      Hashtbl.add t.pages key page;
+      page
+  in
+  t.cache_key <- key;
+  t.cache_page <- page;
+  page
+
 let read t addr =
   check addr;
   let key = addr lsr page_bits in
-  if key = t.cache_key then Bigarray.Array1.unsafe_get t.cache_page (word_of addr)
-  else begin
-    touch t key;
-    match Hashtbl.find_opt t.pages key with
-    | None -> 0L
-    | Some page ->
-      t.cache_key <- key;
-      t.cache_page <- page;
-      Bigarray.Array1.unsafe_get page (word_of addr)
-  end
+  let page = if key = t.cache_key then t.cache_page else read_page t key in
+  Bigarray.Array1.unsafe_get page (word_of addr)
 
 let write t addr v =
   check addr;
   let key = addr lsr page_bits in
-  if key = t.cache_key then Bigarray.Array1.unsafe_set t.cache_page (word_of addr) v
-  else begin
-    touch t key;
-    let page =
-      match Hashtbl.find_opt t.pages key with
-      | Some p -> p
-      | None ->
-        let p = fresh_page () in
-        Hashtbl.add t.pages key p;
-        p
-    in
-    t.cache_key <- key;
-    t.cache_page <- page;
-    Bigarray.Array1.unsafe_set page (word_of addr) v
-  end
+  let page = if key = t.cache_key then t.cache_page else write_page t key in
+  Bigarray.Array1.unsafe_set page (word_of addr) v
 
 let pages_touched t = Hashtbl.length t.touched
 let read_float t addr = Int64.float_of_bits (read t addr)

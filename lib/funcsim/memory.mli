@@ -11,8 +11,10 @@
     locality costs a compare and an unboxed array access instead of two
     hashtable probes.  The representation is exposed (read-only, as a
     [private] record) so the pre-decoded simulator ({!Machine}) can
-    inline the cache-hit fast path inside its dispatch loop; everything
-    else must go through {!read}/{!write}. *)
+    inline the cache-hit fast path inside its dispatch loop and index
+    the page a miss path returns ({!read_page}/{!write_page}) inline
+    too, so neither a hit nor a miss allocates; everything else goes
+    through the checked {!read}/{!write}. *)
 
 type page =
   (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -34,6 +36,18 @@ val page_bits : int
 val words_per_page : int
 
 val create : unit -> t
+
+val read_page : t -> int -> page
+(** [read_page t key] is the miss path of a read from the page with key
+    [key] ([addr lsr page_bits]): it records the page as touched and, if
+    the page exists, caches and returns it.  An absent page is not
+    created: the read gets a shared all-zero page, which is never cached
+    and must never be written.  The caller checks the address. *)
+
+val write_page : t -> int -> page
+(** [write_page t key] is the miss path of a write: it records the page
+    as touched, creates it if absent, caches it and returns it.  The
+    caller checks the address. *)
 
 val read : t -> int -> int64
 (** [read t addr] returns the word at byte address [addr].

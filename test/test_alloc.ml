@@ -35,11 +35,11 @@ let check_ceiling what ~reading ~ceiling words_per_unit =
    ~max_instrs:500_000 Config.base], functional simulator included. *)
 let sim_run_budgets =
   [
-    ("crc32", 0.502, 0.75);
-    ("qsort", 0.315, 0.55);
-    ("sha", 0.042, 0.30);
-    ("fft", 0.138, 0.40);
-    ("dijkstra", 0.234, 0.50);
+    ("crc32", 0.016, 0.27);
+    ("qsort", 0.018, 0.27);
+    ("sha", 0.026, 0.28);
+    ("fft", 0.059, 0.31);
+    ("dijkstra", 0.017, 0.27);
   ]
 
 let test_sim_run () =
@@ -79,6 +79,29 @@ let test_replay () =
         (words /. float_of_int replayed))
     replay_budgets
 
+(* (program, words per profiled instruction read, ceiling):
+   [Collector.profile ~max_instrs:300_000], functional simulator
+   included.  fft halts after 163,316 instructions. *)
+let profile_budgets =
+  [
+    ("crc32", 0.134, 0.38);
+    ("qsort", 0.191, 0.44);
+    ("sha", 0.096, 0.35);
+    ("fft", 0.272, 0.52);
+    ("dijkstra", 0.120, 0.37);
+  ]
+
+let test_profile () =
+  List.iter
+    (fun (name, reading, ceiling) ->
+      let p = program name in
+      let words, prof =
+        minor_words (fun () -> Pc_profile.Collector.profile ~max_instrs:300_000 p)
+      in
+      check_ceiling ("Collector.profile " ^ name) ~reading ~ceiling
+        (words /. float_of_int prof.Pc_profile.Profile.instr_count))
+    profile_budgets
+
 let () =
   Alcotest.run "pc_alloc"
     [
@@ -86,5 +109,6 @@ let () =
         [
           Alcotest.test_case "Sim.run" `Quick test_sim_run;
           Alcotest.test_case "Sample.replay_phases" `Quick test_replay;
+          Alcotest.test_case "Collector.profile" `Quick test_profile;
         ] );
     ]

@@ -289,6 +289,23 @@ let qcheck_diff =
       check_same "run_batched" a (engine_batched prog ~budget);
       true)
 
+(* The profiler on the same raw programs, whose [Jr] can land in the
+   middle of a block: the same profile bytes as the reference
+   collector, or the same fault. *)
+let qcheck_collector =
+  QCheck.Test.make ~name:"random SRISC programs: Collector = reference collector"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let prog = gen_program rng in
+      let start = if Rng.bool rng then 0 else Rng.int rng 100 in
+      let max_instrs = 1 + Rng.int rng 5_000 in
+      match Collector_ref.mismatch ~start ~max_instrs prog with
+      | None -> true
+      | Some why ->
+        QCheck.Test.fail_reportf "start %d, %d instructions: %s" start max_instrs why)
+
 (* --- per-workload stream equality --- *)
 
 let test_workloads () =
@@ -439,6 +456,34 @@ let test_pages_touched () =
   check_same "pages" a b;
   Alcotest.(check int) "three distinct pages" 3 b.o_pages
 
+(* A load from a page nothing wrote reads the shared zero page; a store
+   to that page must create a page of its own, so a later load from a
+   second unwritten page, at the stored word's offset, still reads
+   zero. *)
+let test_unwritten_pages_read_zero () =
+  let first = Program.data_base + (1 lsl 20) and second = Program.data_base + (2 lsl 20) in
+  let code =
+    [|
+      Instr.Li (1, Int64.of_int first);
+      Instr.Load (2, 1, 8);
+      Instr.Li (3, 77L);
+      Instr.Store (3, 1, 8);
+      Instr.Li (4, Int64.of_int second);
+      Instr.Load (5, 4, 8);
+      Instr.Load (6, 1, 8);
+      Instr.Halt;
+    |]
+  in
+  let prog = Program.v ~name:"zero" ~code ~data:[] ~data_bytes:0 in
+  let a = oracle prog ~budget:100 in
+  check_same "run" a (engine prog ~budget:100);
+  let b = engine_batched prog ~budget:100 in
+  check_same "run_batched" a b;
+  Alcotest.(check int64) "first load reads 0" 0L b.o_iregs.(2);
+  Alcotest.(check int64) "second page reads 0" 0L b.o_iregs.(5);
+  Alcotest.(check int64) "the store landed" 77L b.o_iregs.(6);
+  Alcotest.(check int) "two pages touched" 2 b.o_pages
+
 (* --- statics freshness --- *)
 
 let test_statics_fresh () =
@@ -497,6 +542,7 @@ let () =
           Alcotest.test_case "every workload: engine = reference" `Slow
             test_workloads;
           Alcotest.test_case "step-by-step equality" `Quick test_step_equality;
+          QCheck_alcotest.to_alcotest qcheck_collector;
         ] );
       ( "boundaries",
         [
@@ -506,6 +552,8 @@ let () =
           Alcotest.test_case "pages_touched high-water" `Quick
             test_pages_touched;
           Alcotest.test_case "statics freshness" `Quick test_statics_fresh;
+          Alcotest.test_case "unwritten pages read zero" `Quick
+            test_unwritten_pages_read_zero;
         ] );
       ( "figures",
         [

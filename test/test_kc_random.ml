@@ -176,6 +176,23 @@ let qcheck_timing_model_matches_oracle =
       && r.Pc_uarch.Sim.ipc <= float_of_int width
       && r.Pc_uarch.Sim.cycles * width >= r.Pc_uarch.Sim.instrs)
 
+(* The profiler on random programs at random slices: the same profile
+   bytes as the reference collector. *)
+let qcheck_collector_matches_oracle =
+  QCheck.Test.make ~name:"random programs and slices: Collector = reference collector"
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let program = Compile.compile ~name:"fuzz" (gen_prog rng) in
+      (* these programs retire 600-2,000 instructions *)
+      let start = if Rng.bool rng then 0 else Rng.int rng 1_500 in
+      let max_instrs = 1 + Rng.int rng 2_000 in
+      match Collector_ref.mismatch ~start ~max_instrs program with
+      | None -> true
+      | Some why ->
+        QCheck.Test.fail_reportf "start %d, %d instructions: %s" start max_instrs why)
+
 let test_fixed_seeds () =
   (* a deterministic sweep, independent of qcheck's sampling *)
   for seed = 1 to 100 do
@@ -193,5 +210,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_structured_programs;
           QCheck_alcotest.to_alcotest qcheck_bpred_rates_match_timing_model;
           QCheck_alcotest.to_alcotest qcheck_timing_model_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_collector_matches_oracle;
         ] );
     ]

@@ -408,6 +408,60 @@ let test_pinned_profiles () =
         (saved_md5 (Collector.profile ~start ~max_instrs program)))
     pinned_profiles
 
+(* --- oracle ---
+
+   The collector against the profiler it replaced ([Collector_ref],
+   under [test/oracle]): the same [Profile.save] and [Marshal] bytes on
+   every workload, and on budgets and [~start]s that cut a block
+   part-way. *)
+
+let agree ?start ?max_instrs ctx program =
+  match Collector_ref.mismatch ?start ?max_instrs program with
+  | None -> ()
+  | Some why -> Alcotest.failf "%s: %s" ctx why
+
+let test_oracle_workloads () =
+  List.iter
+    (fun (e : Pc_workloads.Registry.entry) ->
+      let p = Pc_workloads.Registry.compile e in
+      agree ~max_instrs:200_000 e.Pc_workloads.Registry.name p;
+      agree ~start:100_000 ~max_instrs:200_000
+        (e.Pc_workloads.Registry.name ^ " from 100000")
+        p)
+    Pc_workloads.Registry.all
+
+(* pc 0 loads the counter, so the first block is pcs 0-5 and every later
+   loop block pcs 1-5: node (0, 1) once, then (1, 1).  Budget 8 ends the
+   first instance of (0, 1) mid-block, budget 19 a repeat of (1, 1), and
+   every start but 0, 6, 11 and 16 lands mid-block. *)
+let cut_program =
+  loop ~iters:5 [ I.Load (4, 29, 0); I.Alu (I.Add, 4, 4, 4); I.Store (4, 29, 8) ]
+
+let test_oracle_cuts () =
+  for budget = 0 to 34 do
+    agree ~max_instrs:budget (Printf.sprintf "budget %d" budget) cut_program
+  done;
+  for start = 0 to 17 do
+    agree ~start ~max_instrs:9 (Printf.sprintf "start %d" start) cut_program
+  done
+
+let test_oracle_small_programs () =
+  let one_block =
+    Asm.assemble ~name:"t"
+      [ Asm.Ins (I.Li (1, 5L)); Asm.Ins (I.Alu (I.Add, 2, 1, 1)); Asm.Ins I.Halt ]
+  in
+  agree "one block" one_block;
+  let no_mem_no_branch =
+    Asm.assemble ~name:"t"
+      [
+        Asm.Label "top";
+        Asm.Ins (I.Alu (I.Add, 1, 1, 2));
+        Asm.Ins (I.Mul (2, 1, 1));
+        Asm.Ins (I.Jmp (I.Label "top"));
+      ]
+  in
+  agree ~max_instrs:1000 "no memory op and no branch" no_mem_no_branch
+
 let () =
   Alcotest.run "pc_profile"
     [
@@ -453,4 +507,13 @@ let () =
         ] );
       ( "pinned md5s",
         [ Alcotest.test_case "saved profiles" `Quick test_pinned_profiles ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "every workload, whole and sliced" `Quick
+            test_oracle_workloads;
+          Alcotest.test_case "budgets and starts that cut a block" `Quick
+            test_oracle_cuts;
+          Alcotest.test_case "one block; no memory op or branch" `Quick
+            test_oracle_small_programs;
+        ] );
     ]
