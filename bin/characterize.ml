@@ -35,25 +35,16 @@ let characterize instrs name =
       if frac > 0.0005 then
         Printf.printf "  %-8s %6.2f%%\n" (I.class_name (I.class_of_index ci)) (pct frac))
     p.Profile.global_mix;
-  (* weighted dependency-distance distribution *)
-  let buckets = Array.make (Array.length Profile.dep_bounds + 1) 0.0 in
-  let weight = ref 0.0 in
-  Array.iter
-    (fun (n : Profile.node) ->
-      let w = float_of_int n.Profile.count in
-      Array.iteri (fun i f -> buckets.(i) <- buckets.(i) +. (w *. f)) n.Profile.dep_fractions;
-      weight := !weight +. w)
-    p.Profile.nodes;
   Printf.printf "dependency distances:\n";
   Array.iteri
-    (fun i b ->
+    (fun i f ->
       let label =
         if i < Array.length Profile.dep_bounds then
           Printf.sprintf "<=%d" Profile.dep_bounds.(i)
         else ">32"
       in
-      Printf.printf "  %-5s %6.2f%%\n" label (pct (b /. max 1.0 !weight)))
-    buckets;
+      Printf.printf "  %-5s %6.2f%%\n" label (pct f))
+    (Profile.dep_distribution p);
   (* top streams *)
   let streams = Pc_synth.Synth.plan_streams ~max_streams:8 p in
   Printf.printf "top memory streams (stride / run / footprint / refs):\n";
@@ -62,23 +53,11 @@ let characterize instrs name =
       Printf.printf "  %6dB  run %-5d  %8dB  %8d\n" s.Pc_synth.Synth.stride
         s.Pc_synth.Synth.length s.Pc_synth.Synth.footprint s.Pc_synth.Synth.weight)
     streams;
-  (* branch behaviour summary *)
-  let execs = ref 0.0 and taken = ref 0.0 and trans = ref 0.0 in
-  Array.iter
-    (fun (n : Profile.node) ->
-      match n.Profile.branch with
-      | Some b ->
-        let w = float_of_int b.Profile.execs in
-        execs := !execs +. w;
-        taken := !taken +. (w *. b.Profile.taken_rate);
-        trans := !trans +. (w *. b.Profile.transition_rate)
-      | None -> ())
-    p.Profile.nodes;
-  if !execs > 0.0 then begin
-    Printf.printf "branches: taken rate %.1f%%, transition rate %.1f%%\n"
-      (pct (!taken /. !execs))
-      (pct (!trans /. !execs))
-  end;
+  Option.iter
+    (fun (taken, trans) ->
+      Printf.printf "branches: taken rate %.1f%%, transition rate %.1f%%\n"
+        (pct taken) (pct trans))
+    (Profile.branch_rates p);
   print_newline ()
 
 let main benches instrs obs =

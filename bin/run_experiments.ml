@@ -138,11 +138,6 @@ let write_sample_summary ~pool ~interval ~no_ref settings pipelines path =
   let f6 = Json.fixed 6 in
   let program
       (bench, kind, (plan : Sample.plan), proj, proj_power, reference, statsim) =
-    let replayed =
-      Array.fold_left
-        (fun acc (r : Sample.rep) -> acc + Array.length r.Sample.trace)
-        0 plan.Sample.reps
-    in
     let reference =
       match reference with
       | Some (det, ipc_error, det_power, power_error) ->
@@ -172,7 +167,7 @@ let write_sample_summary ~pool ~interval ~no_ref settings pipelines path =
          ("total_instrs", Json.int plan.Sample.total_instrs);
          ("intervals", Json.int plan.Sample.n_intervals);
          ("clusters", Json.int plan.Sample.k);
-         ("replayed_instrs", Json.int replayed);
+         ("replayed_instrs", Json.int (Sample.replayed_instrs plan));
          ("coverage", f6 plan.Sample.coverage);
          ("projected_ipc", f6 proj);
          ("projected_power", f6 proj_power);

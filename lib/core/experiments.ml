@@ -428,20 +428,11 @@ let run_design_changes ?(pool = Pool.serial) settings pipelines =
               pw_ratio_clone ))
           base
       in
-      let avg metric =
-        Stats.mean
-          (Array.of_list
-             (List.map
-                (fun (_, io, ic, po, pc) ->
-                  let real, synth = metric (io, ic, po, pc) in
-                  abs_float (synth -. real) /. abs_float real)
-                rows))
-      in
       {
         change_name = change;
         per_bench = rows;
-        avg_ipc_error = avg (fun (io, ic, _, _) -> (io, ic));
-        avg_power_error = avg (fun (_, _, po, pc) -> (po, pc));
+        avg_ipc_error = avg_abs_error (fun (_, io, ic, _, _) -> (io, ic)) rows;
+        avg_power_error = avg_abs_error (fun (_, _, _, po, pc) -> (po, pc)) rows;
       })
     (design_changes ())
 

@@ -152,9 +152,10 @@ type base_run = {
 
 val base_runs : ?pool:Pc_exec.Pool.t -> settings -> Pipeline.t list -> base_run list
 
-val avg_abs_error : (base_run -> float * float) -> base_run list -> float
-(** Average absolute relative error of a metric selector over the runs
-    (selector returns (original, clone)). *)
+val avg_abs_error : ('a -> float * float) -> 'a list -> float
+(** Average absolute relative error of a metric selector over the rows
+    (selector returns (original, clone)): Figures 6 and 7 over base
+    runs, Table 3 over each change's IPC and power ratios. *)
 
 val ipc_of : base_run -> float * float
 val power_of : base_run -> float * float

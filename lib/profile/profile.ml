@@ -85,6 +85,20 @@ let dep_distribution t =
     t.nodes;
   if !total > 0.0 then Array.map (fun v -> v /. !total) acc else acc
 
+let branch_rates t =
+  let execs = ref 0.0 and taken = ref 0.0 and trans = ref 0.0 in
+  Array.iter
+    (fun n ->
+      match n.branch with
+      | None -> ()
+      | Some b ->
+        let w = float_of_int b.execs in
+        execs := !execs +. w;
+        taken := !taken +. (w *. b.taken_rate);
+        trans := !trans +. (w *. b.transition_rate))
+    t.nodes;
+  if !execs > 0.0 then Some (!taken /. !execs, !trans /. !execs) else None
+
 let pp_summary ppf t =
   Format.fprintf ppf "profile %s: %d dynamic instrs, %d SFG nodes@." t.name
     t.instr_count (Array.length t.nodes);

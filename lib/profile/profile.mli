@@ -86,6 +86,10 @@ val dep_distribution : t -> float array
     bucket of {!dep_bounds} plus the overflow bucket.  All zeros when no
     node executed. *)
 
+val branch_rates : t -> (float * float) option
+(** The execution-weighted means of the per-branch taken and
+    transition rates, in that order; [None] when no branch executed. *)
+
 val pp_summary : Format.formatter -> t -> unit
 (** Human-readable one-screen summary. *)
 

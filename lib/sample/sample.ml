@@ -260,6 +260,9 @@ let auto_interval ~max_instrs =
 let interval_length ~interval ~total i =
   min interval (total - (i * interval))
 
+let trace_instrs reps = Array.fold_left (fun acc rep -> acc + Array.length rep.trace) 0 reps
+let replayed_instrs plan = trace_instrs plan.reps
+
 let bbv_dims = 32
 let max_k = 6
 let restarts = 3
@@ -343,10 +346,7 @@ let plan ~seed ~interval ~max_instrs program =
         { cluster = c; start; window; warmup; weight; trace })
       rep_specs
   in
-  let replayed =
-    Array.fold_left (fun acc rep -> acc + Array.length rep.trace) 0 reps
-  in
-  let coverage = float_of_int replayed /. float_of_int total_instrs in
+  let coverage = float_of_int (trace_instrs reps) /. float_of_int total_instrs in
   M.incr c_plans;
   M.add c_intervals n_intervals;
   M.add c_clusters k;
@@ -377,30 +377,80 @@ let feed_trace sim statics trace ~pos ~len =
       ~addr:(packed_mem_addr packed) ~taken:(packed_taken packed)
   done
 
-(* --- projection: timing --- *)
-
 type window = { instrs : int; cycles : int }
 
-(* The model is causal, so the cycles past the warmup are the final
-   commit cycle less the one at the boundary; a window with any
+(* The model is causal, so the cycles a window costs are the commit
+   clock at its end less the clock at its boundary; a window with any
    instruction costs at least one. *)
-let window ~warmup ~boundary (r : Sim.result) =
-  let instrs = max 0 (r.Sim.instrs - warmup) in
-  { instrs; cycles = (if instrs > 0 then max (r.Sim.cycles - boundary) 1 else 0) }
+let window ~instrs ~boundary ~commit =
+  { instrs; cycles = (if instrs > 0 then max (commit - boundary) 1 else 0) }
+
+(* The one code that times a sampled window, in whatever timing state
+   the caller steps: a fresh one per representative for [replay_phases],
+   a tenant's own for the co-run arbiter. *)
+module Walk = struct
+  type t = {
+    plan : plan;
+    mutable rep : int;  (** the representative being walked *)
+    mutable pos : int;  (** the next instruction of its trace *)
+    mutable boundary : int;  (** the clock at its warmup boundary *)
+    windows : window array;
+  }
+
+  let create plan =
+    let windows = Array.make (Array.length plan.reps) { instrs = 0; cycles = 0 } in
+    { plan; rep = 0; pos = 0; boundary = 0; windows }
+
+  let finished w = w.rep >= Array.length w.plan.reps
+  let windows w = w.windows
+  let warmup rep = min rep.warmup (Array.length rep.trace)
+
+  (* Read the clock at the current representative's warmup boundary, and
+     close every representative whose trace is done. *)
+  let rec settle w sim =
+    if not (finished w) then begin
+      let rep = w.plan.reps.(w.rep) in
+      let len = Array.length rep.trace in
+      let warmup = warmup rep in
+      if w.pos = warmup then w.boundary <- Sim.committed_cycle sim;
+      if w.pos = len then begin
+        w.windows.(w.rep) <-
+          window ~instrs:(len - warmup) ~boundary:w.boundary
+            ~commit:(Sim.committed_cycle sim);
+        w.rep <- w.rep + 1;
+        w.pos <- 0;
+        settle w sim
+      end
+    end
+
+  let step w sim ~quota =
+    settle w sim;
+    if finished w then 0
+    else begin
+      let rep = w.plan.reps.(w.rep) in
+      let len = Array.length rep.trace in
+      let stop = if w.pos < warmup rep then warmup rep else len in
+      let n = min quota (stop - w.pos) in
+      feed_trace sim w.plan.statics rep.trace ~pos:w.pos ~len:n;
+      w.pos <- w.pos + n;
+      settle w sim;
+      n
+    end
+end
 
 let replay_phases (cfg : Config.t) plan =
   Array.map
     (fun rep ->
-      let len = Array.length rep.trace in
-      let warmup = min rep.warmup len in
-      M.add c_replayed len;
+      M.add c_replayed (Array.length rep.trace);
       let sim = Sim.create cfg in
-      feed_trace sim plan.statics rep.trace ~pos:0 ~len:warmup;
-      let boundary = Sim.committed_cycle sim in
-      feed_trace sim plan.statics rep.trace ~pos:warmup ~len:(len - warmup);
-      let r = Sim.finish sim in
-      (rep, window ~warmup ~boundary r, r))
+      let walk = Walk.create { plan with reps = [| rep |] } in
+      while not (Walk.finished walk) do
+        ignore (Walk.step walk sim ~quota:max_int)
+      done;
+      (rep, (Walk.windows walk).(0), Sim.finish sim))
     plan.reps
+
+(* --- projection: timing --- *)
 
 (* A window that retired nothing (or cost no commit cycles) carries no
    CPI signal: dividing by it would inject NaN/inf into every projection
@@ -463,25 +513,8 @@ let recombine ~config_name ~total_instrs phases =
         m "recombine(%s): no representative measured any work; projecting IPC 1.0 with zeroed counters"
           config_name);
     M.incr c_projections;
-    let cycles = max 1 total_instrs in
-    {
-      Sim.config_name;
-      instrs = total_instrs;
-      cycles;
-      ipc = float_of_int total_instrs /. float_of_int cycles;
-      class_counts = Array.make I.class_count 0;
-      branches = 0;
-      mispredictions = 0;
-      l1i_accesses = 0;
-      l1i_misses = 0;
-      l1d_accesses = 0;
-      l1d_misses = 0;
-      l2_accesses = 0;
-      l2_misses = 0;
-      mem_accesses = 0;
-      fetch_stall_icache_cycles = 0;
-      fetch_stall_mispredict_cycles = 0;
-    }
+    Sim.of_counters ~config_name ~instrs:total_instrs ~cycles:(max 1 total_instrs)
+      (fun _ -> 0)
   end
   else begin
     (* Whole-program cycles: each cluster contributes its population's
@@ -493,31 +526,9 @@ let recombine ~config_name ~total_instrs phases =
         0.0 runs
     in
     let cycles = max 1 (int_of_float (Float.round cycles_f)) in
-    let total = total_instrs in
-    let scaled field = scaled runs (fun (_, r) -> field r) in
-    let class_counts =
-      Array.init I.class_count (fun i -> scaled (fun r -> r.Sim.class_counts.(i)))
-    in
     M.incr c_projections;
-    {
-      Sim.config_name;
-      instrs = total;
-      cycles;
-      ipc = float_of_int total /. float_of_int cycles;
-      class_counts;
-      branches = scaled (fun r -> r.Sim.branches);
-      mispredictions = scaled (fun r -> r.Sim.mispredictions);
-      l1i_accesses = scaled (fun r -> r.Sim.l1i_accesses);
-      l1i_misses = scaled (fun r -> r.Sim.l1i_misses);
-      l1d_accesses = scaled (fun r -> r.Sim.l1d_accesses);
-      l1d_misses = scaled (fun r -> r.Sim.l1d_misses);
-      l2_accesses = scaled (fun r -> r.Sim.l2_accesses);
-      l2_misses = scaled (fun r -> r.Sim.l2_misses);
-      mem_accesses = scaled (fun r -> r.Sim.mem_accesses);
-      fetch_stall_icache_cycles = scaled (fun r -> r.Sim.fetch_stall_icache_cycles);
-      fetch_stall_mispredict_cycles =
-        scaled (fun r -> r.Sim.fetch_stall_mispredict_cycles);
-    }
+    Sim.of_counters ~config_name ~instrs:total_instrs ~cycles (fun read ->
+        scaled runs (fun (_, r) -> read r))
   end
 
 let project_of_phases plan phases =
@@ -526,6 +537,25 @@ let project_of_phases plan phases =
   let _, _, (r : Sim.result) = phases.(0) in
   recombine ~config_name:r.Sim.config_name ~total_instrs:plan.total_instrs
     (Array.map (fun ((rep : rep), w, r) -> (rep.weight, w, r)) phases)
+
+(* The co-run's pricing.  Not [recombine]: that rounds whole-program
+   cycles to an integer, which would move every printed slowdown. *)
+let weighted_cpi ~config_name plan windows =
+  if Array.length windows <> Array.length plan.reps then
+    invalid_arg "Pc_sample.Sample.weighted_cpi: one window per representative";
+  let valid_w = ref 0 and cycles = ref 0.0 in
+  Array.iteri
+    (fun i (rep : rep) ->
+      let w = windows.(i) in
+      if phase_valid w then begin
+        valid_w := !valid_w + rep.weight;
+        cycles :=
+          !cycles
+          +. (float_of_int rep.weight *. float_of_int w.cycles /. float_of_int w.instrs)
+      end
+      else warn_skipped ~what:"weighted_cpi" ~config_name ~weight:rep.weight w)
+    plan.reps;
+  if !valid_w = 0 then 1.0 else !cycles /. float_of_int !valid_w
 
 (* --- projection: power ---
 
@@ -538,28 +568,10 @@ let project_of_phases plan phases =
    which would double-count the warmup prefix. *)
 
 let window_result w (r : Sim.result) =
-  let mi = w.instrs in
-  let f = float_of_int mi /. float_of_int (max 1 r.Sim.instrs) in
-  let scale c = int_of_float (Float.round (float_of_int c *. f)) in
-  let cycles = max 1 w.cycles in
-  {
-    r with
-    Sim.instrs = mi;
-    cycles;
-    ipc = float_of_int mi /. float_of_int cycles;
-    class_counts = Array.map scale r.Sim.class_counts;
-    branches = scale r.Sim.branches;
-    mispredictions = scale r.Sim.mispredictions;
-    l1i_accesses = scale r.Sim.l1i_accesses;
-    l1i_misses = scale r.Sim.l1i_misses;
-    l1d_accesses = scale r.Sim.l1d_accesses;
-    l1d_misses = scale r.Sim.l1d_misses;
-    l2_accesses = scale r.Sim.l2_accesses;
-    l2_misses = scale r.Sim.l2_misses;
-    mem_accesses = scale r.Sim.mem_accesses;
-    fetch_stall_icache_cycles = scale r.Sim.fetch_stall_icache_cycles;
-    fetch_stall_mispredict_cycles = scale r.Sim.fetch_stall_mispredict_cycles;
-  }
+  let f = float_of_int w.instrs /. float_of_int (max 1 r.Sim.instrs) in
+  Sim.of_counters ~config_name:r.Sim.config_name ~instrs:w.instrs
+    ~cycles:(max 1 w.cycles) (fun read ->
+      int_of_float (Float.round (float_of_int (read r) *. f)))
 
 let project_power_of_phases (cfg : Config.t) plan phases =
   let valid, skipped =

@@ -83,33 +83,52 @@ val plan :
     for a non-positive [interval] or a program that retires no
     instructions. *)
 
+val replayed_instrs : plan -> int
+(** The summed trace lengths, warmups included: what one replay of the
+    plan steps. *)
+
 type window = {
   instrs : int;  (** instructions past the warmup *)
   cycles : int;  (** commit cycles they cost; 0 when [instrs] is 0 *)
 }
-(** The measurement window of one phase: the part of its run a
-    projection prices.  The timing model keeps no window; sampling
-    times it off the model's commit clock
-    ({!Pc_uarch.Sim.committed_cycle}). *)
+(** The part of a phase's run a projection prices, timed off the
+    model's commit clock ({!Pc_uarch.Sim.committed_cycle}). *)
 
-val window : warmup:int -> boundary:int -> Pc_uarch.Sim.result -> window
-(** [window ~warmup ~boundary r] is the window of a run [r] whose first
-    [warmup] instructions were warmup and whose commit clock read
-    [boundary] when they were done: [r.instrs - warmup] instructions
-    (at least 0) at [max (r.cycles - boundary) 1] cycles, or 0 cycles
-    when it holds no instruction.  [~warmup:0 ~boundary:0] makes the
-    whole run the window, as statistical simulation's phases are. *)
+val window : instrs:int -> boundary:int -> commit:int -> window
+(** The window of [instrs] instructions stepped between two readings of
+    the commit clock: [max (commit - boundary) 1] cycles, or 0 when
+    [instrs] is 0.  Statistical simulation's whole-run windows take
+    [~boundary:0 ~commit:r.cycles]. *)
+
+(** The one code that times a sampled window: a cursor over a plan's
+    representatives that steps a timing state warmup first, then
+    window, reading the commit clock at each warmup boundary and window
+    end.  {!replay_phases} walks each representative alone on a fresh
+    state; the co-run arbiter in [Pc_scenario] walks a tenant's plan on
+    its one state, a quantum at a time. *)
+module Walk : sig
+  type t
+
+  val create : plan -> t
+
+  val step : t -> Pc_uarch.Sim.state -> quota:int -> int
+  (** Step at most [quota] instructions, stopping at the current
+      representative's warmup boundary or trace end, and return how
+      many: 0 only once {!finished} or for a 0 quota. *)
+
+  val finished : t -> bool
+
+  val windows : t -> window array
+  (** One per representative, in plan order; empty until closed. *)
+end
 
 val replay_phases :
   Pc_uarch.Config.t -> plan -> (rep * window * Pc_uarch.Sim.result) array
-(** Replay every representative through the detailed timing model: step
-    its warmup ({!feed_trace} into a fresh {!Pc_uarch.Sim.create}
-    state), read the commit clock as the window's boundary, step the
-    rest, and return its {!window} beside the whole-run result, one
-    triple per representative in plan order.  With warmup 0 the window
-    is the whole run.  The phase array is the shared input of every
-    projection below, so one replay pass serves the IPC and the power
-    estimates. *)
+(** Replay every representative through the detailed timing model, a
+    {!Walk} over it alone on a fresh {!Pc_uarch.Sim.create} state, and
+    return its window beside the whole-run result, in plan order.  With
+    warmup 0 the window is the whole run.  The phase array is the shared
+    input of every projection below. *)
 
 val recombine :
   config_name:string ->
@@ -136,6 +155,14 @@ val project_of_phases :
     Event counters (cache misses, branches, class counts — the power
     model's inputs) are scaled from each representative pro rata; the
     [ipc]/[cycles]/[instrs] fields estimate the full run. *)
+
+val weighted_cpi : config_name:string -> plan -> window array -> float
+(** The population-weighted CPI of one window per representative, as a
+    co-run timed them: [sum weight * cycles / instrs] over the windows
+    {!recombine} would keep, over their summed weight (the others are
+    skipped with a warning), or 1.0 when none is kept.  Unlike
+    {!recombine} it neither rescales nor rounds.  Raises
+    [Invalid_argument] unless there is one window per representative. *)
 
 val project_power_of_phases :
   Pc_uarch.Config.t -> plan -> (rep * window * Pc_uarch.Sim.result) array -> float
@@ -183,12 +210,9 @@ val feed_trace :
   len:int ->
   unit
 (** [feed_trace sim statics trace ~pos ~len] steps the timing model
-    through the sub-range [\[pos, pos+len)] of a packed trace, with
-    class, reads and write taken from the per-pc static tables.
-    {!replay_phases} feeds each representative's warmup, then the
-    rest; multi-tenant sampled scenarios feed one arbiter quantum at a
-    time from a tenant's concatenated representative traces.  Raises
-    [Invalid_argument] on an out-of-bounds range. *)
+    through [\[pos, pos+len)] of a packed trace, with class, reads and
+    write from the per-pc static tables; a {!Walk} feeds every replay
+    through it.  Raises [Invalid_argument] on an out-of-bounds range. *)
 
 val packed_pc : int -> int
 val packed_mem_addr : int -> int

@@ -105,61 +105,6 @@ let standalone settings cfg program ipc input =
       let quantum = max 1 input.Scenario.budget in
       ipc (Scenario.co_run ~quantum cfg [| input |]).(0))
 
-(* --- sampled co-run: concatenated representative traces --- *)
-
-type sampled_src = {
-  ss_trace : int array;
-  ss_marks : int array;  (** window [start; end] per rep, in rep order *)
-  ss_plan : Sample.plan;
-}
-
-let concat_plan (plan : Sample.plan) =
-  let reps = plan.Sample.reps in
-  let total =
-    Array.fold_left (fun a (r : Sample.rep) -> a + Array.length r.Sample.trace) 0 reps
-  in
-  let trace = Array.make (max total 1) 0 in
-  let marks = Array.make (2 * Array.length reps) 0 in
-  let off = ref 0 in
-  Array.iteri
-    (fun i (r : Sample.rep) ->
-      let len = Array.length r.Sample.trace in
-      Array.blit r.Sample.trace 0 trace !off len;
-      marks.(2 * i) <- !off + min r.Sample.warmup len;
-      marks.((2 * i) + 1) <- !off + len;
-      off := !off + len)
-    reps;
-  { ss_trace = Array.sub trace 0 total; ss_marks = marks; ss_plan = plan }
-
-(* Population-weighted CPI over the representatives' windows, priced at
-   the commit cycles the co-run charged each window; dead windows (no
-   instructions or no cycles) are skipped and their population
-   re-attributed pro rata, exactly like {!Pc_sample.Sample.recombine}. *)
-let project_corun (src : sampled_src) (mark_cycles : int array) =
-  let reps = src.ss_plan.Sample.reps in
-  let valid_w = ref 0 in
-  let cycles = ref 0.0 in
-  Array.iteri
-    (fun i (r : Sample.rep) ->
-      let wlen =
-        Array.length r.Sample.trace
-        - min r.Sample.warmup (Array.length r.Sample.trace)
-      in
-      let dc = mark_cycles.((2 * i) + 1) - mark_cycles.(2 * i) in
-      if wlen > 0 && dc > 0 then begin
-        valid_w := !valid_w + r.Sample.weight;
-        cycles :=
-          !cycles
-          +. (float_of_int r.Sample.weight *. float_of_int dc /. float_of_int wlen)
-      end
-      else
-        Log.warn (fun m ->
-            m "scenario: dead sampled phase %d (window %d instrs, %d cycles)" i
-              wlen dc))
-    reps;
-  if !valid_w = 0 then 1.0 (* CPI degrades to 1.0, like recombine *)
-  else !cycles /. float_of_int !valid_w
-
 (* --- observability --- *)
 
 let c_runs = M.counter "scenario.runs"
@@ -191,15 +136,14 @@ let run_spec settings (spec : Spec.t) =
   let programs =
     Array.map (fun (_, w, k) -> resolve_program settings w k) slots
   in
-  let sampled_srcs =
+  let plans =
     match settings.sample with
     | None -> [||]
     | Some interval ->
       Array.map
         (fun program ->
-          concat_plan
-            (Pc_sample.Plan_cache.plan ~seed:settings.seed ~interval
-               ~max_instrs:settings.budget program))
+          Pc_sample.Plan_cache.plan ~seed:settings.seed ~interval
+            ~max_instrs:settings.budget program)
         programs
   in
   (* A fresh input per co-run: a live machine is consumed by its run. *)
@@ -213,24 +157,20 @@ let run_spec settings (spec : Spec.t) =
         source = Scenario.From_machine (Machine.load programs.(i));
       }
     | Some _ ->
-      let src = sampled_srcs.(i) in
       {
         Scenario.label;
-        budget = Array.length src.ss_trace;
-        source =
-          Scenario.From_trace
-            {
-              statics = src.ss_plan.Sample.statics;
-              trace = src.ss_trace;
-              marks = src.ss_marks;
-            };
+        budget = Sample.replayed_instrs plans.(i);
+        source = Scenario.From_plan plans.(i);
       }
   in
   (* A tenant's IPC over the instructions its row speaks for. *)
   let ipc i (out : Scenario.tenant_result) =
     match settings.sample with
     | None -> out.Scenario.result.Sim.ipc
-    | Some _ -> 1.0 /. project_corun sampled_srcs.(i) out.Scenario.mark_cycles
+    | Some _ ->
+      1.0
+      /. Sample.weighted_cpi ~config_name:cfg.Config.name plans.(i)
+           out.Scenario.windows
   in
   let baselines =
     Array.mapi
@@ -251,8 +191,8 @@ let run_spec settings (spec : Spec.t) =
            let corun_ipc = ipc i out in
            let instrs =
              match settings.sample with
-             | None -> out.Scenario.fed
-             | Some _ -> sampled_srcs.(i).ss_plan.Sample.total_instrs
+             | None -> out.Scenario.result.Sim.instrs
+             | Some _ -> plans.(i).Sample.total_instrs
            in
            {
              label;
@@ -273,7 +213,7 @@ let run_spec settings (spec : Spec.t) =
   let fairness = jain speedups in
   M.incr c_runs;
   M.add c_tenants (Array.length slots);
-  Array.iter (fun o -> M.add c_corun_instrs o.Scenario.fed) outs;
+  Array.iter (fun o -> M.add c_corun_instrs o.Scenario.result.Sim.instrs) outs;
   List.iter (fun r -> M.record_max g_max_slowdown_bp (bp r.slowdown)) rows;
   Pc_obs.Event.instant
     ("scenario:" ^ spec.Spec.name)

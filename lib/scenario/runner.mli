@@ -18,11 +18,11 @@ type settings = {
   budget : int;  (** per-tenant instruction budget *)
   sample : int option;
       (** [Some interval]: price tenants by SimPoint-style sampled
-          co-run — each tenant feeds its representatives' packed traces
-          through the arbiter and its windows are priced at the commit
-          cycles the co-run charged them.  With sampling on, a tenant
-          row's raw L2/memory counters cover only the replayed
-          instructions. *)
+          co-run — each tenant walks its plan's representatives through
+          the arbiter ({!Scenario.From_plan}) and is priced by
+          {!Pc_sample.Sample.weighted_cpi} over the windows the co-run
+          timed.  With sampling on, a tenant row's raw L2/memory
+          counters cover only the replayed instructions. *)
 }
 
 val default_settings : settings

@@ -13,38 +13,23 @@ module Sample = Pc_sample.Sample
    distinct in the shared L2. *)
 let tag_shift = 26
 
-type source =
-  | From_machine of Machine.t
-  | From_trace of {
-      statics : Machine.statics;
-      trace : int array;
-      marks : int array;
-    }
-
+type source = From_machine of Machine.t | From_plan of Sample.plan
 type tenant_input = { label : string; budget : int; source : source }
 
 type tenant_result = {
   label : string;
   result : Sim.result;
-  fed : int;
-  mark_cycles : int array;
+  windows : Sample.window array;
 }
 
 type src_state =
   | S_machine of Machine.t * Machine.statics
-  | S_trace of {
-      statics : Machine.statics;
-      trace : int array;
-      marks : int array;
-      mutable pos : int;
-      mutable mark_idx : int;
-    }
+  | S_plan of Sample.Walk.t
 
 type tstate = {
   t_label : string;
   sim : Sim.state;
   src : src_state;
-  t_mark_cycles : int array;
   mutable remaining : int;
   mutable active : bool;
 }
@@ -82,19 +67,15 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
           Hierarchy.create_shared ~tag ~l2:d_l2 cfg.Config.dcache
         in
         let sim = Sim.create ~icache ~dcache cfg in
-        let src, marks =
+        let src =
           match inp.source with
-          | From_machine m -> (S_machine (m, Machine.statics m), [||])
-          | From_trace { statics; trace; marks } ->
-            ( S_trace
-                { statics; trace; marks = Array.copy marks; pos = 0; mark_idx = 0 },
-              Array.make (Array.length marks) 0 )
+          | From_machine m -> S_machine (m, Machine.statics m)
+          | From_plan plan -> S_plan (Sample.Walk.create plan)
         in
         {
           t_label = inp.label;
           sim;
           src;
-          t_mark_cycles = marks;
           remaining = max 0 inp.budget;
           active = max 0 inp.budget > 0;
         })
@@ -108,34 +89,12 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
       in
       if Machine.halted m then t.active <- false;
       ran
-    | S_trace s ->
-      let record_marks () =
-        while
-          s.mark_idx < Array.length s.marks && s.marks.(s.mark_idx) = s.pos
-        do
-          t.t_mark_cycles.(s.mark_idx) <- Sim.committed_cycle t.sim;
-          s.mark_idx <- s.mark_idx + 1
-        done
-      in
-      let total = Array.length s.trace in
-      let goal = min (s.pos + quota) total in
+    | S_plan walk ->
       let ran = ref 0 in
-      record_marks ();
-      while s.pos < goal do
-        (* stop at the next mark inside this quota so the commit clock
-           is read exactly at the window boundary *)
-        let stop =
-          if s.mark_idx < Array.length s.marks then
-            min goal s.marks.(s.mark_idx)
-          else goal
-        in
-        let len = stop - s.pos in
-        Sample.feed_trace t.sim s.statics s.trace ~pos:s.pos ~len;
-        s.pos <- stop;
-        ran := !ran + len;
-        record_marks ()
+      while !ran < quota && not (Sample.Walk.finished walk) do
+        ran := !ran + Sample.Walk.step walk t.sim ~quota:(quota - !ran)
       done;
-      if s.pos >= total then t.active <- false;
+      if Sample.Walk.finished walk then t.active <- false;
       !ran
   in
   let active = ref 0 in
@@ -154,11 +113,10 @@ let co_run ?(quantum = Machine.batch_capacity) ?weights (cfg : Config.t)
   done;
   Array.map
     (fun t ->
-      let result = Sim.finish t.sim in
-      {
-        label = t.t_label;
-        result;
-        fed = result.Sim.instrs;
-        mark_cycles = t.t_mark_cycles;
-      })
+      let windows =
+        match t.src with
+        | S_machine _ -> [||]
+        | S_plan walk -> Sample.Walk.windows walk
+      in
+      { label = t.t_label; result = Sim.finish t.sim; windows })
     tenants

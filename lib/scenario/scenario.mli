@@ -7,8 +7,8 @@
     [quantum * weights.(i)] retired instructions, delivered through
     {!Pc_funcsim.Machine.run_batched} chunks and
     {!Pc_uarch.Sim.feed_batch} (live tenants) or
-    {!Pc_sample.Sample.feed_trace} (packed-trace tenants), so the hot
-    loop stays batched.  The shared L2s therefore observe tenants'
+    {!Pc_sample.Sample.Walk.step} (sampled tenants), so the hot loop
+    stays batched.  The shared L2s therefore observe tenants'
     accesses in a deterministic contention order — the whole co-run is
     a pure function of (config, inputs, quantum, weights).
 
@@ -28,18 +28,16 @@ type source =
   | From_machine of Pc_funcsim.Machine.t
       (** a live functional machine, freshly loaded; the engine runs it
           in budgeted bursts (machines resume across calls) *)
-  | From_trace of {
-      statics : Pc_funcsim.Machine.statics;
-      trace : int array;  (** packed replay events *)
-      marks : int array;
-          (** sorted trace positions at which to record the tenant's
-              commit clock (sampled scenarios pass each representative's
-              window boundaries) *)
-    }
+  | From_plan of Pc_sample.Sample.plan
+      (** a sampling plan: the engine walks its representatives one
+          after another on the tenant's core ({!Pc_sample.Sample.Walk}),
+          timing each one's window *)
 
 type tenant_input = {
   label : string;
-  budget : int;  (** instruction budget; the stream may end earlier *)
+  budget : int;
+      (** instruction budget; the stream may end earlier (a plan's
+          stream is {!Pc_sample.Sample.replayed_instrs} long) *)
   source : source;
 }
 
@@ -47,10 +45,10 @@ type tenant_result = {
   label : string;
   result : Pc_uarch.Sim.result;
       (** per-tenant timing result over the instructions actually fed *)
-  fed : int;
-  mark_cycles : int array;
-      (** the tenant's commit clock at each requested mark, in mark
-          order (empty for {!From_machine} tenants) *)
+  windows : Pc_sample.Sample.window array;
+      (** one window per representative of a {!From_plan} tenant, in
+          plan order, as the co-run timed it; empty for {!From_machine}
+          tenants *)
 }
 
 val co_run :

@@ -295,7 +295,9 @@ let estimate_sampled ?(seed = 1) ?(instrs = 100_000) ~(plan : Sample.plan) cfg
         let sim = Sim.create cfg in
         synth g ~start ~budget sim;
         let r = Sim.finish sim in
-        (rep.Sample.weight, Sample.window ~warmup:0 ~boundary:0 r, r))
+        ( rep.Sample.weight,
+          Sample.window ~instrs:r.Sim.instrs ~boundary:0 ~commit:r.Sim.cycles,
+          r ))
       plan.Sample.reps
   in
   Sample.recombine ~config_name:cfg.Config.name

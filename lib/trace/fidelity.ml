@@ -87,26 +87,12 @@ let stride_agreement orig clone =
         | None -> acc)
       o_tbl 0.0
 
-(* Execution-weighted means of per-branch taken / transition rates. *)
-let branch_rates (p : Profile.t) =
-  let execs = ref 0.0 and taken = ref 0.0 and trans = ref 0.0 in
-  Array.iter
-    (fun (node : Profile.node) ->
-      match node.Profile.branch with
-      | None -> ()
-      | Some b ->
-        let w = float_of_int b.Profile.execs in
-        execs := !execs +. w;
-        taken := !taken +. (w *. b.Profile.taken_rate);
-        trans := !trans +. (w *. b.Profile.transition_rate))
-    p.Profile.nodes;
-  if !execs > 0.0 then (!taken /. !execs, !trans /. !execs) else (0.0, 0.0)
-
 let ratio num den =
   if den = 0.0 then if num = 0.0 then 1.0 else Float.infinity
   else num /. den
 
 let compare_profiles ~(original : Profile.t) ~(clone : Profile.t) =
+  let branch_rates p = Option.value ~default:(0.0, 0.0) (Profile.branch_rates p) in
   let o_taken, o_trans = branch_rates original in
   let c_taken, c_trans = branch_rates clone in
   {

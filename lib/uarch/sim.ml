@@ -317,6 +317,26 @@ let finish st =
     fetch_stall_mispredict_cycles = st.stall_mispredict;
   }
 
+let of_counters ~config_name ~instrs ~cycles count =
+  {
+    config_name;
+    instrs;
+    cycles;
+    ipc = float_of_int instrs /. float_of_int cycles;
+    class_counts = Array.init I.class_count (fun i -> count (fun r -> r.class_counts.(i)));
+    branches = count (fun r -> r.branches);
+    mispredictions = count (fun r -> r.mispredictions);
+    l1i_accesses = count (fun r -> r.l1i_accesses);
+    l1i_misses = count (fun r -> r.l1i_misses);
+    l1d_accesses = count (fun r -> r.l1d_accesses);
+    l1d_misses = count (fun r -> r.l1d_misses);
+    l2_accesses = count (fun r -> r.l2_accesses);
+    l2_misses = count (fun r -> r.l2_misses);
+    mem_accesses = count (fun r -> r.mem_accesses);
+    fetch_stall_icache_cycles = count (fun r -> r.fetch_stall_icache_cycles);
+    fetch_stall_mispredict_cycles = count (fun r -> r.fetch_stall_mispredict_cycles);
+  }
+
 let run ?(max_instrs = 10_000_000) cfg program =
   let st = create cfg in
   let machine = Machine.load program in

@@ -52,9 +52,7 @@ type state
     every producer of a retired stream calls it directly: functional
     simulator rows (through {!feed_batch}, which [run] and the
     multi-tenant arbiter in [Pc_scenario] share), packed replay traces
-    (through [Pc_sample]) and statistical simulation's synthetic walk.
-    The arbiter interleaves several cores' streams and observes each
-    core's commit clock between bursts. *)
+    (through [Pc_sample]) and statistical simulation's synthetic walk. *)
 
 val create :
   ?icache:Pc_caches.Hierarchy.t ->
@@ -93,9 +91,9 @@ val committed_cycle : state -> int
     [0] before any instruction).  It is the one way a caller times part
     of a run: the model is causal, so the cycles a stretch of
     instructions costs are this clock after the stretch minus this
-    clock before it.  [Pc_sample]'s replay reads it at each
-    representative's warmup boundary, and the multi-tenant arbiter in
-    [Pc_scenario] at each sampled window's edges. *)
+    clock before it.  [Pc_sample]'s replay walker reads it at each
+    representative's warmup boundary and window end, for replays and
+    sampled co-run tenants alike. *)
 
 val finish : state -> result
 (** Build the {!result} over every instruction stepped so far.  Call at
@@ -107,6 +105,16 @@ val finish : state -> result
     [uarch.dcache.*] and [uarch.bpred.*] families.  All of them are
     registered when this module is, so a report of a process that never
     ran the model lists them at 0. *)
+
+val of_counters :
+  config_name:string -> instrs:int -> cycles:int -> ((result -> int) -> int) -> result
+(** [of_counters ~config_name ~instrs ~cycles count] is the result with
+    those three fields, [ipc = instrs / cycles], and every event counter
+    (each class count included) set to [count accessor], where
+    [accessor] reads that counter off a result.  Sampling builds its
+    projections with it: [count] scales the counter of one or more
+    replayed results, or ignores it for zeroed counters.  Rebuilding a
+    {!finish} result [r] with [fun read -> read r] returns [r]. *)
 
 val run : ?max_instrs:int -> Config.t -> Pc_isa.Program.t -> result
 (** Execute the program functionally, in {!Pc_funcsim.Machine.run_batched}

@@ -56,11 +56,11 @@ let test_sim_run () =
    [~seed:1 ~interval:50_000 ~max_instrs:500_000] plan. *)
 let replay_budgets =
   [
-    ("crc32", 0.0037, 0.25);
-    ("qsort", 0.0028, 0.25);
-    ("sha", 0.0028, 0.25);
-    ("fft", 0.0028, 0.25);
-    ("dijkstra", 0.0028, 0.25);
+    ("crc32", 0.0039, 0.25);
+    ("qsort", 0.0030, 0.25);
+    ("sha", 0.0030, 0.25);
+    ("fft", 0.0030, 0.25);
+    ("dijkstra", 0.0030, 0.25);
   ]
 
 let test_replay () =
@@ -102,6 +102,54 @@ let test_profile () =
         (words /. float_of_int prof.Pc_profile.Profile.instr_count))
     profile_budgets
 
+(* (program, words per retired instruction read, ceiling):
+   [Machine.load] plus [Machine.run_batched ~max_instrs:500_000] with a
+   consumer that reads nothing.  fft halts after 163,316 instructions. *)
+let funcsim_budgets =
+  [
+    ("crc32", 0.0144, 0.27);
+    ("qsort", 0.0166, 0.27);
+    ("sha", 0.0254, 0.28);
+    ("fft", 0.0573, 0.31);
+    ("dijkstra", 0.0153, 0.27);
+  ]
+
+let test_funcsim () =
+  List.iter
+    (fun (name, reading, ceiling) ->
+      let p = program name in
+      let words, retired =
+        minor_words (fun () ->
+            Pc_funcsim.Machine.(run_batched ~max_instrs:budget (load p) ignore))
+      in
+      check_ceiling ("Machine.run_batched " ^ name) ~reading ~ceiling
+        (words /. float_of_int retired))
+    funcsim_budgets
+
+(* (program, words per synthetic instruction read, ceiling):
+   [Statsim.estimate ~seed:1 ~instrs:100_000 Config.base] on the
+   program's 300k-instruction profile (profiled outside the reading). *)
+let statsim_budgets =
+  [
+    ("crc32", 77.46, 77.71);
+    ("qsort", 75.72, 75.97);
+    ("sha", 83.73, 83.98);
+    ("fft", 80.33, 80.58);
+    ("dijkstra", 77.52, 77.77);
+  ]
+
+let test_statsim () =
+  List.iter
+    (fun (name, reading, ceiling) ->
+      let profile = Pc_profile.Collector.profile ~max_instrs:300_000 (program name) in
+      let words, r =
+        minor_words (fun () ->
+            Pc_statsim.Statsim.estimate ~seed:1 ~instrs:100_000 Config.base profile)
+      in
+      check_ceiling ("Statsim.estimate " ^ name) ~reading ~ceiling
+        (words /. float_of_int r.Sim.instrs))
+    statsim_budgets
+
 let () =
   Alcotest.run "pc_alloc"
     [
@@ -110,5 +158,7 @@ let () =
           Alcotest.test_case "Sim.run" `Quick test_sim_run;
           Alcotest.test_case "Sample.replay_phases" `Quick test_replay;
           Alcotest.test_case "Collector.profile" `Quick test_profile;
+          Alcotest.test_case "Machine.run_batched" `Quick test_funcsim;
+          Alcotest.test_case "Statsim.estimate" `Quick test_statsim;
         ] );
     ]

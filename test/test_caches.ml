@@ -294,6 +294,58 @@ let run_both ?cut addrs instrs =
     ( Study.run_trace ~warmup feed,
       Study.run_trace_onepass ~warmup feed )
 
+(* --- LRU inclusion ---
+
+   At a fixed set count and line size, an LRU set with more ways holds
+   every line the one with fewer ways holds, so it never misses more:
+   on any trace, warmup split or not.  In the study grid 256B direct,
+   512B 2-way and 1KB 4-way share 8 sets, and so on up the sizes; each
+   fully associative size is one set with more ways than the last. *)
+
+let inclusion_pairs =
+  let sets (c : Cache.config) = c.Cache.size_bytes / c.Cache.line_bytes / Cache.ways c in
+  let n = Array.length Study.configs in
+  List.concat
+    (List.init n (fun few ->
+         List.filter_map
+           (fun more ->
+             let a = Study.configs.(few) and b = Study.configs.(more) in
+             if sets a = sets b && Cache.ways a < Cache.ways b then Some (few, more)
+             else None)
+           (List.init n Fun.id)))
+
+(* Strided runs and random addresses, each random run within a 512B,
+   2KB or 16KB span so caches of every size see reuse. *)
+let arb_mixed_trace =
+  let open QCheck.Gen in
+  let strided =
+    map3
+      (fun base stride count -> Array.init count (fun i -> base + (i * stride)))
+      (int_bound 0x3FFF)
+      (oneofl [ 4; 8; 32; 64; 256; 1024 ])
+      (int_range 1 64)
+  in
+  let random =
+    oneofl [ 0x1FF; 0x7FF; 0x3FFF ] >>= fun span ->
+    map Array.of_list (list_size (int_range 1 32) (int_bound span))
+  in
+  QCheck.make
+    ~print:(fun a -> Printf.sprintf "%d refs" (Array.length a))
+    (map Array.concat (list_size (int_range 1 40) (oneof [ strided; random ])))
+
+let qcheck_lru_inclusion =
+  QCheck.Test.make ~name:"LRU inclusion: more ways never add misses" ~count:200
+    (QCheck.pair arb_mixed_trace (QCheck.int_bound 100))
+    (fun (addrs, cut_pct) ->
+      let cut = Array.length addrs * cut_pct / 100 in
+      let sim, one = run_both ~cut addrs (Array.length addrs) in
+      List.for_all
+        (fun (results : Study.result array) ->
+          List.for_all
+            (fun (few, more) -> results.(more).Study.misses <= results.(few).Study.misses)
+            inclusion_pairs)
+        [ sim; one ])
+
 let test_onepass_matches_oracle () =
   (* A mixed trace that exercises every tracker: tight reuse (small
      stack distances), a sequential walk wider than the largest cache
@@ -508,6 +560,7 @@ let () =
           Alcotest.test_case "relative MPI" `Quick test_relative_mpi;
           Alcotest.test_case "relative MPI degenerate reference" `Quick
             test_relative_mpi_degenerate;
+          QCheck_alcotest.to_alcotest qcheck_lru_inclusion;
         ] );
       ( "onepass",
         [

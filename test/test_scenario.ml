@@ -93,7 +93,6 @@ let test_one_stream_five_drivers () =
       let plan = Sample.plan ~seed:1 ~interval:budget ~max_instrs:budget p in
       Alcotest.(check int) "single interval" 1 plan.Sample.n_intervals;
       Alcotest.(check int) "no warmup" 0 plan.Sample.reps.(0).Sample.warmup;
-      let trace = plan.Sample.reps.(0).Sample.trace in
       List.iter
         (fun (cfg : Config.t) ->
           let expected = Sim.run ~max_instrs:budget cfg p in
@@ -117,12 +116,54 @@ let test_one_stream_five_drivers () =
               cfg.Config.name;
           check "a From_machine tenant"
             (alone (Scenario.From_machine (Machine.load p)));
-          check "a From_trace tenant"
-            (alone
-               (Scenario.From_trace
-                  { statics = plan.Sample.statics; trace; marks = [||] })))
+          check "a From_plan tenant" (alone (Scenario.From_plan plan)))
         configs)
     [ "crc32"; "qsort"; "sha"; "fft"; "dijkstra" ]
+
+(* --- co-run against replay ---
+
+   A sampled tenant and [Sample.replay_phases] time windows with the
+   same walker: alone on the arbiter, a tenant walking one
+   representative must reach the replay's result and window, however
+   the quantum slices its trace (across the warmup boundary or not). *)
+
+let test_corun_matches_replay () =
+  let cfg = Config.base in
+  List.iter
+    (fun (name, interval, max_instrs) ->
+      let plan = Sample.plan ~seed:1 ~interval ~max_instrs (program name) in
+      if name = "crc32" then
+        Alcotest.(check (list int)) "crc32 warmups" [ 0; 50_000 ]
+          (List.sort compare
+             (Array.to_list
+                (Array.map (fun (r : Sample.rep) -> r.Sample.warmup) plan.Sample.reps)));
+      Array.iter
+        (fun ((rep : Sample.rep), window, replayed) ->
+          let alone = { plan with Sample.reps = [| rep |] } in
+          List.iter
+            (fun quantum ->
+              let out =
+                (Scenario.co_run ~quantum cfg
+                   [|
+                     {
+                       Scenario.label = name;
+                       budget = Sample.replayed_instrs alone;
+                       source = Scenario.From_plan alone;
+                     };
+                   |]).(0)
+              in
+              if out.Scenario.result <> replayed || out.Scenario.windows <> [| window |]
+              then
+                Alcotest.failf "%s rep %d at quantum %d: co-run differs from replay"
+                  name rep.Sample.cluster quantum)
+            [ 257; 4096; Array.length rep.Sample.trace ])
+        (Sample.replay_phases cfg plan))
+    [
+      ("crc32", 50_000, 500_000);
+      ("qsort", 20_000, 300_000);
+      ("dijkstra", 20_000, 300_000);
+      ("fft", 10_000, 160_000);
+    ]
 
 (* Alone on the machine, a sampled tenant's baseline is its co-run:
    the same trace on a one-tenant arbiter, priced the same way. *)
@@ -185,6 +226,15 @@ let test_pool_width_byte_identity () =
   let again = scenario_json settings Pool.serial specs in
   Alcotest.(check string) "cold re-run identical" serial again
 
+(* The sampled co-run of every preset, pinned by the MD5 of its
+   pc-scenario/1 bytes, recorded before the arbiter stepped plans
+   through [Sample]'s walker. *)
+let test_sampled_presets_pinned () =
+  let settings = { Runner.quick_settings with Runner.sample = Some 50_000 } in
+  Alcotest.(check string) "pc-scenario/1 md5" "8751825043c338324226af6ce7aff989"
+    (Digest.to_hex
+       (Digest.string (scenario_json settings Pool.serial Presets.all)))
+
 (* --- priority arbitration --- *)
 
 let test_priority_weights () =
@@ -200,12 +250,12 @@ let test_priority_weights () =
   Array.iter
     (fun (t : Scenario.tenant_result) ->
       Alcotest.(check int) (t.Scenario.label ^ " ran to budget") 20_000
-        t.Scenario.fed)
+        t.Scenario.result.Sim.instrs)
     rr;
   Array.iter
     (fun (t : Scenario.tenant_result) ->
       Alcotest.(check int) (t.Scenario.label ^ " ran to budget") 20_000
-        t.Scenario.fed)
+        t.Scenario.result.Sim.instrs)
     pri
 
 (* The arbiter resumes a tenant's machine once per quantum (twenty times
@@ -397,6 +447,8 @@ let () =
             test_one_stream_five_drivers;
           Alcotest.test_case "sampled solo tenant has slowdown 1" `Quick
             test_sampled_solo_slowdown_is_one;
+          Alcotest.test_case "a plan tenant times windows like replay" `Quick
+            test_corun_matches_replay;
         ] );
       ( "interference",
         [
@@ -407,6 +459,8 @@ let () =
         [
           Alcotest.test_case "pool width and re-run byte identity" `Quick
             test_pool_width_byte_identity;
+          Alcotest.test_case "sampled presets pinned" `Quick
+            test_sampled_presets_pinned;
         ] );
       ( "arbitration",
         [

@@ -363,6 +363,31 @@ let test_predictable_loop (_, (cfg : Config.t), body) () =
     true
     (stall >= 0 && stall <= stall_bound)
 
+(* [Sim.of_counters] is the one builder of a result outside [finish]:
+   fed a finished result's own counters, it must give that result back,
+   field for field. *)
+let test_of_counters_rebuilds () =
+  let configs =
+    Config.base
+    :: List.map
+         (fun (d : Perfclone.Experiments.design_change) -> d.Perfclone.Experiments.config)
+         (Perfclone.Experiments.design_changes ())
+  in
+  List.iter
+    (fun name ->
+      let p = Pc_workloads.Registry.(compile (find name)) in
+      List.iter
+        (fun (cfg : Config.t) ->
+          let r = Sim.run ~max_instrs:100_000 cfg p in
+          let rebuilt =
+            Sim.of_counters ~config_name:r.Sim.config_name ~instrs:r.Sim.instrs
+              ~cycles:r.Sim.cycles (fun read -> read r)
+          in
+          if rebuilt <> r then
+            Alcotest.failf "%s under %s: rebuilt result differs" name cfg.Config.name)
+        configs)
+    [ "crc32"; "qsort"; "sha"; "fft"; "dijkstra" ]
+
 (* The timing model's cache and predictor counters are registered with
    the model, not on its first run: a tool that never runs it still
    lists all twelve, at 0.  This group runs first, before any
@@ -427,5 +452,7 @@ let () =
           Alcotest.test_case "statistics" `Quick test_stats_accounting;
           QCheck_alcotest.to_alcotest qcheck_ipc_positive_and_bounded;
           QCheck_alcotest.to_alcotest qcheck_deterministic;
+          Alcotest.test_case "a result rebuilt from its counters" `Quick
+            test_of_counters_rebuilds;
         ] );
     ]
