@@ -21,64 +21,51 @@ let c_refs = Pc_obs.Metrics.counter "study.trace_refs"
 let c_onepass_runs = Pc_obs.Metrics.counter "study.onepass.runs"
 let c_onepass_refs = Pc_obs.Metrics.counter "study.onepass.trace_refs"
 
-let run_trace ?warmup feed =
-  let caches = Array.map Cache.create configs in
-  let emit addr = Array.iter (fun c -> ignore (Cache.access c addr)) caches in
-  (* References fed during warmup prime the tag state but are excluded
-     from the reported counts by snapshotting each cache's counters at
-     the warmup/measurement boundary. *)
-  let warm_misses, warm_accesses =
-    match warmup with
-    | None -> (Array.make (Array.length caches) 0, Array.make (Array.length caches) 0)
-    | Some warm ->
-      warm emit;
-      (Array.map Cache.misses caches, Array.map Cache.accesses caches)
-  in
-  let instrs = feed emit in
-  Pc_obs.Metrics.incr c_runs;
-  Pc_obs.Metrics.add c_refs
-    (Cache.accesses caches.(reference_index) - warm_accesses.(reference_index));
-  Array.init (Array.length configs) (fun i ->
-      let misses = Cache.misses caches.(i) - warm_misses.(i) in
-      {
-        config = configs.(i);
-        misses;
-        accesses = Cache.accesses caches.(i) - warm_accesses.(i);
-        mpi =
-          (if instrs = 0 then 0.0
-           else float_of_int misses /. float_of_int instrs);
-      })
+type grid = Caches of Cache.t array | Profile of Stack_dist.t
 
-(* One-pass variant: same contract as [run_trace] (including the
-   ?warmup snapshot semantics), but the grid is priced by a single
-   stack-distance traversal instead of 28 tag-array simulations.  The
-   test suite holds the two byte-identical per config. *)
-let run_trace_onepass ?warmup feed =
-  Pc_obs.Span.with_ "study:onepass" @@ fun () ->
-  let prof = Stack_dist.create configs in
-  let emit addr = Stack_dist.access prof addr in
-  let warm_misses, warm_accesses =
-    match warmup with
-    | None -> (Array.make (Array.length configs) 0, 0)
-    | Some warm ->
-      warm emit;
-      (Stack_dist.misses prof, Stack_dist.accesses prof)
+let grid ~onepass =
+  if onepass then Profile (Stack_dist.create configs)
+  else Caches (Array.map Cache.create configs)
+
+let access g addr =
+  match g with
+  | Caches caches ->
+    for i = 0 to Array.length caches - 1 do
+      ignore (Cache.access (Array.unsafe_get caches i) addr)
+    done
+  | Profile prof -> Stack_dist.access prof addr
+
+let accesses = function
+  | Caches caches -> Cache.accesses caches.(reference_index)
+  | Profile prof -> Stack_dist.accesses prof
+
+let misses = function
+  | Caches caches -> Array.map Cache.misses caches
+  | Profile prof -> Stack_dist.misses prof
+
+let finish g ~measured =
+  let runs, refs =
+    match g with
+    | Caches _ -> (c_runs, c_refs)
+    | Profile _ -> (c_onepass_runs, c_onepass_refs)
   in
-  let instrs = feed emit in
-  Pc_obs.Metrics.incr c_onepass_runs;
-  Pc_obs.Metrics.add c_onepass_refs (Stack_dist.accesses prof - warm_accesses);
-  let misses = Stack_dist.misses prof in
-  let accesses = Stack_dist.accesses prof - warm_accesses in
-  Array.init (Array.length configs) (fun i ->
-      let misses = misses.(i) - warm_misses.(i) in
-      {
-        config = configs.(i);
-        misses;
-        accesses;
-        mpi =
-          (if instrs = 0 then 0.0
-           else float_of_int misses /. float_of_int instrs);
-      })
+  Pc_obs.Metrics.incr runs;
+  Pc_obs.Metrics.add refs measured
+
+let run g feed =
+  let instrs = feed (access g) in
+  let accesses = accesses g in
+  finish g ~measured:accesses;
+  Array.map2
+    (fun config misses ->
+      let mpi = if instrs = 0 then 0.0 else float_of_int misses /. float_of_int instrs in
+      { config; misses; accesses; mpi })
+    configs (misses g)
+
+let run_trace feed = run (grid ~onepass:false) feed
+
+let run_trace_onepass feed =
+  Pc_obs.Span.with_ "study:onepass" @@ fun () -> run (grid ~onepass:true) feed
 
 let relative_mpi mpis =
   let reference = mpis.(reference_index) in

@@ -16,39 +16,44 @@ type result = {
   mpi : float;  (** misses per instruction *)
 }
 
-val run_trace :
-  ?warmup:((int -> unit) -> unit) -> ((int -> unit) -> int) -> result array
-(** [run_trace feed] simulates all 28 caches in one pass over a memory
-    reference trace.  [feed emit] must call [emit addr] for every data
-    reference and return the total dynamic instruction count (the
-    misses-per-instruction denominator).  Each completed pass bumps the
-    global [study.runs] counter and adds the trace's reference count to
-    [study.trace_refs].
+type grid
+(** The tag state of the 28 configurations: the 28 simulated {!Cache}s
+    or one {!Stack_dist} profile, which counts the same from a single
+    traversal.  The misses between two stops of a walk are the
+    difference of their readings. *)
 
-    [warmup], when given, is fed first through the same caches: its
-    references prime the tag state but are excluded from every reported
-    [misses]/[accesses] count (and from [study.trace_refs]).  Sampled
-    simulation uses this to measure one representative window on a
-    warmed cache without a second pass. *)
+val grid : onepass:bool -> grid
+(** A fresh grid, the {!Stack_dist} one when [onepass]. *)
 
-val run_trace_onepass :
-  ?warmup:((int -> unit) -> unit) -> ((int -> unit) -> int) -> result array
-(** Exactly {!run_trace} — same results, byte for byte, including the
-    [?warmup] snapshot semantics — but computed by a single
-    {!Stack_dist} stack-distance traversal of the trace instead of 28
-    tag-array simulations, making a grid sweep cost about one pass.
-    Bumps [study.onepass.runs]/[study.onepass.trace_refs] (not the
-    simulated-path counters) and runs under a [study:onepass] span.
-    This is what [--cache-onepass] routes the
-    experiment drivers through; the simulated {!run_trace} remains the
-    oracle it is differentially tested against. *)
+val access : grid -> int -> unit
+(** Feed one data reference (byte address) to every configuration. *)
+
+val accesses : grid -> int
+(** References fed so far. *)
+
+val misses : grid -> int array
+(** Misses so far per configuration, in {!configs} order. *)
+
+val finish : grid -> measured:int -> unit
+(** Count a walk: [study.runs] by one and [study.trace_refs] by
+    [measured] ([study.onepass.*] for a one-pass grid). *)
+
+val run_trace : ((int -> unit) -> int) -> result array
+(** [run_trace feed] walks a fresh simulated grid over a whole trace:
+    [feed emit] calls [emit addr] for every data reference and returns
+    the dynamic instruction count (the MPI denominator).  Every
+    reference is measured. *)
+
+val run_trace_onepass : ((int -> unit) -> int) -> result array
+(** {!run_trace} on a one-pass grid, the same results byte for byte,
+    under a [study:onepass] span: what [--cache-onepass] selects, with
+    the simulated {!run_trace} as its oracle. *)
 
 val relative_mpi : float array -> float array
 (** The paper's Figure-4 series: given the 28 configurations'
     misses-per-instruction in {!configs} order, the MPI of each of the 27
     non-reference configurations divided by the reference configuration's
-    MPI.  When the reference MPI is zero the ratios
-    are undefined and every element is [Float.nan] — an explicit
-    sentinel (rendered as null by the pc JSON writers) rather than a
-    silent switch to absolute MPIs, so downstream consumers can never
-    mix units. *)
+    MPI.  When the reference MPI is zero the ratios are undefined and
+    every element is [Float.nan] — an explicit sentinel (rendered as
+    null by the pc JSON writers) rather than a silent switch to absolute
+    MPIs, so downstream consumers can never mix units. *)

@@ -74,12 +74,12 @@ let prepare ?(pool = Pool.serial) settings =
    seed_robustness, portable_comparison and ablation all trace the
    original; base_runs, run_design_changes and statsim_comparison all
    run the base-configuration timing model.  Results are memoized under
-   a structural digest of (program, budget[, config]), so one
+   a structural digest of (program digest, budget[, config]), so one
    [run_experiments all] invocation computes each artefact once.  All
    simulations are deterministic, so racing pool workers store identical
    values. *)
 
-let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let key program rest = Pc_sample.Plan_cache.(structural (program_digest program, rest))
 
 let trace_store : (string, float array) Store.t = Store.create ~name:"trace" ()
 let sim_store : (string, Sim.result) Store.t = Store.create ~name:"sim" ()
@@ -114,12 +114,9 @@ let sample_plan settings ~interval program =
    configuration) and feed both the timing and the power projections, so
    one replay pass per (config, program) serves every figure. *)
 let sampled_phases settings ~interval config program =
-  let key =
-    digest
-      ("sampled-phases", config, program, settings.sim_instrs, interval,
-       settings.seed)
-  in
-  Store.find_or_compute phase_store key (fun () ->
+  Store.find_or_compute phase_store
+    (key program ("sampled-phases", config, settings.sim_instrs, interval, settings.seed))
+    (fun () ->
       Pc_sample.Sample.replay_phases config (sample_plan settings ~interval program))
 
 let prepare_sample ?(pool = Pool.serial) settings pipelines =
@@ -152,10 +149,9 @@ let fidelity_reports ?(pool = Pool.serial) settings pipelines =
   Log.info (fun m -> m "measuring clone fidelity for %d benchmarks" (List.length pipelines));
   Pool.map pool
     (fun (p : Pipeline.t) ->
-      let key =
-        digest (p.Pipeline.clone, p.Pipeline.profile, settings.profile_instrs)
-      in
-      Store.find_or_compute fidelity_store key (fun () ->
+      Store.find_or_compute fidelity_store
+        (key p.Pipeline.clone (p.Pipeline.profile, settings.profile_instrs))
+        (fun () ->
           Pc_trace.Fidelity.measure ~max_instrs:settings.profile_instrs
             ~bench:p.Pipeline.name ~original:p.Pipeline.profile
             p.Pipeline.clone))
@@ -194,8 +190,9 @@ let mpi_trace settings program =
   let mpis =
     match settings.sample with
     | None ->
-      let key = digest (program, max_instrs, settings.cache_onepass) in
-      Store.find_or_compute trace_store key (fun () ->
+      Store.find_or_compute trace_store
+        (key program (max_instrs, settings.cache_onepass))
+        (fun () ->
           let feed = Machine.run_data_refs ~max_instrs (Machine.load program) in
           let results =
             if settings.cache_onepass then Study.run_trace_onepass feed
@@ -203,12 +200,10 @@ let mpi_trace settings program =
           in
           Array.map (fun (r : Study.result) -> r.Study.mpi) results)
     | Some interval ->
-      let key =
-        digest
-          ( "sampled-mpi", program, max_instrs, interval, settings.seed,
-            settings.cache_onepass )
-      in
-      Store.find_or_compute trace_store key (fun () ->
+      Store.find_or_compute trace_store
+        (key program
+           ("sampled-mpi", max_instrs, interval, settings.seed, settings.cache_onepass))
+        (fun () ->
           Pc_sample.Sample.project_mpi ~onepass:settings.cache_onepass
             (sample_plan settings ~interval program))
   in
@@ -218,14 +213,12 @@ let sim_run settings config program =
   let max_instrs = settings.sim_instrs in
   match settings.sample with
   | None ->
-    let key = digest (config, program, max_instrs) in
-    Store.find_or_compute sim_store key (fun () ->
+    Store.find_or_compute sim_store (key program (config, max_instrs)) (fun () ->
         Sim.run ~max_instrs config program)
   | Some interval ->
-    let key =
-      digest ("sampled-sim", config, program, max_instrs, interval, settings.seed)
-    in
-    Store.find_or_compute sim_store key (fun () ->
+    Store.find_or_compute sim_store
+      (key program ("sampled-sim", config, max_instrs, interval, settings.seed))
+      (fun () ->
         Pc_sample.Sample.project_of_phases
           (sample_plan settings ~interval program)
           (sampled_phases settings ~interval config program))

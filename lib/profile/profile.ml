@@ -4,22 +4,18 @@ let dep_bounds = [| 1; 2; 4; 6; 8; 16; 32 |]
 
 let sample_distance rng fractions =
   let u = Rng.float rng 1.0 in
-  let acc = ref 0.0 in
-  let bucket = ref (Array.length fractions - 1) in
-  (try
-     Array.iteri
-       (fun i f ->
-         acc := !acc +. f;
-         if !acc >= u then begin
-           bucket := i;
-           raise Exit
-         end)
-       fractions
-   with Exit -> ());
-  if !bucket >= Array.length dep_bounds then 33 + Rng.int rng 16
+  let n = Array.length fractions in
+  let acc = ref 0.0 and found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    acc := !acc +. fractions.(!i);
+    if !acc >= u then found := !i;
+    incr i
+  done;
+  let bucket = if !found < 0 then n - 1 else !found in
+  if bucket >= Array.length dep_bounds then 33 + Rng.int rng 16
   else
-    let hi = dep_bounds.(!bucket) in
-    let lo = if !bucket = 0 then 1 else dep_bounds.(!bucket - 1) + 1 in
+    let hi = dep_bounds.(bucket) in
+    let lo = if bucket = 0 then 1 else dep_bounds.(bucket - 1) + 1 in
     lo + Rng.int rng (hi - lo + 1)
 
 type mem_op = {

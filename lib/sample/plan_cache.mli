@@ -31,6 +31,14 @@ val key : profile_id:string -> interval:int -> seed:int -> string
     the profiled program and budget — e.g. a structural digest of
     (program, max_instrs). *)
 
+val structural : 'a -> string
+(** The hex MD5 of a value's [Marshal] bytes: every in-process memo key. *)
+
+val program_digest : Pc_isa.Program.t -> string
+(** [structural program], computed at most once per program value (held
+    weakly): memo keys name a program by it.  Safe to call from any
+    {!Pc_exec.Pool} worker. *)
+
 val plan :
   ?dir:string ->
   seed:int ->
@@ -40,11 +48,11 @@ val plan :
   Sample.plan
 (** [plan ?dir ~seed ~interval ~max_instrs program] is
     [Sample.plan ~seed ~interval ~max_instrs program], memoized per
-    process under a structural digest of (program, [max_instrs],
-    [interval], [seed]).  On a memo miss with [dir] given, the disk
-    cache in [dir] is asked next, under {!key} with the digest of
-    (program, [max_instrs]) as [profile_id], and a plan built there is
-    stored for later invocations.  Safe to call from any
+    process under {!structural} of ({!program_digest} program,
+    [max_instrs], [interval], [seed]).  On a memo miss with [dir]
+    given, the disk cache in [dir] is asked next, under {!key} with
+    [structural (program, max_instrs)] as [profile_id], and a plan built
+    there is stored for later invocations.  Safe to call from any
     {!Pc_exec.Pool} worker. *)
 
 val clear_memo : unit -> unit

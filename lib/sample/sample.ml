@@ -617,36 +617,30 @@ let feed_addrs trace ~from ~until emit =
    extra pass of the window itself before measuring removes those
    misses but also the genuine compulsory ones (lower bound).  The
    midpoint of the two bounds is the projection — the classic
-   cold/warm-bound estimator for sampled cache simulation. *)
+   cold/warm-bound estimator for sampled cache simulation.  One walk of
+   prefix, window, window reads both bounds. *)
 let project_mpi ?(onepass = false) plan =
   let n_configs = Array.length Study.configs in
   let proj_misses = Array.make n_configs 0.0 in
   Array.iter
     (fun rep ->
-      M.add c_replayed (2 * Array.length rep.trace);
       let len = Array.length rep.trace in
-      let run ~prime =
-        let warmup emit =
-          feed_addrs rep.trace ~from:0 ~until:rep.warmup emit;
-          if prime then feed_addrs rep.trace ~from:rep.warmup ~until:len emit
-        in
-        let feed emit =
-          feed_addrs rep.trace ~from:rep.warmup ~until:len emit;
-          rep.window
-        in
-        if onepass then Study.run_trace_onepass ~warmup feed
-        else Study.run_trace ~warmup feed
-      in
-      let cold = run ~prime:false in
-      let warm = run ~prime:true in
+      M.add c_replayed (len + rep.window);
+      let g = Study.grid ~onepass in
+      let emit = Study.access g in
+      feed_addrs rep.trace ~from:0 ~until:rep.warmup emit;
+      let prefix = Study.misses g and prefix_refs = Study.accesses g in
+      feed_addrs rep.trace ~from:rep.warmup ~until:len emit;
+      let primed = Study.misses g in
+      feed_addrs rep.trace ~from:rep.warmup ~until:len emit;
+      let again = Study.misses g in
+      Study.finish g ~measured:(Study.accesses g - prefix_refs);
       let ratio = float_of_int rep.weight /. float_of_int (max 1 rep.window) in
-      Array.iteri
-        (fun i (c : Study.result) ->
-          let est =
-            0.5 *. float_of_int (c.Study.misses + warm.(i).Study.misses)
-          in
-          proj_misses.(i) <- proj_misses.(i) +. (est *. ratio))
-        cold)
+      for i = 0 to n_configs - 1 do
+        let cold = primed.(i) - prefix.(i) and warm = again.(i) - primed.(i) in
+        let est = 0.5 *. float_of_int (cold + warm) in
+        proj_misses.(i) <- proj_misses.(i) +. (est *. ratio)
+      done)
     plan.reps;
   M.incr c_projections;
   Array.map (fun misses -> misses /. float_of_int plan.total_instrs) proj_misses

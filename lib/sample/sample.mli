@@ -176,19 +176,15 @@ val project_power_of_phases :
 
 val project_mpi : ?onepass:bool -> plan -> float array
 (** Replay every representative's data references through the paper's
-    28-configuration cache study ({!Pc_caches.Study.run_trace} with the
-    warmup prefix excluded from the counts) and project whole-program
-    misses per instruction for each configuration, population-weighted
-    like {!project_of_phases}.  Each window is measured twice — once from the
-    warmup prefix alone (cold bound) and once additionally primed with
-    the window's own lines (warm bound) — and the projection is the
-    midpoint, cancelling the cold-start overestimate that large
-    configurations otherwise suffer.
-
-    [onepass] (default [false]) prices each bound with the one-pass
-    stack-distance sweep ({!Pc_caches.Study.run_trace_onepass}) instead
-    of the 28 simulated caches; the projection is byte-identical either
-    way, the grids just cost one traversal per bound. *)
+    28-configuration cache study and project whole-program misses per
+    instruction for each configuration, population-weighted like
+    {!project_of_phases}.  One walk of a fresh {!Pc_caches.Study.grid}
+    over a representative's warmup, window and window again reads two
+    bounds: the first window's misses (cold, primed by the warmup alone)
+    and the second's (warm, primed by the window's own lines too).
+    Their midpoint cancels the cold-start overestimate that large
+    configurations otherwise suffer.  [onepass] (default [false]) walks
+    the one-pass grid instead; the projection is byte-identical. *)
 
 val project_bpred : Pc_branch.Predictor.config list -> plan -> float array
 (** The misprediction rate of each predictor configuration, in list

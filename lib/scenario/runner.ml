@@ -54,7 +54,7 @@ type result = {
 
 (* --- memo stores (shared across scenarios and pool workers) --- *)
 
-let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let digest = Pc_sample.Plan_cache.structural
 
 let program_store : (string, Pc_isa.Program.t) Store.t =
   Store.create ~name:"scenario-program" ()
@@ -94,11 +94,9 @@ let resolve_program settings workload kind =
    slots, the clone scenario of a pair, and repeated invocations share
    one run. *)
 let standalone settings cfg program ipc input =
+  let sampled = Option.map (fun interval -> (interval, settings.seed)) settings.sample in
   let key =
-    match settings.sample with
-    | None -> digest (cfg, program, settings.budget)
-    | Some interval ->
-      digest ("sampled", cfg, program, settings.budget, interval, settings.seed)
+    digest (cfg, Pc_sample.Plan_cache.program_digest program, settings.budget, sampled)
   in
   Store.find_or_compute baseline_store key (fun () ->
       let input = input () in

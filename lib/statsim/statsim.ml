@@ -22,14 +22,6 @@ type walker = {
   mutable w_slots : int; (* ops served this round-robin cycle *)
 }
 
-(* Per-static-branch direction state: {!Synth.branch_counter}'s counter,
-   period 1 for a fixed direction. *)
-type branch_state = {
-  b_period : int;
-  b_taken_slots : int;
-  mutable b_count : int;
-}
-
 let round8_up n = (n + 7) / 8 * 8
 
 (* --- trace generator ---
@@ -43,11 +35,14 @@ type gen = {
   g_rng : Rng.t;
   g_nodes : Profile.node array;
   g_node_cdf : float array;
-  g_streams : Synth.stream_info array;
   g_walkers : walker array;
-  g_branch_states : (int, branch_state) Hashtbl.t;
+  g_mem_streams : int array array; (* per node, per memory op: its stream *)
+  g_counters : Synth.counter array; (* per node; unused without a branch *)
+  g_branch_counts : int array; (* per node: its branch's executions so far *)
   g_recent : Synth.Recent.t; (* synthetic destination ids, 1..25 *)
   g_next_reg : int ref;
+  g_reads1 : int list array; (* [[r]] at r *)
+  g_reads2 : int list array array; (* [[a; b]] at a, b *)
 }
 
 let make_gen ~seed (profile : Profile.t) =
@@ -76,31 +71,30 @@ let make_gen ~seed (profile : Profile.t) =
         })
       streams
   in
+  (* [Sim.step] takes its reads as a list, and [src] draws integer
+     registers (below 32): lists interned once per generator leave no
+     cons per instruction. *)
+  let reads1 = Array.init 32 (fun r -> [ r ]) in
   {
     g_rng = rng;
     g_nodes = nodes;
     g_node_cdf = Profile.node_cdf profile;
-    g_streams = streams;
     g_walkers = walkers;
-    g_branch_states = Hashtbl.create 64;
+    g_mem_streams =
+      Array.map
+        (fun (n : Profile.node) -> Array.map (Synth.assign_stream streams) n.Profile.mem_ops)
+        nodes;
+    g_counters =
+      Array.map
+        (fun (n : Profile.node) ->
+          Option.fold ~none:(Synth.Fixed false) ~some:Synth.branch_counter n.Profile.branch)
+        nodes;
+    g_branch_counts = Array.make (Array.length nodes) 0;
     g_recent = Synth.Recent.create ();
     g_next_reg = ref 1;
+    g_reads1 = reads1;
+    g_reads2 = Array.init 32 (fun a -> Array.map (fun tail -> a :: tail) reads1);
   }
-
-let branch_state_of g (node : Profile.node) (b : Profile.branch_behaviour) =
-  match Hashtbl.find_opt g.g_branch_states node.Profile.id with
-  | Some s -> s
-  | None ->
-    let s =
-      match Synth.branch_counter b with
-      | Synth.Fixed taken ->
-        { b_period = 1; b_taken_slots = (if taken then 1 else 0); b_count = 0 }
-      | Synth.Alternate -> { b_period = 2; b_taken_slots = 1; b_count = 0 }
-      | Synth.Modulo { period; taken_slots } ->
-        { b_period = period; b_taken_slots = taken_slots; b_count = 0 }
-    in
-    Hashtbl.add g.g_branch_states node.Profile.id s;
-    s
 
 let alloc_reg g =
   let r = !(g.g_next_reg) in
@@ -113,27 +107,31 @@ let src g fractions =
   let r = Synth.Recent.find g.g_recent ~is_fp:false ~distance:d in
   if r >= 0 then r else 1 + Rng.int g.g_rng 24
 
+let reads1 g fractions = g.g_reads1.(src g fractions)
+
+(* The second read is drawn first: every statsim output was recorded
+   with that draw order. *)
+let reads2 g fractions =
+  let b = src g fractions in
+  let a = src g fractions in
+  g.g_reads2.(a).(b)
+
 (* SFG walking. *)
 let pick_start g = Rng.sample_cdf g.g_rng g.g_node_cdf
 
 let pick_successor g (node : Profile.node) =
   let succs = node.Profile.successors in
-  if Array.length succs = 0 then None
+  let n = Array.length succs in
+  if n = 0 then pick_start g
   else begin
     let u = Rng.float g.g_rng 1.0 in
-    let acc = ref 0.0 in
-    let result = ref (fst succs.(Array.length succs - 1)) in
-    (try
-       Array.iter
-         (fun (id, p) ->
-           acc := !acc +. p;
-           if !acc >= u then begin
-             result := id;
-             raise Exit
-           end)
-         succs
-     with Exit -> ());
-    Some !result
+    let acc = ref 0.0 and found = ref (-1) and i = ref 0 in
+    while !found < 0 && !i < n do
+      acc := !acc +. snd succs.(!i);
+      if !acc >= u then found := !i;
+      incr i
+    done;
+    fst succs.(if !found < 0 then n - 1 else !found)
   end
 
 (* Walk the SFG from [start], stepping [sim] through abstract retired
@@ -157,8 +155,8 @@ let synth g ~start ~budget sim =
       let use_mem = !mem_taken < n_mem && slot mod mem_every = 0 in
       if use_mem then begin
         let m = mem_ops.(!mem_taken) in
+        let k = g.g_mem_streams.(!current).(!mem_taken) in
         incr mem_taken;
-        let k = Synth.assign_stream g.g_streams m in
         let w = g.g_walkers.(k) in
         (* advance the walker once per full op rotation *)
         let slot_id = w.w_slots in
@@ -170,7 +168,7 @@ let synth g ~start ~budget sim =
         end;
         if m.Profile.is_store then
           Sim.step sim ~pc ~cls:I.C_store
-            ~reads:[ src g node.Profile.dep_fractions ]
+            ~reads:(reads1 g node.Profile.dep_fractions)
             ~write:(-1) ~addr ~taken:false
         else begin
           let d = alloc_reg g in
@@ -180,9 +178,7 @@ let synth g ~start ~budget sim =
       end
       else begin
         let cls = Synth.draw_class g.g_rng node.Profile.mix in
-        let reads =
-          [ src g node.Profile.dep_fractions; src g node.Profile.dep_fractions ]
-        in
+        let reads = reads2 g node.Profile.dep_fractions in
         let d = alloc_reg g in
         Synth.Recent.push g.g_recent d;
         let write =
@@ -196,20 +192,22 @@ let synth g ~start ~budget sim =
     (* terminator *)
     let pc = node.Profile.start + body_slots in
     (match node.Profile.branch with
-    | Some b ->
-      let bs = branch_state_of g node b in
+    | Some _ ->
+      let count = g.g_branch_counts.(!current) in
+      g.g_branch_counts.(!current) <- count + 1;
       let taken =
-        if bs.b_period <= 1 then bs.b_taken_slots = 1
-        else bs.b_count mod bs.b_period < bs.b_taken_slots
+        match g.g_counters.(!current) with
+        | Synth.Fixed taken -> taken
+        | Synth.Alternate -> count mod 2 = 0
+        | Synth.Modulo { period; taken_slots } -> count mod period < taken_slots
       in
-      bs.b_count <- bs.b_count + 1;
       Sim.step sim ~pc ~cls:I.C_branch
-        ~reads:[ src g node.Profile.dep_fractions ]
+        ~reads:(reads1 g node.Profile.dep_fractions)
         ~write:(-1) ~addr:(-1) ~taken
     | None ->
       Sim.step sim ~pc ~cls:I.C_jump ~reads:[] ~write:(-1) ~addr:(-1) ~taken:false);
     incr emitted;
-    current := (match pick_successor g node with Some id -> id | None -> pick_start g)
+    current := pick_successor g node
   done
 
 let estimate ?(seed = 1) ?(instrs = 100_000) cfg (profile : Profile.t) =

@@ -131,11 +131,11 @@ let test_funcsim () =
    program's 300k-instruction profile (profiled outside the reading). *)
 let statsim_budgets =
   [
-    ("crc32", 77.46, 77.71);
-    ("qsort", 75.72, 75.97);
-    ("sha", 83.73, 83.98);
-    ("fft", 80.33, 80.58);
-    ("dijkstra", 77.52, 77.77);
+    ("crc32", 31.65, 31.90);
+    ("qsort", 24.95, 25.20);
+    ("sha", 33.91, 34.16);
+    ("fft", 31.44, 31.69);
+    ("dijkstra", 31.50, 31.75);
   ]
 
 let test_statsim () =
@@ -150,6 +150,97 @@ let test_statsim () =
         (words /. float_of_int r.Sim.instrs))
     statsim_budgets
 
+(* (program, words per reference read, ceiling): a fresh
+   [Stack_dist.create Study.configs] fed the program's data references
+   over [Machine.run_data_refs ~max_instrs:200_000] (recorded outside
+   the reading), its creation included. *)
+let stack_dist_budgets =
+  [
+    ("crc32", 0.0878, 0.34);
+    ("qsort", 0.0245, 0.28);
+    ("sha", 0.1105, 0.36);
+    ("fft", 0.0707, 0.33);
+    ("dijkstra", 0.0788, 0.33);
+  ]
+
+let test_stack_dist () =
+  let module Stack_dist = Pc_caches.Stack_dist in
+  List.iter
+    (fun (name, reading, ceiling) ->
+      let buf = ref [] in
+      ignore
+        (Pc_funcsim.Machine.(run_data_refs ~max_instrs:200_000 (load (program name)))
+           (fun a -> buf := a :: !buf));
+      let refs = Array.of_list (List.rev !buf) in
+      let words, _ =
+        minor_words (fun () ->
+            let prof = Stack_dist.create Pc_caches.Study.configs in
+            Array.iter (Stack_dist.access prof) refs;
+            prof)
+      in
+      check_ceiling ("Stack_dist.access " ^ name) ~reading ~ceiling
+        (words /. float_of_int (Array.length refs)))
+    stack_dist_budgets
+
+(* (predictor, words per branch read, ceiling): a fresh
+   [Predictor.create] observing the conditional branches the quick five
+   retire in [Machine.run_batched ~max_instrs:200_000] each, in that
+   order (59,477 branches, recorded outside the reading).  The ten are
+   the predictor study's, the base GAp among them. *)
+let predictor_budgets =
+  [
+    ("taken", 0.0001, 0.25);
+    ("not-taken", 0.0001, 0.25);
+    ("bimodal-64", 0.0012, 0.25);
+    ("bimodal-512", 0.0001, 0.25);
+    ("bimodal-4096", 0.0001, 0.25);
+    ("gshare-h8-e4096", 0.0002, 0.25);
+    ("gshare-h12-e16384", 0.0002, 0.25);
+    ("gap-h8-t256", 0.0002, 0.25);
+    ("pap-h6-t256", 0.0045, 0.25);
+    ("tournament(bimodal-1024,gshare-h10-e4096)", 0.0004, 0.25);
+  ]
+
+let branch_stream () =
+  let module Machine = Pc_funcsim.Machine in
+  let pcs = ref [] and outcomes = ref [] in
+  List.iter
+    (fun name ->
+      let m = Machine.load (program name) in
+      let classes = (Machine.statics m).Machine.s_classes in
+      ignore
+        (Machine.run_batched ~max_instrs:200_000 m (fun b ->
+             for j = 0 to b.Machine.len - 1 do
+               let pc = b.Machine.b_pc.(j) in
+               if classes.(pc) = Pc_isa.Instr.C_branch then begin
+                 pcs := pc :: !pcs;
+                 outcomes := b.Machine.b_taken.(j) :: !outcomes
+               end
+             done)))
+    [ "crc32"; "qsort"; "sha"; "fft"; "dijkstra" ];
+  (Array.of_list (List.rev !pcs), Array.of_list (List.rev !outcomes))
+
+let test_predictor () =
+  let module Predictor = Pc_branch.Predictor in
+  let pcs, outcomes = branch_stream () in
+  let configs = Perfclone.Experiments.bpred_configs in
+  Alcotest.(check (list string)) "one row per study predictor"
+    (List.map (fun (name, _, _) -> name) predictor_budgets)
+    (List.map Predictor.config_name configs);
+  List.iter2
+    (fun config (name, reading, ceiling) ->
+      let words, _ =
+        minor_words (fun () ->
+            let p = Predictor.create config in
+            for i = 0 to Array.length pcs - 1 do
+              ignore (Predictor.observe p ~pc:pcs.(i) ~taken:outcomes.(i))
+            done;
+            p)
+      in
+      check_ceiling ("Predictor.observe " ^ name) ~reading ~ceiling
+        (words /. float_of_int (Array.length pcs)))
+    configs predictor_budgets
+
 let () =
   Alcotest.run "pc_alloc"
     [
@@ -160,5 +251,7 @@ let () =
           Alcotest.test_case "Collector.profile" `Quick test_profile;
           Alcotest.test_case "Machine.run_batched" `Quick test_funcsim;
           Alcotest.test_case "Statsim.estimate" `Quick test_statsim;
+          Alcotest.test_case "Stack_dist.access" `Quick test_stack_dist;
+          Alcotest.test_case "Predictor.observe" `Quick test_predictor;
         ] );
     ]

@@ -275,24 +275,42 @@ let check_results_equal what (simulated : Study.result array)
           o.Study.accesses o.Study.mpi)
     simulated
 
-(* Feed a recorded address array, optionally split at [cut] into a
-   warmup prefix and a measured suffix. *)
+(* Feed a recorded address array through the simulated and the one-pass
+   grid.  Whole, it is [Study.run_trace] and [run_trace_onepass]; split
+   at [cut], one walk of each grid is read at the cut and at the end,
+   and the results count only the references past the cut. *)
 let run_both ?cut addrs instrs =
-  let feed_range from until emit =
-    for i = from to until - 1 do
-      emit addrs.(i)
-    done
-  in
   let n = Array.length addrs in
   match cut with
   | None ->
-    let feed emit = feed_range 0 n emit; instrs in
+    let feed emit = Array.iter emit addrs; instrs in
     (Study.run_trace feed, Study.run_trace_onepass feed)
   | Some cut ->
-    let warmup emit = feed_range 0 cut emit in
-    let feed emit = feed_range cut n emit; instrs in
-    ( Study.run_trace ~warmup feed,
-      Study.run_trace_onepass ~warmup feed )
+    let walk ~onepass =
+      let g = Study.grid ~onepass in
+      for i = 0 to cut - 1 do
+        Study.access g addrs.(i)
+      done;
+      let warm_misses = Study.misses g and warm_accesses = Study.accesses g in
+      for i = cut to n - 1 do
+        Study.access g addrs.(i)
+      done;
+      let accesses = Study.accesses g - warm_accesses in
+      Array.map2
+        (fun config (misses, warm) ->
+          let misses = misses - warm in
+          {
+            Study.config;
+            misses;
+            accesses;
+            mpi =
+              (if instrs = 0 then 0.0
+               else float_of_int misses /. float_of_int instrs);
+          })
+        Study.configs
+        (Array.combine (Study.misses g) warm_misses)
+    in
+    (walk ~onepass:false, walk ~onepass:true)
 
 (* --- LRU inclusion ---
 

@@ -300,6 +300,87 @@ let test_project_mpi_onepass_identical () =
           onepass.(i))
     simulated
 
+(* --- the cache projection against its two-grid oracle ---
+
+   [project_mpi] prices both bounds of a representative from one walk
+   of one grid; [Mpi_oracle] prices them from two fresh grids.  Equal
+   floats, on both grids. *)
+
+let check_mpi_oracle what plan =
+  List.iter
+    (fun onepass ->
+      let got = Sample.project_mpi ~onepass plan in
+      let want = Mpi_oracle.project_mpi ~onepass plan in
+      if got <> want then
+        Alcotest.failf "%s (%s grid): one walk and two grids disagree" what
+          (if onepass then "one-pass" else "simulated"))
+    [ false; true ]
+
+let test_mpi_oracle_quick_plans () =
+  let settings = E.quick_settings in
+  let max_instrs = settings.E.sim_instrs in
+  let interval = Sample.auto_interval ~max_instrs in
+  List.iter
+    (fun (p : Perfclone.Pipeline.t) ->
+      List.iter
+        (fun (what, prog) ->
+          check_mpi_oracle
+            (p.Perfclone.Pipeline.name ^ " " ^ what)
+            (Sample.plan ~seed:settings.E.seed ~interval ~max_instrs prog))
+        [ ("original", p.Perfclone.Pipeline.original); ("clone", p.Perfclone.Pipeline.clone) ])
+    (E.prepare settings)
+
+(* Random plans: a few representatives of random warmup, window and
+   weight over packed data references within a 16KB span (every third
+   entry touches no memory), so every grid size sees reuse. *)
+let arb_plan =
+  let open QCheck.Gen in
+  let statics = Machine.statics (Machine.load (program "crc32")) in
+  let entry =
+    map
+      (fun a -> if a mod 3 = 0 then 0 else (a + 1) lsl 23)
+      (int_bound 0x3FFF)
+  in
+  let rep =
+    pair (int_bound 300) (int_bound 400) >>= fun (warmup, window) ->
+    map2
+      (fun weight trace ->
+        { Sample.cluster = 0; start = warmup; window; warmup; weight; trace })
+      (int_bound 50_000)
+      (array_size (return (warmup + window)) entry)
+  in
+  let plan =
+    map2
+      (fun reps total_instrs ->
+        {
+          Sample.interval = 1_000;
+          total_instrs;
+          n_intervals = Array.length reps;
+          k = Array.length reps;
+          dims = Sample.bbv_dims;
+          coverage = 0.0;
+          reps;
+          statics;
+        })
+      (array_size (int_range 1 4) rep)
+      (int_range 1 200_000)
+  in
+  QCheck.make
+    ~print:(fun p ->
+      String.concat "; "
+        (Array.to_list
+           (Array.map
+              (fun (r : Sample.rep) ->
+                Printf.sprintf "warmup %d window %d weight %d" r.Sample.warmup
+                  r.Sample.window r.Sample.weight)
+              p.Sample.reps)))
+    plan
+
+let qcheck_mpi_oracle_random_plans =
+  QCheck.Test.make ~name:"random plans, both grids" ~count:40 arb_plan (fun plan ->
+      check_mpi_oracle "random plan" plan;
+      true)
+
 (* The sampled predictor projection against its oracle, the timing
    model's projection under each predictor: equal floats, also when a
    representative's window is emptied (skip and renormalise) and when
@@ -444,6 +525,61 @@ let test_plan_cache_eviction () =
   List.iter (fun i -> Plan_cache.store cache (key i) plan) [ 0; 1; 2 ];
   let on_disk = List.filter (fun f -> Filename.check_suffix f ".plan") (Array.to_list (Sys.readdir dir)) in
   Alcotest.(check int) "eviction keeps max_entries plans" 2 (List.length on_disk)
+
+(* --- memo keys ---
+
+   A program is named in every in-process key by its digest, computed
+   once per program value: structurally equal copies share it (and so
+   every memo entry), different programs do not.  The on-disk key keeps
+   digesting (program, budget) whole, so a plan cache built before the
+   digest existed is still hit: crc32's entry below was written by that
+   build. *)
+
+let copy (p : Pc_isa.Program.t) =
+  Pc_isa.Program.v ~name:p.Pc_isa.Program.name
+    ~code:(Array.copy p.Pc_isa.Program.code) ~data:p.Pc_isa.Program.data
+    ~data_bytes:p.Pc_isa.Program.data_bytes
+
+let test_program_digest_keys () =
+  let crc = program "crc32" in
+  let twin = copy crc in
+  Alcotest.(check bool) "a physically distinct copy" false (crc == twin);
+  Alcotest.(check string) "equal programs share a digest"
+    (Plan_cache.program_digest crc) (Plan_cache.program_digest twin);
+  Alcotest.(check string) "the digest is the structural one"
+    (Plan_cache.structural crc) (Plan_cache.program_digest twin);
+  Alcotest.(check bool) "different programs differ" true
+    (Plan_cache.program_digest crc <> Plan_cache.program_digest (program "qsort"));
+  let renamed =
+    Pc_isa.Program.v ~name:"crc32-renamed" ~code:crc.Pc_isa.Program.code
+      ~data:crc.Pc_isa.Program.data ~data_bytes:crc.Pc_isa.Program.data_bytes
+  in
+  Alcotest.(check bool) "a renamed program differs" true
+    (Plan_cache.program_digest crc <> Plan_cache.program_digest renamed);
+  Plan_cache.clear_memo ();
+  let hits () = counter_value "exec.store.sample.plan.hits" in
+  let plan p = Plan_cache.plan ~seed:1 ~interval:20_000 ~max_instrs:60_000 p in
+  let first = plan crc in
+  let before = hits () in
+  let second = plan twin in
+  Alcotest.(check int) "the copy's plan is a memo hit" (before + 1) (hits ());
+  Alcotest.(check bool) "the same plan" true (first == second);
+  ignore (plan renamed);
+  Alcotest.(check int) "the renamed program's is not" (before + 1) (hits ())
+
+let pinned_disk_key = "6fdb449737497f113fd6a34dce4f8bf0"
+
+let test_disk_key_pinned () =
+  let crc = program "crc32" in
+  let max_instrs = 60_000 and interval = 20_000 and seed = 1 in
+  Alcotest.(check string) "key of (program, budget)" pinned_disk_key
+    (Plan_cache.key ~profile_id:(Plan_cache.structural (crc, max_instrs)) ~interval ~seed);
+  Plan_cache.clear_memo ();
+  let dir = fresh_cache_dir () in
+  ignore (Plan_cache.plan ~dir ~seed ~interval ~max_instrs crc);
+  Alcotest.(check (list string)) "the entry plan writes"
+    [ pinned_disk_key ^ ".plan" ]
+    (Array.to_list (Sys.readdir dir))
 
 let test_sampled_statsim_deterministic_across_pools () =
   (* Phase-wise synthetic-trace generation: pp_statsim output identical
@@ -624,6 +760,15 @@ let () =
             test_plan_cache_corruption_recovery;
           Alcotest.test_case "hit/miss metrics" `Quick test_plan_cache_metrics;
           Alcotest.test_case "eviction bounds entries" `Quick test_plan_cache_eviction;
+          Alcotest.test_case "equal programs share memo keys" `Quick
+            test_program_digest_keys;
+          Alcotest.test_case "disk key pinned" `Quick test_disk_key_pinned;
+        ] );
+      ( "mpi oracle",
+        [
+          Alcotest.test_case "quick plans, both grids" `Quick
+            test_mpi_oracle_quick_plans;
+          QCheck_alcotest.to_alcotest qcheck_mpi_oracle_random_plans;
         ] );
       ( "integration",
         [
