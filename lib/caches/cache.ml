@@ -31,11 +31,12 @@ let config_name c =
   Printf.sprintf "%s/%s/%dB" size assoc c.line_bytes
 
 type t = {
-  sets : int;
+  set_mask : int;  (* sets - 1; [config] makes sets a power of two *)
   nways : int;
   line_shift : int;
   tags : int array;  (** [set * nways + way]; [-1] = invalid *)
   ages : int array;  (** larger = more recently used *)
+  mutable last : int;  (* line of the previous access; [-1] before any *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -49,11 +50,12 @@ let create cfg =
     log2 cfg.line_bytes 0
   in
   {
-    sets;
+    set_mask = sets - 1;
     nways;
     line_shift;
     tags = Array.make (sets * nways) (-1);
     ages = Array.make (sets * nways) 0;
+    last = -1;
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -61,36 +63,41 @@ let create cfg =
 
 let access t addr =
   let line = addr lsr t.line_shift in
-  let set = line mod t.sets in
-  let base = set * t.nways in
-  let tags = t.tags and ages = t.ages in
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  (* One pass over the set: the way holding the line, if any, and the
-     least recently used way, the first one on a tie.  Every index lies
-     in [base, base + nways), inside the [sets * nways] arrays. *)
-  let hit_way = ref (-1) in
-  let lru_way = ref base in
-  let lru_age = ref max_int in
-  for w = base to base + t.nways - 1 do
-    if Array.unsafe_get tags w = line then hit_way := w
-    else begin
-      let age = Array.unsafe_get ages w in
-      if age < !lru_age then begin
-        lru_age := age;
-        lru_way := w
-      end
-    end
-  done;
-  if !hit_way >= 0 then begin
-    ages.(!hit_way) <- t.clock;
-    true
-  end
+  (* A repeat of the previous line is a hit that reorders nothing: that
+     line already has the newest age in its set (see the .mli). *)
+  if line = t.last then true
   else begin
-    t.misses <- t.misses + 1;
-    tags.(!lru_way) <- line;
-    ages.(!lru_way) <- t.clock;
-    false
+    t.last <- line;
+    let base = (line land t.set_mask) * t.nways in
+    let tags = t.tags and ages = t.ages in
+    t.clock <- t.clock + 1;
+    (* One pass over the set: the way holding the line, if any, and the
+       least recently used way, the first one on a tie.  Every index
+       lies in [base, base + nways), inside the [sets * nways] arrays. *)
+    let hit_way = ref (-1) in
+    let lru_way = ref base in
+    let lru_age = ref max_int in
+    for w = base to base + t.nways - 1 do
+      if Array.unsafe_get tags w = line then hit_way := w
+      else begin
+        let age = Array.unsafe_get ages w in
+        if age < !lru_age then begin
+          lru_age := age;
+          lru_way := w
+        end
+      end
+    done;
+    if !hit_way >= 0 then begin
+      ages.(!hit_way) <- t.clock;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      tags.(!lru_way) <- line;
+      ages.(!lru_way) <- t.clock;
+      false
+    end
   end
 
 let accesses t = t.accesses

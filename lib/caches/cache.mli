@@ -30,7 +30,15 @@ val create : config -> t
 
 val access : t -> int -> bool
 (** [access t addr] simulates one access; returns [true] on a hit and
-    updates LRU/tag state. *)
+    updates LRU/tag state.  [addr] is a non-negative byte address (an
+    invalid way holds tag [-1], which no such address's line equals).
+
+    A repeat of the previous access's line is answered without a set
+    scan: it is counted as a hit and leaves the tags, the ages and the
+    recency clock as they are.  This is exact under LRU: the previous
+    access left that line resident with the newest age in its set, and
+    the repeat touches no other line, so the order in which that set
+    will choose victims is the one a full access would leave. *)
 
 val accesses : t -> int
 val misses : t -> int

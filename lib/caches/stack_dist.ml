@@ -40,10 +40,17 @@ type fully_assoc = {
   mutable fa_used : int;  (* live + tombstones *)
 }
 
+(* A repeat of the previous access's line at the grid's finest line
+   size is a repeat at every coarser size too, so it sits at stack
+   distance 0 in every group and hits in every configuration: [access]
+   counts it in [repeats] and touches no stack, ring or histogram. *)
 type t = {
   ss : set_stacks array;
   fa : fully_assoc array;
   plan : (bool * int * int) array;  (* per config: (is_fa, tracker, ways) *)
+  line_shift : int;  (* the grid's finest line size *)
+  mutable last : int;  (* finest line of the previous access; -1 before any *)
+  mutable repeats : int;
   mutable total : int;
 }
 
@@ -126,7 +133,12 @@ let create configs =
         else (false, index_of ss_keys key, ways))
       shapes
   in
-  { ss; fa; plan; total = 0 }
+  let line_shift =
+    Array.fold_left
+      (fun acc (c : Cache.config) -> min acc (log2 c.Cache.line_bytes))
+      max_int configs
+  in
+  { ss; fa; plan; line_shift; last = -1; repeats = 0; total = 0 }
 
 (* --- set-associative groups: capped per-set move-to-front stacks --- *)
 
@@ -234,14 +246,19 @@ let fa_access fa addr =
 
 let access t addr =
   t.total <- t.total + 1;
-  let ss = t.ss in
-  for i = 0 to Array.length ss - 1 do
-    ss_access (Array.unsafe_get ss i) addr
-  done;
-  let fa = t.fa in
-  for i = 0 to Array.length fa - 1 do
-    fa_access (Array.unsafe_get fa i) addr
-  done
+  let line = addr lsr t.line_shift in
+  if line = t.last then t.repeats <- t.repeats + 1
+  else begin
+    t.last <- line;
+    let ss = t.ss in
+    for i = 0 to Array.length ss - 1 do
+      ss_access (Array.unsafe_get ss i) addr
+    done;
+    let fa = t.fa in
+    for i = 0 to Array.length fa - 1 do
+      fa_access (Array.unsafe_get fa i) addr
+    done
+  end
 
 let accesses t = t.total
 
@@ -251,7 +268,7 @@ let misses t =
       let hist =
         if is_fa then t.fa.(tracker).fa_hist else t.ss.(tracker).ss_hist
       in
-      let hits = ref 0 in
+      let hits = ref t.repeats in
       for d = 0 to ways - 1 do
         hits := !hits + hist.(d)
       done;

@@ -24,6 +24,14 @@
       every member configuration, so they need no exact distance — are
       answered by the table and inserted in O(1).
 
+    One rule serves the whole grid before any tracker is touched: an
+    access whose line at the grid's {e finest} line size equals the
+    previous access's is a repeat at every coarser line size too, so it
+    is at stack distance 0 in every group and a hit in every
+    configuration.  It is counted once and touches no stack, ring or
+    histogram.  (Keyed on a coarser size the rule would be wrong: two
+    accesses can share a 64-byte line but not a 16-byte one.)
+
     Counts match a tag-array simulation ({!Cache.access} per
     configuration) bit-for-bit, including compulsory (cold) misses;
     {!Study.run_trace_onepass} cross-checks this against the simulated
@@ -39,7 +47,9 @@ val create : Cache.config array -> t
     [Invalid_argument] on an empty grid. *)
 
 val access : t -> int -> unit
-(** Feed one address (byte address, as {!Cache.access} takes). *)
+(** Feed one address (a non-negative byte address, as {!Cache.access}
+    takes).  A repeat of the previous address's finest-size line costs
+    one compare. *)
 
 val accesses : t -> int
 (** Total addresses fed so far (identical for every configuration). *)

@@ -82,6 +82,7 @@ let dim_of_pc dims pc = (pc * 0x9E3779B9) land max_int mod dims
 
 let collect_bbvs ~dims ~interval ~max_instrs program =
   let m = Machine.load program in
+  let dim = Array.init (Array.length program.Pc_isa.Program.code) (dim_of_pc dims) in
   let counts = Array.make dims 0 in
   let vectors = ref [] in
   let filled = ref 0 in
@@ -96,7 +97,7 @@ let collect_bbvs ~dims ~interval ~max_instrs program =
   let total =
     Machine.run_batched ~max_instrs m (fun batch ->
         for j = 0 to batch.Machine.len - 1 do
-          let d = dim_of_pc dims batch.Machine.b_pc.(j) in
+          let d = dim.(batch.Machine.b_pc.(j)) in
           counts.(d) <- counts.(d) + 1;
           incr filled;
           if !filled = interval then flush ()
@@ -305,21 +306,23 @@ let plan ~seed ~interval ~max_instrs program =
         (c, start, window, warmup, !weight))
   in
   (* Second functional pass: record the packed replay trace of every
-     representative (warmup prefix + measurement window) in one sweep.
-     A chunk holds the dynamic indices [first, first + len); every
-     trace copies the rows its [lo, hi) range shares with them, taking
-     the address only from loads and stores and the outcome only from
-     branches (the batch contract leaves them stale on other rows). *)
+     representative (warmup prefix + measurement window) in one sweep
+     that stops where the last representative ends.  A chunk holds the
+     dynamic indices [first, first + len); every trace copies the rows
+     its [lo, hi) range shares with them, taking the address only from
+     loads and stores and the outcome only from branches (the batch
+     contract leaves them stale on other rows). *)
   let traces =
     Array.map (fun (_, start, window, warmup, _) ->
         (start - warmup, start + window, Array.make (warmup + window) 0, ref 0))
       rep_specs
   in
+  let last_end = Array.fold_left (fun acc (_, hi, _, _) -> max acc hi) 0 traces in
   let classes = statics.Machine.s_classes in
   let m = Machine.load program in
   let base = ref 0 in
   ignore
-    (Machine.run_batched ~max_instrs m (fun batch ->
+    (Machine.run_batched ~max_instrs:last_end m (fun batch ->
          let first = !base in
          base := first + batch.Machine.len;
          Array.iter

@@ -76,10 +76,11 @@ val plan :
 (** Build a sampling plan: one functional pass collects per-interval
     vectors ({!bbv_dims} dimensions), k-means over k = 1..{!max_k} with
     {!restarts} random restarts each picks the phase clustering, and a
-    second functional pass records each representative's packed replay
-    trace.  Each representative's warmup is one full [interval],
-    clipped at the start of the stream (a shorter warmup leaves a
-    cold-start bias that overestimates CPI).  Raises [Invalid_argument]
+    second functional pass, which stops where the last representative
+    ends, records each representative's packed replay trace.  Each
+    representative's warmup is one full [interval], clipped at the
+    start of the stream (a shorter warmup leaves a cold-start bias that
+    overestimates CPI).  Raises [Invalid_argument]
     for a non-positive [interval] or a program that retires no
     instructions. *)
 

@@ -2,9 +2,9 @@
    two fresh grids per representative: each bound feeds its warmup
    through a new grid, snapshots the misses, feeds the window and
    subtracts.  The grids are built here from the cache models, not from
-   [Study]'s grid, so the walk under test shares none of this code. *)
+   [Study]'s grid, so the walk under test shares none of this code; the
+   simulated grid is the reference model [Cache_ref]. *)
 
-module Cache = Pc_caches.Cache
 module Stack_dist = Pc_caches.Stack_dist
 module Study = Pc_caches.Study
 module Sample = Pc_sample.Sample
@@ -21,12 +21,12 @@ let measured_misses ~onepass ~warmup measure =
     Array.map2 ( - ) (Stack_dist.misses prof) warm
   end
   else begin
-    let caches = Array.map Cache.create Study.configs in
-    let emit addr = Array.iter (fun c -> ignore (Cache.access c addr)) caches in
+    let caches = Array.map Cache_ref.create Study.configs in
+    let emit addr = Array.iter (fun c -> ignore (Cache_ref.access c addr)) caches in
     warmup emit;
-    let warm = Array.map Cache.misses caches in
+    let warm = Array.map Cache_ref.misses caches in
     measure emit;
-    Array.map2 ( - ) (Array.map Cache.misses caches) warm
+    Array.map2 ( - ) (Array.map Cache_ref.misses caches) warm
   end
 
 let feed_addrs trace ~from ~until emit =

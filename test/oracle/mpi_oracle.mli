@@ -8,4 +8,4 @@ val project_mpi : ?onepass:bool -> Pc_sample.Sample.plan -> float array
     after the prefix and one pass of the window.  Each configuration's
     projection is the population-weighted midpoint of the two over the
     plan's instructions.  [onepass] prices both grids with
-    {!Pc_caches.Stack_dist} instead of 28 {!Pc_caches.Cache}s. *)
+    {!Pc_caches.Stack_dist} instead of 28 {!Cache_ref} caches. *)

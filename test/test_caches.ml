@@ -1,6 +1,7 @@
 (* Tests for pc_caches: set-associative LRU behaviour, hierarchy
-   latencies, the 28-configuration study set, and the functional
-   simulator's data-reference feed that the study reads. *)
+   latencies, the 28-configuration study set, both cache models against
+   the reference model, and the functional simulator's data-reference
+   feed that the study reads. *)
 
 module Cache = Pc_caches.Cache
 module Hierarchy = Pc_caches.Hierarchy
@@ -332,8 +333,11 @@ let inclusion_pairs =
              else None)
            (List.init n Fun.id)))
 
-(* Strided runs and random addresses, each random run within a 512B,
-   2KB or 16KB span so caches of every size see reuse. *)
+(* Strided runs (the short strides stay inside a line for several
+   references), immediate repeats of one address, two lines taking
+   turns in one set (16, 32 or 48KB apart, multiples of every tested
+   cache's way size), and random addresses, each random run within a
+   512B, 2KB or 16KB span so caches of every size see reuse. *)
 let arb_mixed_trace =
   let open QCheck.Gen in
   let strided =
@@ -343,13 +347,23 @@ let arb_mixed_trace =
       (oneofl [ 4; 8; 32; 64; 256; 1024 ])
       (int_range 1 64)
   in
+  let repeats =
+    map2 (fun addr count -> Array.make count addr) (int_bound 0x3FFF) (int_range 2 6)
+  in
+  let alternating =
+    map3
+      (fun addr apart count ->
+        Array.init count (fun i -> if i land 1 = 0 then addr else addr + (apart * 0x4000)))
+      (int_bound 0x3FFF) (int_range 1 3) (int_range 2 12)
+  in
   let random =
     oneofl [ 0x1FF; 0x7FF; 0x3FFF ] >>= fun span ->
     map Array.of_list (list_size (int_range 1 32) (int_bound span))
   in
   QCheck.make
     ~print:(fun a -> Printf.sprintf "%d refs" (Array.length a))
-    (map Array.concat (list_size (int_range 1 40) (oneof [ strided; random ])))
+    (map Array.concat
+       (list_size (int_range 1 40) (oneof [ strided; repeats; alternating; random ])))
 
 let qcheck_lru_inclusion =
   QCheck.Test.make ~name:"LRU inclusion: more ways never add misses" ~count:200
@@ -483,11 +497,15 @@ let qcheck_onepass_oracle =
     ~name:"one-pass sweep equals the simulated oracle (random traces)"
     ~count:60
     QCheck.(
-      pair
+      triple
         (list_of_size Gen.(int_range 1 400) (int_bound 100_000))
-        (int_bound 100))
-    (fun (addrs, cut_pct) ->
-      let addrs = Array.of_list (List.map (fun a -> a * 8) addrs) in
+        arb_mixed_trace (int_bound 100))
+    (fun (scattered, mixed, cut_pct) ->
+      (* Scattered addresses over 800KB, where a repeated line is rare,
+         then a run rich in repeats. *)
+      let addrs =
+        Array.append (Array.of_list (List.map (fun a -> a * 8) scattered)) mixed
+      in
       let cut = Array.length addrs * cut_pct / 100 in
       let sim, one = run_both ~cut addrs (Array.length addrs) in
       Array.for_all2
@@ -496,6 +514,62 @@ let qcheck_onepass_oracle =
           && s.Study.accesses = o.Study.accesses
           && s.Study.mpi = o.Study.mpi)
         sim one)
+
+(* --- the reference model ---
+
+   [Cache_ref] is the tag-array model before the repeat-line fast path:
+   every access scans its set.  On the configurations below (direct,
+   2-way, 4-way, and 8-, 64- and 512-way fully associative, with 16-,
+   32- and 64-byte lines) the cache must give its answer, with the same
+   counters, after every access, and the one-pass grid over all six
+   must report its misses for each, where a repeat is only a repeat at
+   the finest line size. *)
+
+let oracle_configs =
+  [|
+    cfg ~size:512 ~line:16 ();
+    cfg ~size:1024 ~assoc:2 ();
+    cfg ~size:4096 ~assoc:4 ~line:64 ();
+    cfg ~size:128 ~assoc:0 ~line:16 () (* 8 ways *);
+    cfg ~size:4096 ~assoc:0 ~line:64 () (* 64 ways *);
+    cfg ~size:16384 ~assoc:0 () (* 512 ways *);
+  |]
+
+let qcheck_cache_matches_ref =
+  QCheck.Test.make ~name:"every access answers as the reference model" ~count:200
+    arb_mixed_trace (fun addrs ->
+      Array.for_all
+        (fun config ->
+          let c = Cache.create config and r = Cache_ref.create config in
+          Array.for_all
+            (fun addr ->
+              let hit = Cache.access c addr in
+              hit = Cache_ref.access r addr
+              && Cache.accesses c = Cache_ref.accesses r
+              && Cache.misses c = Cache_ref.misses r)
+            addrs)
+        oracle_configs)
+
+let qcheck_grid_matches_ref =
+  QCheck.Test.make ~name:"mixed-line grid equals per-config Cache_ref" ~count:200
+    (QCheck.pair arb_mixed_trace (QCheck.int_bound 100))
+    (fun (addrs, cut_pct) ->
+      let cut = Array.length addrs * cut_pct / 100 in
+      let prof = Pc_caches.Stack_dist.create oracle_configs in
+      let refs = Array.map Cache_ref.create oracle_configs in
+      let feed lo hi =
+        for i = lo to hi - 1 do
+          Pc_caches.Stack_dist.access prof addrs.(i);
+          Array.iter (fun r -> ignore (Cache_ref.access r addrs.(i))) refs
+        done
+      in
+      feed 0 cut;
+      let warm = Pc_caches.Stack_dist.misses prof in
+      let warm_ref = Array.map Cache_ref.misses refs in
+      feed cut (Array.length addrs);
+      Pc_caches.Stack_dist.accesses prof = Array.length addrs
+      && Array.map2 ( - ) (Pc_caches.Stack_dist.misses prof) warm
+         = Array.map2 (fun r w -> Cache_ref.misses r - w) refs warm_ref)
 
 let qcheck_miss_rate_bounds =
   QCheck.Test.make ~name:"miss rate stays within [0,1]" ~count:100
@@ -597,5 +671,10 @@ let () =
           Alcotest.test_case "matches the reference interpreter" `Quick
             test_data_refs_match_reference;
           Alcotest.test_case "resumes across calls" `Quick test_data_refs_resume;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest qcheck_cache_matches_ref;
+          QCheck_alcotest.to_alcotest qcheck_grid_matches_ref;
         ] );
     ]
